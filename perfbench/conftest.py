@@ -1,0 +1,6 @@
+"""Make the solver sources importable for ``python3 -m pytest perfbench``."""
+
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
