@@ -24,7 +24,7 @@ from .model import (
     MonotoneTableValuation,
     TransformedAdditiveValuation,
 )
-from .cuts import CutTable, PairCut, PickOrder, claimable, efx_cut, free_units, pair_configuration
+from .cuts import CutTable, PairCut, PickOrder, claimable, efx_cut, free_units, pair_state
 from .phase1 import SolverState, augment, check_invariants, greedy_replay, run_phase1
 from .phase2 import phase2_step, run_phase2, structure_report, unallocated_incident
 from .phase3 import SolveConfig, SolveMetrics, SolveResult, run_phase3, solve, solve_state
@@ -94,7 +94,7 @@ __all__ = [
     "instance_from_json",
     "instance_to_json",
     "max_envy_path_length",
-    "pair_configuration",
+    "pair_state",
     "phase2_step",
     "run_phase1",
     "run_phase2",

@@ -25,7 +25,7 @@ from .errors import (
 from .generate import GenSpec, gen_instance
 from .model import Instance
 from .oracle import enumerate_efx_allocations
-from .phase3 import SolveConfig, solve
+from .phase3 import SolveConfig, solve, solve_state
 from .serialize import (
     allocation_from_json,
     allocation_to_json,
@@ -55,7 +55,7 @@ def cmd_solve(args) -> int:
         trace=trace_rows.append if args.trace else None,
     )
     try:
-        result = solve(instance, config)
+        result, state = solve_state(instance, config)
     except NotTriangleFreeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_TRIANGLE
@@ -72,11 +72,9 @@ def cmd_solve(args) -> int:
     if args.metrics_out:
         dump_json(result.metrics.to_dict(), args.metrics_out)
     if args.dump_config:
-        cuts = CutTable(instance)
-        order = PickOrder.complete(result.sigma)
         rows = []
         for a, b in instance.skeleton_edges():
-            cut = cuts.cut(a, b, order.later(a, b))
+            cut = state.cuts.cut(a, b, state.order.later(a, b))
             rows.append(
                 {
                     "pair": [a, b],
@@ -95,14 +93,32 @@ def _parse_properties(text: str) -> set[int]:
         chunk = chunk.strip()
         if not chunk:
             continue
-        if "-" in chunk:
-            lo, hi = chunk.split("-", 1)
-            chosen.update(range(int(lo), int(hi) + 1))
-        else:
-            chosen.add(int(chunk))
+        try:
+            if "-" in chunk:
+                lo, hi = chunk.split("-", 1)
+                chosen.update(range(int(lo), int(hi) + 1))
+            else:
+                chosen.add(int(chunk))
+        except ValueError:
+            raise ValidationError(
+                f"properties must be numbers or ranges like 1-4, got {chunk!r}"
+            ) from None
     if not chosen <= set(range(1, 8)):
         raise ValidationError(f"properties must be within 1..7, got {sorted(chosen)}")
     return chosen
+
+
+def _parse_sigma(text: str, n: int) -> list[int]:
+    try:
+        sigma = [int(x) for x in text.split(",")]
+    except ValueError:
+        sigma = None
+    if sigma is None or sorted(sigma) != list(range(n)):
+        raise ValidationError(
+            f"--sigma must list each of the {n} agents 0..{n - 1} exactly once, "
+            f"got {text!r}"
+        )
+    return sigma
 
 
 def cmd_verify(args) -> int:
@@ -123,7 +139,7 @@ def cmd_verify(args) -> int:
     if args.properties:
         chosen = _parse_properties(args.properties)
         if args.sigma:
-            sigma = [int(x) for x in args.sigma.split(",")]
+            sigma = _parse_sigma(args.sigma, instance.n)
         if sigma is None:
             print(
                 "error: property checks need the picking order; pass --sigma or "

@@ -21,7 +21,8 @@ performs zero moves; this is monitored rather than assumed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import filterfalse
 from typing import Optional, Sequence
 
 from .errors import InternalSolverError, StateError
@@ -265,11 +266,28 @@ class PickOrder:
         return self.front + self.back
 
 
-def pair_configuration(
-    instance: Instance, order: PickOrder, cuts: CutTable, i: int, j: int
-) -> PairCut:
-    """The pair's fixed split: cut by whichever endpoint picks later."""
-    return cuts.cut(i, j, order.later(i, j))
+def pair_state(
+    instance: Instance,
+    alloc: Allocation,
+    order: PickOrder,
+    cuts: CutTable,
+    a: int,
+    b: int,
+) -> tuple[PairCut, Bundle, Bundle, Bundle, Bundle]:
+    """The state of an adjacent pair's goods: ``(cut, goods, held_a, held_b, free)``.
+
+    ``cut`` is the pair's fixed split, cut by whichever endpoint picks later;
+    ``held_a`` and ``held_b`` are the pair goods each endpoint holds and
+    ``free`` the unallocated ones.  The three sets are disjoint, and a pair
+    good in none of them is held by a third agent.  ``a`` and ``b`` may come
+    in either order; the held sets follow it.  This is the one place a pair's
+    state is read.
+    """
+    goods = instance.pair_goods(a, b)
+    held_a = alloc.bundle(a) & goods
+    held_b = alloc.bundle(b) & goods
+    free = frozenset(filterfalse(alloc.is_allocated, goods))
+    return cuts.cut(a, b, order.later(a, b)), goods, held_a, held_b, free
 
 
 def claimable(
@@ -290,14 +308,10 @@ def claimable(
     Any other pair state (a torn unit bundle, a third party holding pair
     goods) never arises in a valid run and raises ``StateError``.
     """
-    goods = instance.pair_goods(i, j)
-    if not goods:
+    if not instance.pair_goods(i, j):
         return EMPTY_BUNDLE
-    cut = pair_configuration(instance, order, cuts, i, j)
-    held_i = alloc.bundle(i) & goods
-    held_j = alloc.bundle(j) & goods
-    taken = {g for g in goods if alloc.is_allocated(g)}
-    if taken != held_i | held_j:
+    cut, goods, held_i, held_j, free = pair_state(instance, alloc, order, cuts, i, j)
+    if len(held_i) + len(held_j) + len(free) != len(goods):
         raise StateError(
             f"goods of pair ({i},{j}) are held by an agent outside the pair"
         )
@@ -306,7 +320,7 @@ def claimable(
             raise StateError(
                 f"agent {who} holds a torn unit bundle of pair ({cut.a},{cut.b})"
             )
-    if not taken:
+    if free == goods:
         vi = instance.valuations[i].value
         return cut.first if vi(cut.first) >= vi(cut.second) else cut.second
     if not held_i and held_j:
@@ -316,9 +330,10 @@ def claimable(
 
 @dataclass
 class FreeUnits:
-    """Per-agent labelling of the unallocated unit bundles beside her.
+    """Per-agent unions of the free-unit labels of the pairs beside her.
 
-    For each adjacent pair exactly one of these cases applies:
+    Each adjacent pair gives each endpoint a primary and a secondary label;
+    exactly one of these cases applies:
 
     * the agent holds one of the pair's unit bundles: both labels are empty;
     * both unit bundles are free: one becomes the agent's primary label and
@@ -326,22 +341,13 @@ class FreeUnits:
       cross (the lower-id endpoint's primary is the split's first part);
     * exactly one unit bundle is free (and not hers): both labels name it;
     * everything of the pair is taken by others: both labels are empty.
+
+    ``primary[i]`` and ``secondary[i]`` are the unions of agent ``i``'s
+    labels over all her pairs.
     """
 
-    primary: dict[int, dict[int, Bundle]] = field(default_factory=dict)
-    secondary: dict[int, dict[int, Bundle]] = field(default_factory=dict)
-
-    def primary_of(self, i: int, j: int) -> Bundle:
-        return self.primary.get(i, {}).get(j, EMPTY_BUNDLE)
-
-    def secondary_of(self, i: int, j: int) -> Bundle:
-        return self.secondary.get(i, {}).get(j, EMPTY_BUNDLE)
-
-    def primary_union(self, i: int) -> Bundle:
-        return frozenset().union(*self.primary.get(i, {}).values() or (EMPTY_BUNDLE,))
-
-    def secondary_union(self, i: int) -> Bundle:
-        return frozenset().union(*self.secondary.get(i, {}).values() or (EMPTY_BUNDLE,))
+    primary: list[set[int]]
+    secondary: list[set[int]]
 
 
 def free_units(
@@ -357,33 +363,26 @@ def free_units(
     With ``strict`` set, pair goods held by a third party are rejected
     (they cannot appear while the allocation is still an orientation).
     """
-    units = FreeUnits()
+    primary: list[set[int]] = [set() for _ in range(instance.n)]
+    secondary: list[set[int]] = [set() for _ in range(instance.n)]
     for a, b in instance.skeleton_edges():
-        goods = instance.pair_goods(a, b)
-        cut = cuts.cut(a, b, order.later(a, b))
-        held_a = alloc.bundle(a) & goods
-        held_b = alloc.bundle(b) & goods
-        taken = {g for g in goods if alloc.is_allocated(g)}
-        if strict and taken != held_a | held_b:
+        cut, goods, held_a, held_b, free = pair_state(instance, alloc, order, cuts, a, b)
+        if strict and len(held_a) + len(held_b) + len(free) != len(goods):
             raise StateError(
                 f"goods of pair ({a},{b}) are held by an agent outside the pair"
             )
-        free_first = not (cut.first & taken)
-        free_second = not (cut.second & taken)
-        for i, j, held in ((a, b, held_a), (b, a, held_b)):
-            if held:
-                primary = secondary = EMPTY_BUNDLE
-            elif free_first and free_second:
-                if i < j:
-                    primary, secondary = cut.first, cut.second
-                else:
-                    primary, secondary = cut.second, cut.first
-            elif free_first:
-                primary = secondary = cut.first
-            elif free_second:
-                primary = secondary = cut.second
-            else:
-                primary = secondary = EMPTY_BUNDLE
-            units.primary.setdefault(i, {})[j] = primary
-            units.secondary.setdefault(i, {})[j] = secondary
-    return units
+        first, second = cut.first, cut.second
+        free_first, free_second = first <= free, second <= free
+        if free_first and free_second:
+            # nothing of the pair is held; a < b, so a's primary is the first part
+            primary[a] |= first
+            secondary[a] |= second
+            primary[b] |= second
+            secondary[b] |= first
+        elif free_first or free_second:
+            loose = first if free_first else second
+            for i, held in ((a, held_a), (b, held_b)):
+                if not held:
+                    primary[i] |= loose
+                    secondary[i] |= loose
+    return FreeUnits(primary, secondary)

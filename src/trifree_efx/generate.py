@@ -244,7 +244,7 @@ def gen_triangle_instance(seed: int, n: int = 3, v_max: int = 20) -> Instance:
 
 
 def _additive_instance(n: int, rows: list[tuple[int, int, dict[int, int]]]) -> Instance:
-    """Build an instance from (u, v, {agent: weight}) rows, one per good."""
+    """Build an instance from (u, v, {agent: weight}) rows, one per good, id = position."""
     goods = [Good(gid, u, v) for gid, (u, v, _) in enumerate(rows)]
     weights: list[dict[int, int]] = [{} for _ in range(n)]
     for gid, (u, v, per_agent) in enumerate(rows):

@@ -21,7 +21,7 @@ properties (1)-(4) of :mod:`.verify`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Optional
 
 from .cuts import CutTable, PickOrder, claimable
@@ -40,6 +40,26 @@ INVARIANT_NAMES = {
     6: "back agents do not envy each other",
     7: "pair structure and free-bundle preference hold for placed agents",
 }
+
+
+@dataclass
+class SolveMetrics:
+    """Counters of one solver run, filled in by the three stages and ``solve``."""
+
+    augment_calls: int = 0
+    empty_picks: int = 0
+    phase2_iterations: int = 0
+    phase2_branches: dict = field(default_factory=lambda: {"A": 0, "B": 0, "C": 0})
+    envied_after_phase2: int = 0
+    phase3_dumps: int = 0
+    cuts_computed: int = 0
+    pr_moves_total: int = 0
+    additive_cuts_with_moves: int = 0
+    pr_quadratic_flags: list = field(default_factory=list)
+    wall_time_s: float = 0.0
+
+    def to_dict(self) -> dict:
+        return asdict(self)
 
 
 @dataclass
@@ -98,27 +118,20 @@ def _best_partner(state: SolverState, i: int) -> Optional[int]:
     return _best_partner_on(state.instance, state.alloc, state.order, state.cuts, i)
 
 
-@dataclass
-class Phase1Stats:
-    augment_calls: int = 0
-    empty_picks: int = 0
-    placements: int = 0
-
-
-def augment(state: SolverState, *, stats: Optional[Phase1Stats] = None, trace: TraceFn = None) -> None:
+def augment(
+    state: SolverState, *, metrics: Optional[SolveMetrics] = None, trace: TraceFn = None
+) -> None:
     """Place at least one unplaced agent and hand new agents their bundles."""
     order, alloc = state.order, state.alloc
     if not order.unplaced:
         raise StateError("augment called with every agent already placed")
-    if stats is not None:
-        stats.augment_calls += 1
+    metrics = metrics if metrics is not None else SolveMetrics()
+    metrics.augment_calls += 1
 
     def give(agent: int, goods) -> None:
         alloc.set_bundle(agent, goods)
-        if stats is not None:
-            stats.placements += 1
-            if not goods:
-                stats.empty_picks += 1
+        if not goods:
+            metrics.empty_picks += 1
         if trace is not None:
             trace({"phase": 1, "event": "pick", "agent": agent, "goods": sorted(goods)})
 
@@ -207,7 +220,7 @@ def run_phase1(
     *,
     state: Optional[SolverState] = None,
     validate: bool = True,
-    stats: Optional[Phase1Stats] = None,
+    metrics: Optional[SolveMetrics] = None,
     trace: TraceFn = None,
 ) -> SolverState:
     """Drive augmentation until every agent is placed.
@@ -219,10 +232,10 @@ def run_phase1(
     """
     if state is None:
         state = SolverState.fresh(instance)
-    stats = stats if stats is not None else Phase1Stats()
+    metrics = metrics if metrics is not None else SolveMetrics()
     while state.order.unplaced:
         before = len(state.order.unplaced)
-        augment(state, stats=stats, trace=trace)
+        augment(state, metrics=metrics, trace=trace)
         if len(state.order.unplaced) >= before:
             raise InternalSolverError("a round failed to place any agent")
         if validate:
@@ -231,9 +244,9 @@ def run_phase1(
                 raise InternalSolverError(
                     "; ".join(str(v) for v in bad)
                 )
-    if stats.augment_calls > instance.n:
+    if metrics.augment_calls > instance.n:
         raise InternalSolverError(
-            f"{stats.augment_calls} rounds for {instance.n} agents"
+            f"{metrics.augment_calls} rounds for {instance.n} agents"
         )
     report = check_properties(instance, state.alloc, state.order, state.cuts, which={1, 2, 3, 4})
     if not report.ok:

@@ -20,15 +20,13 @@ at most ``n**3`` steps, at which point properties (1)-(7) all hold.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
-from .cuts import FreeUnits, free_units
+from .cuts import FreeUnits, free_units, pair_state
 from .errors import InternalSolverError
 from .model import Bundle
-from .phase1 import SolverState
+from .phase1 import SolveMetrics, SolverState, TraceFn
 from .verify import check_properties, envy_graph
-
-TraceFn = Optional[Callable[[dict], None]]
 
 
 class Potential(NamedTuple):
@@ -78,15 +76,13 @@ def _scan(state: SolverState) -> _Scan:
         v = instance.valuations[i].value
         own = v(alloc.bundle(i))
         if i not in envied:
-            if units.primary_union(i):
+            if units.primary[i]:
                 rule_a.append(i)
             if v(free & instance.incident_goods(i)) > own:
                 rule_b.append(i)
         else:
             for j in enviers[i]:
-                for u, bundle in enumerate(
-                    (units.primary_union(i), units.secondary_union(i)), start=1
-                ):
+                for u, bundle in enumerate((units.primary[i], units.secondary[i]), start=1):
                     if v(alloc.bundle(j) | bundle) > own:
                         rule_c.append((i, j, u))
     return _Scan(envied, enviers, units, rule_a, rule_b, rule_c)
@@ -102,7 +98,7 @@ class StepRecord:
 
 def _apply_rule_a(state: SolverState, scan: _Scan, i: int) -> None:
     alloc = state.alloc
-    alloc.set_bundle(i, alloc.bundle(i) | scan.units.primary_union(i))
+    alloc.set_bundle(i, alloc.bundle(i) | scan.units.primary[i])
 
 
 def _apply_rule_b(state: SolverState, i: int) -> None:
@@ -133,13 +129,9 @@ def _apply_rule_c(state: SolverState, scan: _Scan, i: int, j: int, u: int) -> No
     alloc.set_bundle(i, alloc.bundle(i) - held_i)
     alloc.set_bundle(j, (alloc.bundle(j) - held_j) | held_i)
     alloc.set_bundle(i, alloc.bundle(i) | held_j)
-    before = (
-        scan.units.primary_union(i) if u == 1 else scan.units.secondary_union(i)
-    )
+    before = scan.units.primary[i] if u == 1 else scan.units.secondary[i]
     after_units = free_units(instance, alloc, state.order, state.cuts)
-    after = (
-        after_units.primary_union(i) if u == 1 else after_units.secondary_union(i)
-    )
+    after = after_units.primary[i] if u == 1 else after_units.secondary[i]
     if before != after:
         raise InternalSolverError(
             f"free-unit label {u} of agent {i} changed across the pair swap"
@@ -180,21 +172,11 @@ def phase2_step(state: SolverState, *, scan: Optional[_Scan] = None, trace: Trac
     return record
 
 
-@dataclass
-class Phase2Stats:
-    iterations: int = 0
-    branches: dict[str, int] = None  # type: ignore[assignment]
-
-    def __post_init__(self):
-        if self.branches is None:
-            self.branches = {"A": 0, "B": 0, "C": 0}
-
-
 def run_phase2(
     state: SolverState,
     *,
     validate: bool = True,
-    stats: Optional[Phase2Stats] = None,
+    metrics: Optional[SolveMetrics] = None,
     trace: TraceFn = None,
 ) -> SolverState:
     """Iterate repair steps until properties (1)-(7) all hold.
@@ -205,7 +187,7 @@ def run_phase2(
     postconditions asserted after every step.
     """
     instance = state.instance
-    stats = stats if stats is not None else Phase2Stats()
+    metrics = metrics if metrics is not None else SolveMetrics()
     cap = max(1, instance.n**3)
     scan = _scan(state)
     prev_phi: Optional[Potential] = None
@@ -222,9 +204,9 @@ def run_phase2(
         record = phase2_step(state, scan=scan, trace=trace)
         if record is None:
             break
-        stats.iterations += 1
-        stats.branches[record.branch] += 1
-        if stats.iterations > cap:
+        metrics.phase2_iterations += 1
+        metrics.phase2_branches[record.branch] += 1
+        if metrics.phase2_iterations > cap:
             raise InternalSolverError(
                 f"repair loop exceeded {cap} iterations on {instance.n} agents"
             )
@@ -288,9 +270,7 @@ def structure_report(state: SolverState) -> list[tuple[tuple[int, int], str]]:
     envied = set(graph.envied_agents())
     out = []
     for a, b in instance.skeleton_edges():
-        goods = instance.pair_goods(a, b)
-        free = frozenset(g for g in goods if not alloc.is_allocated(g))
-        cut = state.cuts.cut(a, b, state.order.later(a, b))
+        cut, goods, _, _, free = pair_state(instance, alloc, state.order, state.cuts, a, b)
         if a not in envied and b not in envied:
             case = "both-non-envied"
             ok = not free

@@ -16,47 +16,15 @@ and re-verifies the final allocation (complete + EFX) from first principles.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import dataclass
+from typing import Optional
 
 from .cuts import free_units
 from .errors import InternalSolverError, NotTriangleFreeError
 from .model import Allocation, Instance
-from .phase1 import Phase1Stats, SolverState, run_phase1
-from .phase2 import Phase2Stats, run_phase2
+from .phase1 import SolveMetrics, SolverState, TraceFn, run_phase1
+from .phase2 import run_phase2
 from .verify import check_completeness, check_efx, envy_graph
-
-TraceFn = Optional[Callable[[dict], None]]
-
-
-@dataclass
-class SolveMetrics:
-    augment_calls: int = 0
-    empty_picks: int = 0
-    phase2_iterations: int = 0
-    phase2_branches: dict = field(default_factory=lambda: {"A": 0, "B": 0, "C": 0})
-    envied_after_phase2: int = 0
-    phase3_dumps: int = 0
-    cuts_computed: int = 0
-    pr_moves_total: int = 0
-    additive_cuts_with_moves: int = 0
-    pr_quadratic_flags: list = field(default_factory=list)
-    wall_time_s: float = 0.0
-
-    def to_dict(self) -> dict:
-        return {
-            "augment_calls": self.augment_calls,
-            "empty_picks": self.empty_picks,
-            "phase2_iterations": self.phase2_iterations,
-            "phase2_branches": dict(self.phase2_branches),
-            "envied_after_phase2": self.envied_after_phase2,
-            "phase3_dumps": self.phase3_dumps,
-            "cuts_computed": self.cuts_computed,
-            "pr_moves_total": self.pr_moves_total,
-            "additive_cuts_with_moves": self.additive_cuts_with_moves,
-            "pr_quadratic_flags": list(self.pr_quadratic_flags),
-            "wall_time_s": self.wall_time_s,
-        }
 
 
 @dataclass
@@ -94,8 +62,10 @@ def run_phase3(
     must agree.  The output must be a complete EFX allocation.
     """
     instance, alloc = state.instance, state.alloc
+    metrics = metrics if metrics is not None else SolveMetrics()
     graph = envy_graph(instance, alloc)
     envied = graph.envied_agents()
+    metrics.envied_after_phase2 = len(envied)
     enviers: dict[int, int] = {}
     for i in envied:
         who = graph.enviers_of(i)
@@ -113,16 +83,15 @@ def run_phase3(
     units = free_units(instance, alloc, state.order, state.cuts)
     for i in envied:
         j = enviers[i]
-        dumped = units.primary_union(i)
+        dumped = units.primary[i]
         if validate:
             live = free_units(instance, alloc, state.order, state.cuts, strict=False)
-            if live.primary_union(i) != dumped:
+            if live.primary[i] != dumped:
                 raise InternalSolverError(
                     f"live free-unit labels of agent {i} diverged from the frozen ones"
                 )
         alloc.set_bundle(j, alloc.bundle(j) | dumped)
-        if metrics is not None:
-            metrics.phase3_dumps += 1
+        metrics.phase3_dumps += 1
         if trace is not None:
             trace(
                 {
@@ -166,20 +135,10 @@ def solve_state(
         raise NotTriangleFreeError(triangle)
     metrics = SolveMetrics()
     started = time.perf_counter()
-
-    p1 = Phase1Stats()
     state = run_phase1(
-        instance, validate=config.validate_steps, stats=p1, trace=config.trace
+        instance, validate=config.validate_steps, metrics=metrics, trace=config.trace
     )
-    metrics.augment_calls = p1.augment_calls
-    metrics.empty_picks = p1.empty_picks
-
-    p2 = Phase2Stats()
-    run_phase2(state, validate=config.validate_steps, stats=p2, trace=config.trace)
-    metrics.phase2_iterations = p2.iterations
-    metrics.phase2_branches = dict(p2.branches)
-    metrics.envied_after_phase2 = len(envy_graph(instance, state.alloc).envied_agents())
-
+    run_phase2(state, validate=config.validate_steps, metrics=metrics, trace=config.trace)
     allocation = run_phase3(
         state, validate=config.validate_steps, trace=config.trace, metrics=metrics
     )

@@ -19,7 +19,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .cuts import CutTable, PickOrder, free_units
+from .cuts import CutTable, PickOrder, free_units, pair_state
 from .model import Allocation, Bundle, Instance
 
 # Instances at least this big (n * m) with all-additive valuations go through
@@ -235,11 +235,8 @@ def _pair_pattern_violation(
     a: int,
     b: int,
 ) -> Optional[tuple]:
-    goods = instance.pair_goods(a, b)
-    cut = cuts.cut(a, b, order.later(a, b))
-    held_a = alloc.bundle(a) & goods
-    held_b = alloc.bundle(b) & goods
-    outside = {g for g in goods if alloc.is_allocated(g)} - (held_a | held_b)
+    cut, goods, held_a, held_b, free = pair_state(instance, alloc, order, cuts, a, b)
+    outside = goods.difference(held_a, held_b, free)
     if outside:
         return (a, b, "held-outside-pair", min(outside))
     for who, held in ((a, held_a), (b, held_b)):
@@ -328,7 +325,7 @@ def check_properties(
             for i in range(instance.n):
                 if i in envied:
                     continue
-                primary = units.primary_union(i)
+                primary = units.primary[i]
                 if primary:
                     report.extend(5, [(i, sorted(primary))])
         if 6 in which:
@@ -345,8 +342,8 @@ def check_properties(
                 own = v(alloc.bundle(i))
                 for j in graph.enviers_of(i):
                     for label, bundle in (
-                        ("primary", units.primary_union(i)),
-                        ("secondary", units.secondary_union(i)),
+                        ("primary", units.primary[i]),
+                        ("secondary", units.secondary[i]),
                     ):
                         if v(alloc.bundle(j) | bundle) > own:
                             report.extend(7, [(i, j, label)])

@@ -1,16 +1,6 @@
 """Small instance builders shared across test modules."""
 
-from trifree_efx import AdditiveValuation, Good, Instance
-
-
-def additive_instance(n, rows):
-    """Rows are (u, v, {agent: weight}) triples, one per good, id = position."""
-    goods = [Good(gid, u, v) for gid, (u, v, _) in enumerate(rows)]
-    weights = [{} for _ in range(n)]
-    for gid, (u, v, per_agent) in enumerate(rows):
-        for agent in (u, v):
-            weights[agent][gid] = per_agent.get(agent, 0)
-    return Instance(n, goods, [AdditiveValuation(i, weights[i]) for i in range(n)])
+from trifree_efx.generate import _additive_instance as additive_instance
 
 
 def two_agent_parallel(weights_0, weights_1=None):

@@ -37,9 +37,7 @@ from trifree_efx import (
 from trifree_efx.cli import main as cli_main
 from trifree_efx.generate import GenSpec, gen_instance, gen_triangle_instance, suite_spec
 from trifree_efx.oracle import _definition_ok
-from trifree_efx.phase1 import Phase1Stats, SolverState, augment
-from trifree_efx.phase2 import Phase2Stats
-from trifree_efx.phase3 import SolveMetrics
+from trifree_efx.phase1 import SolveMetrics, SolverState, augment
 from trifree_efx.serialize import dump_json, instance_to_json
 
 TOPOLOGIES = ("bipartite", "c4_girth", "tree", "star", "path", "cycle_even")
@@ -88,10 +86,10 @@ def drive_solver(inst):
         "n": inst.n,
     }
     state = SolverState.fresh(inst)
-    p1 = Phase1Stats()
+    metrics = SolveMetrics()
     while state.order.unplaced:
         before = len(state.order.unplaced)
-        augment(state, stats=p1)
+        augment(state, metrics=metrics)
         if len(state.order.unplaced) >= before:
             record["round_progress_ok"] = False
         if check_invariants(state):
@@ -102,14 +100,13 @@ def drive_solver(inst):
     ).ok
 
     potentials = []
-    p2 = Phase2Stats()
     run_phase2(
         state,
         validate=True,
-        stats=p2,
+        metrics=metrics,
         trace=lambda row: potentials.append(tuple(row["potential"])),
     )
-    record["phase2_iterations"] = p2.iterations
+    record["phase2_iterations"] = metrics.phase2_iterations
     record["potential_descends"] = all(
         b < a for a, b in zip(potentials, potentials[1:])
     )
@@ -118,7 +115,6 @@ def drive_solver(inst):
     ).ok
     record["envied_after_phase2"] = len(envy_graph(inst, state.alloc).envied_agents())
 
-    metrics = SolveMetrics()
     alloc = run_phase3(state, validate=True, metrics=metrics)
     record["dumps"] = metrics.phase3_dumps
     record["complete"] = alloc.is_complete(inst)

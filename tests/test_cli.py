@@ -5,7 +5,8 @@ import pytest
 
 from trifree_efx.cli import main
 from trifree_efx.generate import GenSpec, gen_instance, gen_triangle_instance
-from trifree_efx.serialize import dump_json, instance_to_json
+from trifree_efx.phase3 import solve_state
+from trifree_efx.serialize import dump_json, instance_from_json, instance_to_json, load_json
 
 from helpers import two_agent_parallel
 
@@ -111,6 +112,53 @@ def test_solve_trace_and_metrics_and_config(tmp_path, instance_file):
     assert cuts and all(
         set(c) == {"pair", "cutter", "first", "second"} for c in cuts
     )
+    # the dumped splits are the solver's own, one row per skeleton edge
+    inst = instance_from_json(load_json(str(instance_file)))
+    _, state = solve_state(inst)
+    expected = []
+    for a, b in inst.skeleton_edges():
+        cut = state.cuts.cut(a, b, state.order.later(a, b))
+        expected.append(
+            {
+                "pair": [a, b],
+                "cutter": cut.cutter,
+                "first": sorted(cut.first),
+                "second": sorted(cut.second),
+            }
+        )
+    assert cuts == expected
+
+
+@pytest.fixture
+def cycle4_solved(tmp_path):
+    # a 4-agent even cycle and its solved allocation (which carries sigma)
+    ipath = tmp_path / "cycle4.json"
+    apath = tmp_path / "cycle4-alloc.json"
+    assert run(["gen", "--seed", 3, "--n", 4, "--m", 8, "--topology", "cycle_even", "--out", ipath]) == 0
+    assert run(["solve", ipath, "--out", apath]) == 0
+    return ipath, apath
+
+
+@pytest.mark.parametrize("sigma", ["0,1", "0,1,2,3,3", "0,1,2,4", "0,x,2,3"])
+def test_verify_rejects_sigma_that_is_not_a_permutation(cycle4_solved, capsys, sigma):
+    ipath, apath = cycle4_solved
+    capsys.readouterr()
+    assert run(["verify", ipath, apath, "--properties", "1-7", "--sigma", sigma]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: --sigma")
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("properties", ["x", "1-x", "2,,y"])
+def test_verify_rejects_unparsable_properties(cycle4_solved, capsys, properties):
+    ipath, apath = cycle4_solved
+    capsys.readouterr()
+    assert run(["verify", ipath, apath, "--properties", properties]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: properties")
+    assert captured.err.count("\n") == 1
 
 
 def test_envy_graph_command(tmp_path, instance_file, capsys):

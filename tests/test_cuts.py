@@ -12,9 +12,12 @@ from trifree_efx import (
     claimable,
     efx_cut,
     free_units,
-    pair_configuration,
+    pair_state,
 )
 from trifree_efx.cuts import _efx_cut_with_moves
+from trifree_efx.generate import gen_instance, suite_spec
+from trifree_efx.phase1 import run_phase1
+from trifree_efx.phase2 import phase2_step
 
 from helpers import additive_instance, two_agent_parallel
 
@@ -193,14 +196,14 @@ def test_claimable_free_pair_takes_preferred_part():
 def test_claimable_tie_prefers_first_part():
     inst = two_agent_parallel([3, 3])
     alloc, order, cuts = make_state(inst, [0, 1])
-    cut = pair_configuration(inst, order, cuts, 0, 1)
+    cut = cuts.cut(0, 1, order.later(0, 1))
     assert claimable(inst, alloc, order, cuts, 0, 1) == cut.first
 
 
 def test_claimable_partner_holds_leaves_remainder():
     inst = two_agent_parallel([5, 3, 3])
     alloc, order, cuts = make_state(inst, [0, 1])
-    cut = pair_configuration(inst, order, cuts, 0, 1)
+    cut = cuts.cut(0, 1, order.later(0, 1))
     alloc.set_bundle(1, cut.second)
     assert claimable(inst, alloc, order, cuts, 0, 1) == cut.first
     assert claimable(inst, alloc, order, cuts, 1, 0) == frozenset()
@@ -209,7 +212,7 @@ def test_claimable_partner_holds_leaves_remainder():
 def test_claimable_own_holding_blocks_pair():
     inst = two_agent_parallel([5, 3, 3])
     alloc, order, cuts = make_state(inst, [0, 1])
-    cut = pair_configuration(inst, order, cuts, 0, 1)
+    cut = cuts.cut(0, 1, order.later(0, 1))
     alloc.set_bundle(0, cut.first)
     assert claimable(inst, alloc, order, cuts, 0, 1) == frozenset()
     alloc.set_bundle(1, cut.second)
@@ -255,34 +258,95 @@ def test_claimable_requires_determined_order():
 def test_free_units_cross_labels_when_pair_free():
     inst = two_agent_parallel([5, 3, 3])
     alloc, order, cuts = make_state(inst, [0, 1])
-    cut = pair_configuration(inst, order, cuts, 0, 1)
+    cut = cuts.cut(0, 1, order.later(0, 1))
     units = free_units(inst, alloc, order, cuts)
-    assert units.primary_of(0, 1) == cut.first
-    assert units.secondary_of(0, 1) == cut.second
-    assert units.primary_of(1, 0) == cut.second
-    assert units.secondary_of(1, 0) == cut.first
+    assert units.primary[0] == cut.first
+    assert units.secondary[0] == cut.second
+    assert units.primary[1] == cut.second
+    assert units.secondary[1] == cut.first
     # the two endpoints' labels cross
-    assert units.primary_of(0, 1) == units.secondary_of(1, 0)
+    assert units.primary[0] == units.secondary[1]
 
 
 def test_free_units_holder_gets_empty_labels():
     inst = two_agent_parallel([5, 3, 3])
     alloc, order, cuts = make_state(inst, [0, 1])
-    cut = pair_configuration(inst, order, cuts, 0, 1)
+    cut = cuts.cut(0, 1, order.later(0, 1))
     alloc.set_bundle(0, cut.first)
     units = free_units(inst, alloc, order, cuts)
-    assert units.primary_of(0, 1) == frozenset()
-    assert units.secondary_of(0, 1) == frozenset()
-    assert units.primary_of(1, 0) == cut.second
-    assert units.secondary_of(1, 0) == cut.second
+    assert units.primary[0] == frozenset()
+    assert units.secondary[0] == frozenset()
+    assert units.primary[1] == cut.second
+    assert units.secondary[1] == cut.second
 
 
 def test_free_units_labels_are_whole_parts_or_empty():
     inst = two_agent_parallel([4, 2, 1])
     alloc, order, cuts = make_state(inst, [1, 0])
-    cut = pair_configuration(inst, order, cuts, 0, 1)
+    cut = cuts.cut(0, 1, order.later(0, 1))
     units = free_units(inst, alloc, order, cuts)
     allowed = {cut.first, cut.second, frozenset()}
-    for i, j in ((0, 1), (1, 0)):
-        assert units.primary_of(i, j) in allowed
-        assert units.secondary_of(i, j) in allowed
+    for i in (0, 1):
+        assert units.primary[i] in allowed
+        assert units.secondary[i] in allowed
+
+
+def _labels_by_definition(inst, alloc, order, cuts):
+    """Per-agent label unions, straight from the per-pair rule of ``FreeUnits``."""
+    primary = [set() for _ in range(inst.n)]
+    secondary = [set() for _ in range(inst.n)]
+    for a, b in inst.skeleton_edges():
+        cut = cuts.cut(a, b, order.later(a, b))
+        free_parts = [
+            part for part in cut.parts() if not any(alloc.is_allocated(g) for g in part)
+        ]
+        for i, j in ((a, b), (b, a)):
+            if alloc.bundle(i) & inst.pair_goods(i, j):
+                continue  # she holds a unit bundle of the pair: empty labels
+            if len(free_parts) == 2:
+                # the lower-id endpoint's primary is the first part
+                p, q = (cut.first, cut.second) if i < j else (cut.second, cut.first)
+            elif len(free_parts) == 1:
+                p = q = free_parts[0]
+            else:
+                continue  # everything taken by others: empty labels
+            primary[i] |= p
+            secondary[i] |= q
+    return primary, secondary
+
+
+def test_free_units_unions_follow_the_per_pair_rule_on_many_pairs():
+    crossed = 0  # agents whose two unions differ while beside several pairs
+    for topology in ("bipartite", "cycle_even", "tree"):
+        for idx in range(6):
+            inst = gen_instance(suite_spec(topology, idx))
+            state = run_phase1(inst, validate=False)
+            while True:
+                units = free_units(inst, state.alloc, state.order, state.cuts)
+                primary, secondary = _labels_by_definition(
+                    inst, state.alloc, state.order, state.cuts
+                )
+                assert units.primary == primary
+                assert units.secondary == secondary
+                crossed += sum(
+                    1
+                    for i in range(inst.n)
+                    if len(inst.neighbors(i)) > 1 and primary[i] != secondary[i]
+                )
+                if phase2_step(state) is None:
+                    break
+    assert crossed > 0
+
+
+def test_pair_state_splits_the_pair_goods():
+    inst = additive_instance(
+        3,
+        [(0, 1, {0: 5, 1: 5}), (0, 1, {0: 3, 1: 3}), (0, 1, {0: 2, 1: 2}), (1, 2, {})],
+    )
+    alloc, order, cuts = make_state(inst, [0, 1, 2])
+    alloc.set_bundle(0, frozenset({0}))
+    alloc.set_bundle(2, frozenset({1}))  # a third party holds good 1
+    cut, goods, held_0, held_1, free = pair_state(inst, alloc, order, cuts, 0, 1)
+    assert cut == cuts.cut(0, 1, 1)
+    assert goods == frozenset({0, 1, 2})
+    assert (held_0, held_1, free) == (frozenset({0}), frozenset(), frozenset({2}))

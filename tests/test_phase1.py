@@ -10,7 +10,7 @@ from trifree_efx import (
     greedy_replay,
     run_phase1,
 )
-from trifree_efx.phase1 import Phase1Stats, SolverState
+from trifree_efx.phase1 import SolveMetrics, SolverState
 from trifree_efx.generate import gen_instance, suite_spec
 
 from helpers import additive_instance, c4_instance, two_agent_parallel
@@ -51,10 +51,10 @@ def test_two_isolated_agents():
     # a starter with nothing of value to take resolves to herself, so each
     # isolated agent needs her own round and everyone ends empty-handed
     inst = Instance(2, [], [AdditiveValuation(0, {}), AdditiveValuation(1, {})])
-    stats = Phase1Stats()
-    state = run_phase1(inst, stats=stats)
-    assert stats.augment_calls == 2
-    assert stats.empty_picks == 2
+    metrics = SolveMetrics()
+    state = run_phase1(inst, metrics=metrics)
+    assert metrics.augment_calls == 2
+    assert metrics.empty_picks == 2
     assert all(state.alloc.bundle(i) == frozenset() for i in range(2))
 
 
@@ -83,12 +83,12 @@ def test_augment_requires_unplaced_agents():
 def test_at_most_n_rounds_and_strict_progress():
     for idx in range(60):
         inst = gen_instance(suite_spec("bipartite", idx))
-        stats = Phase1Stats()
+        metrics = SolveMetrics()
         state = SolverState.fresh(inst)
         rounds = 0
         while state.order.unplaced:
             before = len(state.order.unplaced)
-            augment(state, stats=stats)
+            augment(state, metrics=metrics)
             assert len(state.order.unplaced) < before
             assert check_invariants(state) == []
             rounds += 1
@@ -162,6 +162,6 @@ def test_empty_picks_are_recorded():
     inst = additive_instance(
         4, [(0, 1, {0: 1, 1: 1})]
     )
-    stats = Phase1Stats()
-    run_phase1(inst, stats=stats)
-    assert stats.empty_picks >= 1
+    metrics = SolveMetrics()
+    run_phase1(inst, metrics=metrics)
+    assert metrics.empty_picks >= 1

@@ -7,7 +7,8 @@ from trifree_efx import (
     structure_report,
     unallocated_incident,
 )
-from trifree_efx.phase2 import Phase2Stats, Potential, _scan
+from trifree_efx.phase1 import SolveMetrics
+from trifree_efx.phase2 import Potential, _scan
 from trifree_efx.generate import gen_adversarial_suite, gen_instance, suite_spec
 
 from helpers import two_agent_parallel
@@ -108,17 +109,17 @@ def test_no_goods_means_zero_iterations():
 
     inst = Instance(3, [], [AdditiveValuation(i, {}) for i in range(3)])
     state = run_phase1(inst)
-    stats = Phase2Stats()
-    run_phase2(state, stats=stats)
-    assert stats.iterations == 0
+    metrics = SolveMetrics()
+    run_phase2(state, metrics=metrics)
+    assert metrics.phase2_iterations == 0
 
 
 def test_fixed_point_means_zero_iterations():
     inst = two_agent_parallel([5, 3, 3])
     state = run_phase1(inst)
-    stats = Phase2Stats()
-    run_phase2(state, stats=stats)
-    assert stats.iterations == 0
+    metrics = SolveMetrics()
+    run_phase2(state, metrics=metrics)
+    assert metrics.phase2_iterations == 0
 
 
 def test_potential_descends_lexicographically():
@@ -137,9 +138,9 @@ def test_iteration_bound_over_random_instances():
         for idx in range(80):
             inst = gen_instance(suite_spec(topo, idx))
             state = run_phase1(inst)
-            stats = Phase2Stats()
-            run_phase2(state, stats=stats)
-            assert stats.iterations <= inst.n**3
+            metrics = SolveMetrics()
+            run_phase2(state, metrics=metrics)
+            assert metrics.phase2_iterations <= inst.n**3
             report = check_properties(inst, state.alloc, state.order, state.cuts)
             assert report.ok, report.summary()
 
