@@ -2,7 +2,8 @@
 
 Subcommands: ``solve``, ``verify``, ``envy-graph``, ``oracle``, ``gen`` and
 ``bench``.  Exit codes: 0 success, 1 parse/validation error, 2 rejected
-because the skeleton has a triangle, 3 a requested check failed.
+because the skeleton has a triangle, 3 a requested check failed, 4 a solver
+guarantee broke (a bug, not bad input).
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from typing import Optional, Sequence
 from .cuts import CutTable, PickOrder
 from .errors import (
     InconsistentSpecError,
+    InternalSolverError,
     NotTriangleFreeError,
     SearchSpaceTooLargeError,
     TriFreeError,
@@ -41,6 +43,7 @@ EXIT_OK = 0
 EXIT_INVALID = 1
 EXIT_TRIANGLE = 2
 EXIT_CHECK_FAILED = 3
+EXIT_INTERNAL = 4
 
 
 def _read_instance(path: str) -> Instance:
@@ -212,6 +215,11 @@ def cmd_bench(args) -> int:
         raise ValidationError("a bench suite is a JSON list of generator specs")
     rows = []
     for idx, raw in enumerate(suite):
+        if not isinstance(raw, dict):
+            raise ValidationError(f"bench entry {idx} must be a JSON object")
+        missing = [key for key in ("n", "m", "topology") if key not in raw]
+        if missing:
+            raise ValidationError(f"bench entry {idx} lacks {', '.join(missing)}")
         spec = GenSpec(
             seed=raw.get("seed", idx),
             n=raw["n"],
@@ -338,8 +346,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ValidationError, InconsistentSpecError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    except TriFreeError as exc:
+    except InternalSolverError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
+    except TriFreeError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
 
 

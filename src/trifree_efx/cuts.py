@@ -213,8 +213,9 @@ class PickOrder:
         self.front: list[int] = []
         self._back_rev: list[int] = []  # placement order; sigma order is reversed
         self.unplaced: set[int] = set(range(n))
-        self._front_pos: dict[int, int] = {}
-        self._back_pos: dict[int, int] = {}
+        # position in the order as one integer: the k-th front placement
+        # ranks k, the k-th back placement 2n - k, unplaced agents rank n
+        self._ranks: dict[int, int] = {}
 
     @classmethod
     def complete(cls, order: Sequence[int]) -> "PickOrder":
@@ -227,12 +228,12 @@ class PickOrder:
 
     def append_front(self, i: int) -> None:
         self.unplaced.remove(i)
-        self._front_pos[i] = len(self.front)
+        self._ranks[i] = len(self.front)
         self.front.append(i)
 
     def prepend_back(self, i: int) -> None:
         self.unplaced.remove(i)
-        self._back_pos[i] = len(self._back_rev)
+        self._ranks[i] = 2 * self.n - len(self._back_rev)
         self._back_rev.append(i)
 
     @property
@@ -242,20 +243,13 @@ class PickOrder:
     def determined(self, a: int, b: int) -> bool:
         return not (a in self.unplaced and b in self.unplaced)
 
-    def _rank(self, i: int) -> tuple[int, int]:
-        if i in self._front_pos:
-            return (0, self._front_pos[i])
-        if i in self._back_pos:
-            # later placements into the back come earlier in the order
-            return (2, -self._back_pos[i])
-        return (1, 0)
-
     def precedes(self, a: int, b: int) -> bool:
         if not self.determined(a, b):
             raise StateError(
                 f"relative order of agents {a} and {b} is not determined yet"
             )
-        return self._rank(a) < self._rank(b)
+        n = self.n
+        return self._ranks.get(a, n) < self._ranks.get(b, n)
 
     def later(self, a: int, b: int) -> int:
         return b if self.precedes(a, b) else a

@@ -259,9 +259,6 @@ class Instance:
     def value(self, agent: int, goods: Iterable[int]) -> int:
         return self.valuations[agent].value(goods)
 
-    def all_additive(self) -> bool:
-        return all(type(v) is AdditiveValuation for v in self.valuations)
-
 
 class Allocation:
     """A partial allocation: one bundle per agent, pairwise disjoint.

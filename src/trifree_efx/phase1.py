@@ -101,8 +101,9 @@ def _best_partner_on(instance, alloc, order, cuts, i) -> int:
     """The partner whose claimable bundle agent ``i`` values most.
 
     Runs over every agent: non-neighbours (and ``i`` herself) contribute an
-    empty bundle worth 0, and ties go to the lowest id, so an agent with
-    nothing of value to take resolves to herself and picks nothing.
+    empty bundle worth 0, and ties go to the lowest id (the comparison is a
+    strict ``>`` starting from -1), so an agent with nothing of value to
+    take resolves to agent 0, neighbour or not, and picks nothing.
     """
     best_j = -1
     best_val = -1

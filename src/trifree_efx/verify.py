@@ -17,14 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
-import numpy as np
-
 from .cuts import CutTable, PickOrder, free_units, pair_state
 from .model import Allocation, Bundle, Instance
-
-# Instances at least this big (n * m) with all-additive valuations go through
-# the vectorised envy computation; everything else uses the direct loops.
-_FAST_PATH_CELLS = 50_000
 
 ALL_PROPERTIES = frozenset(range(1, 8))
 
@@ -66,66 +60,42 @@ def strong_envy_witness(
     return None
 
 
-def _weight_matrix(instance: Instance) -> np.ndarray:
-    cached = getattr(instance, "_weight_matrix", None)
-    if cached is None:
-        w = np.zeros((instance.n, instance.m), dtype=np.int64)
-        for i, val in enumerate(instance.valuations):
-            for g, x in val.weights.items():  # type: ignore[attr-defined]
-                w[i, g] = x
-        instance._weight_matrix = w  # type: ignore[attr-defined]
-        cached = w
-    return cached
+def envy_graph(instance: Instance, alloc: Allocation) -> EnvyGraph:
+    """The directed envy relation of an allocation, with strong-envy flags.
 
+    One scan over the owners' bundles, resting on two model facts:
 
-def _envy_graph_additive(instance: Instance, alloc: Allocation) -> EnvyGraph:
-    n = instance.n
-    w = _weight_matrix(instance)
-    values = np.zeros((n, n), dtype=np.int64)
-    min_contrib = np.zeros((n, n), dtype=np.int64)
-    nonempty = np.zeros(n, dtype=bool)
-    for j in range(n):
-        goods = sorted(alloc.bundle(j))
-        if goods:
-            cols = w[:, goods]
-            values[:, j] = cols.sum(axis=1)
-            min_contrib[:, j] = cols.min(axis=1)
-            nonempty[j] = True
-    own = values.diagonal()
-    envy = values > own[:, None]
-    strong = nonempty[None, :] & (values - min_contrib > own[:, None])
-    np.fill_diagonal(envy, False)
-    np.fill_diagonal(strong, False)
-    edges = [
-        EnvyEdge(int(i), int(j), bool(strong[i, j]))
-        for i, j in np.argwhere(envy)
-    ]
-    return EnvyGraph(n, edges)
+    * valuations are local: ``AdditiveValuation._raw`` skips non-incident
+      goods and ``MonotoneTableValuation.value`` maps only known bits, so
+      agent ``i`` values ``j``'s bundle exactly as the part of it incident
+      to ``i``;
+    * every valuation is worth 0 on the empty bundle (weights are >= 0,
+      ``transform[0] == 0`` and ``table[0] == 0`` are enforced), so ``i``
+      envies nobody whose bundle holds no good incident to her.
 
-
-def envy_graph(instance: Instance, alloc: Allocation, *, method: str = "auto") -> EnvyGraph:
-    """The directed envy relation of an allocation, with strong-envy flags."""
-    if method not in ("auto", "generic", "additive"):
-        raise ValueError(f"unknown method {method!r}")
-    if method == "additive" or (
-        method == "auto"
-        and instance.all_additive()
-        and instance.n * instance.m >= _FAST_PATH_CELLS
-    ):
-        return _envy_graph_additive(instance, alloc)
+    Each good of ``j``'s bundle is recorded under ``seen[i][j]`` for each of
+    its endpoints ``i != j``; ``i`` envies ``j`` when that part is worth more
+    to her than her own bundle.  Edges come out in ``(src, dst)`` order.
+    """
+    goods = instance.goods
+    seen: list[dict[int, list[int]]] = [{} for _ in range(instance.n)]
+    for j, bundle in enumerate(alloc.bundles()):
+        for g in bundle:
+            good = goods[g]
+            for i in (good.u, good.v):
+                if i != j:
+                    seen[i].setdefault(j, []).append(g)
     edges = []
-    for i in range(instance.n):
+    for i, by_owner in enumerate(seen):
+        if not by_owner:
+            continue
         v = instance.valuations[i].value
         own_bundle = alloc.bundle(i)
         own = v(own_bundle)
-        for j in range(instance.n):
-            if j == i:
-                continue
-            other = alloc.bundle(j)
-            if v(other) > own:
-                strong = (
-                    strong_envy_witness(instance, i, own_bundle, other) is not None
-                )
+        for j in sorted(by_owner):
+            if v(by_owner[j]) > own:
+                other = alloc.bundle(j)
+                strong = strong_envy_witness(instance, i, own_bundle, other) is not None
                 edges.append(EnvyEdge(i, j, strong))
     return EnvyGraph(instance.n, edges)
 
@@ -149,9 +119,9 @@ class CheckReport:
         }
 
 
-def check_efx(instance: Instance, alloc: Allocation, *, method: str = "auto") -> CheckReport:
+def check_efx(instance: Instance, alloc: Allocation) -> CheckReport:
     """No ordered pair may exhibit strong envy; witnesses are (i, j, good)."""
-    graph = envy_graph(instance, alloc, method=method)
+    graph = envy_graph(instance, alloc)
     report = CheckReport("efx")
     for edge in graph.edges:
         if not edge.strong:

@@ -3,7 +3,9 @@ import json
 
 import pytest
 
+from trifree_efx import cli
 from trifree_efx.cli import main
+from trifree_efx.errors import InternalSolverError, StateError
 from trifree_efx.generate import GenSpec, gen_instance, gen_triangle_instance
 from trifree_efx.phase3 import solve_state
 from trifree_efx.serialize import dump_json, instance_from_json, instance_to_json, load_json
@@ -281,3 +283,48 @@ def test_bench_small_sweep(tmp_path):
     rows = list(csv.DictReader(out.read_text().splitlines()))
     assert [row["id"] for row in rows] == ["0", "1"]
     assert all(float(row["wall_s"]) >= 0 for row in rows)
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        7,
+        [4, 6, "path"],
+        {"seed": 1, "n": 6, "topology": "tree"},
+        {"seed": 1, "m": 6, "topology": "tree"},
+        {"seed": 1, "n": 6, "m": 6},
+    ],
+)
+def test_bench_rejects_malformed_entry(tmp_path, capsys, entry):
+    suite = tmp_path / "suite.json"
+    suite.write_text(json.dumps([{"seed": 1, "n": 4, "m": 6, "topology": "path"}, entry]))
+    assert run(["bench", suite]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: bench entry 1 ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["solve", "bench"])
+def test_broken_guarantee_exits_4(tmp_path, capsys, monkeypatch, instance_file, command):
+    def broken(*args, **kwargs):
+        raise InternalSolverError("stage-three output is not EFX")
+
+    monkeypatch.setattr(cli, "solve_state", broken)
+    monkeypatch.setattr(cli, "solve", broken)
+    if command == "solve":
+        args = ["solve", instance_file]
+    else:
+        suite = tmp_path / "suite.json"
+        suite.write_text(json.dumps([{"seed": 1, "n": 4, "m": 6, "topology": "path"}]))
+        args = ["bench", suite]
+    assert run(args) == cli.EXIT_INTERNAL == 4
+    err = capsys.readouterr().err
+    assert err == "internal error: stage-three output is not EFX\n"
+
+
+def test_other_library_errors_keep_exit_1(monkeypatch, capsys, instance_file):
+    def caller_error(*args, **kwargs):
+        raise StateError("relative order of agents 1 and 3 is not determined yet")
+
+    monkeypatch.setattr(cli, "solve_state", caller_error)
+    assert run(["solve", instance_file]) == 1
+    assert capsys.readouterr().err.startswith("error: relative order")

@@ -172,6 +172,48 @@ def test_pick_order_semantics():
     assert order.full_order() == [2, 1, 3, 4, 0]
 
 
+@given(st.data())
+@settings(max_examples=200)
+def test_pick_order_precedes_matches_front_unplaced_back(data):
+    n = data.draw(st.integers(1, 8))
+    agents = data.draw(st.permutations(range(n)))
+    to_front = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    order = PickOrder(n)
+    front: list[int] = []
+    back: list[int] = []  # in sigma order
+
+    def slot(i):
+        # (segment, position): the front, then the unplaced middle, then the back
+        if i in front:
+            return (0, front.index(i))
+        if i in back:
+            return (2, back.index(i))
+        return (1, 0)
+
+    for i, at_front in zip(agents, to_front):
+        if at_front:
+            order.append_front(i)
+            front.append(i)
+        else:
+            order.prepend_back(i)
+            back.insert(0, i)
+        for a in range(n):
+            for b in range(n):
+                if slot(a)[0] == slot(b)[0] == 1:
+                    assert not order.determined(a, b)
+                    with pytest.raises(StateError):
+                        order.precedes(a, b)
+                else:
+                    assert order.determined(a, b)
+                    assert order.precedes(a, b) == (slot(a) < slot(b))
+                    assert order.later(a, b) == (b if slot(a) < slot(b) else a)
+    sigma = order.full_order()
+    assert sigma == front + back
+    for a in range(n):
+        for b in range(n):
+            assert order.precedes(a, b) == (sigma.index(a) < sigma.index(b))
+
+
 def test_pick_order_complete_requires_permutation():
     with pytest.raises(StateError):
         PickOrder.complete([0, 0, 1])

@@ -10,7 +10,7 @@ from trifree_efx import (
     greedy_replay,
     run_phase1,
 )
-from trifree_efx.phase1 import SolveMetrics, SolverState
+from trifree_efx.phase1 import SolveMetrics, SolverState, _best_partner_on
 from trifree_efx.generate import gen_instance, suite_spec
 
 from helpers import additive_instance, c4_instance, two_agent_parallel
@@ -48,14 +48,29 @@ def test_single_agent_no_goods():
 
 
 def test_two_isolated_agents():
-    # a starter with nothing of value to take resolves to herself, so each
-    # isolated agent needs her own round and everyone ends empty-handed
+    # a starter with nothing of value to take resolves to agent 0 (herself in
+    # the first round), so each isolated agent needs her own round and
+    # everyone ends empty-handed
     inst = Instance(2, [], [AdditiveValuation(0, {}), AdditiveValuation(1, {})])
     metrics = SolveMetrics()
     state = run_phase1(inst, metrics=metrics)
     assert metrics.augment_calls == 2
     assert metrics.empty_picks == 2
     assert all(state.alloc.bundle(i) == frozenset() for i in range(2))
+
+
+def test_best_partner_tie_goes_to_agent_0_even_when_not_a_neighbour():
+    # path 0-1-2 where agent 2 values her only good at 0: every partner ties at
+    # value 0 and the strict comparison keeps the first, agent 0, who is not
+    # her neighbour (not agent 2 herself)
+    inst = additive_instance(3, [(0, 1, {0: 4, 1: 4}), (1, 2, {1: 3, 2: 0})])
+    state = SolverState.fresh(inst)
+    state.order.prepend_back(2)
+    assert _best_partner_on(inst, state.alloc, state.order, state.cuts, 2) == 0
+    state.order.prepend_back(1)
+    assert _best_partner_on(inst, state.alloc, state.order, state.cuts, 1) == 0
+    state.alloc.set_bundle(0, {0})  # agent 1 now only has good 1, worth 3, left
+    assert _best_partner_on(inst, state.alloc, state.order, state.cuts, 1) == 2
 
 
 def test_no_goods_properties_hold_vacuously():

@@ -1,3 +1,6 @@
+import pytest
+from hypothesis import given, settings, strategies as st
+
 from trifree_efx import (
     Allocation,
     CutTable,
@@ -13,7 +16,9 @@ from trifree_efx import (
     run_phase2,
     solve_state,
 )
-from trifree_efx.generate import gen_instance, suite_spec
+from trifree_efx.generate import TOPOLOGIES, gen_instance, suite_spec
+from trifree_efx.model import VALUATION_CLASSES
+from trifree_efx.oracle import scan_strong_envy
 
 from helpers import additive_instance, two_agent_parallel
 
@@ -193,11 +198,58 @@ def test_property_report_serialisation():
     assert data["checked"] == [1, 4]
 
 
-def test_envy_graph_methods_agree_on_solver_output():
-    inst = gen_instance(suite_spec("bipartite", 7))
+# -- the envy relation against its definition ------------------------------------
+
+
+def envy_definition(inst, alloc):
+    """The envy relation written out over every ordered pair of agents."""
+    edges = []
+    for i in range(inst.n):
+        v = inst.valuations[i].value
+        own = v(alloc.bundle(i))
+        for j in range(inst.n):
+            other = alloc.bundle(j)
+            if j != i and v(other) > own:
+                strong = any(v(other - {g}) > own for g in other)
+                edges.append((i, j, strong))
+    return edges
+
+
+def edge_list(graph):
+    return [(e.src, e.dst, e.strong) for e in graph.edges]
+
+
+@given(
+    st.sampled_from(TOPOLOGIES),
+    st.sampled_from(VALUATION_CLASSES),
+    st.integers(0, 10_000),
+    st.data(),
+)
+@settings(max_examples=150, deadline=None)
+def test_envy_graph_matches_definition_on_random_allocations(
+    topology, valuation_class, index, data
+):
+    spec = suite_spec(
+        topology, index, valuation_class=valuation_class, v_max=20, max_degree=10
+    )
+    inst = gen_instance(spec)
+    assert all(len(inst.incident_goods(i)) <= 16 for i in range(inst.n))
+    # each good goes to any agent (endpoint or not) or stays unallocated
+    owners = data.draw(
+        st.lists(st.integers(-1, inst.n - 1), min_size=inst.m, max_size=inst.m)
+    )
+    alloc = Allocation.from_bundles(
+        inst.n, [[g for g, o in enumerate(owners) if o == i] for i in range(inst.n)]
+    )
+    edges = edge_list(envy_graph(inst, alloc))
+    assert edges == envy_definition(inst, alloc)
+    assert [(i, j) for i, j, strong in edges if strong] == scan_strong_envy(inst, alloc)
+
+
+@pytest.mark.parametrize("topology, index", [("bipartite", 7), ("cycle_even", 4)])
+def test_envy_graph_matches_definition_on_solver_output(topology, index):
+    # the cycle's final allocation keeps three (non-strong) envy edges
+    inst = gen_instance(suite_spec(topology, index))
     result, _ = solve_state(inst)
-    a = envy_graph(inst, result.allocation, method="generic")
-    b = envy_graph(inst, result.allocation, method="additive")
-    assert [(e.src, e.dst, e.strong) for e in a.edges] == [
-        (e.src, e.dst, e.strong) for e in b.edges
-    ]
+    graph = envy_graph(inst, result.allocation)
+    assert edge_list(graph) == envy_definition(inst, result.allocation)
