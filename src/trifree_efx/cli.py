@@ -230,7 +230,10 @@ def cmd_bench(args) -> int:
             max_parallel=raw.get("max_parallel", 4),
             max_degree=raw.get("max_degree"),
         )
-        instance = gen_instance(spec)
+        try:
+            instance = gen_instance(spec)
+        except InconsistentSpecError as exc:
+            raise ValidationError(f"bench entry {idx} is inconsistent: {exc}") from None
         started = time.perf_counter()
         result = solve(instance, SolveConfig(validate_steps=not args.no_validate_steps))
         elapsed = time.perf_counter() - started

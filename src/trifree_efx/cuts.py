@@ -186,9 +186,6 @@ class CutTable:
         )
         return cut
 
-    def fixed_cuts(self) -> list[PairCut]:
-        return list(self._memo.values())
-
 
 def _distinct_subset_values(valuation, goods: Bundle) -> set[int]:
     order = sorted(goods)
@@ -349,22 +346,16 @@ def free_units(
     alloc: Allocation,
     order: PickOrder,
     cuts: CutTable,
-    *,
-    strict: bool = True,
 ) -> FreeUnits:
     """Compute the free-unit labelling for every adjacent ordered pair.
 
-    With ``strict`` set, pair goods held by a third party are rejected
-    (they cannot appear while the allocation is still an orientation).
+    Pair goods held by a third party count as taken; property (2) of
+    :func:`.verify.check_properties` is what reports them.
     """
     primary: list[set[int]] = [set() for _ in range(instance.n)]
     secondary: list[set[int]] = [set() for _ in range(instance.n)]
     for a, b in instance.skeleton_edges():
-        cut, goods, held_a, held_b, free = pair_state(instance, alloc, order, cuts, a, b)
-        if strict and len(held_a) + len(held_b) + len(free) != len(goods):
-            raise StateError(
-                f"goods of pair ({a},{b}) are held by an agent outside the pair"
-            )
+        cut, _, held_a, held_b, free = pair_state(instance, alloc, order, cuts, a, b)
         first, second = cut.first, cut.second
         free_first, free_second = first <= free, second <= free
         if free_first and free_second:

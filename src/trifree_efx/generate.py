@@ -87,6 +87,11 @@ class GenSpec:
 
 
 def _check_spec(spec: GenSpec) -> None:
+    for name in ("seed", "n", "m", "v_max", "max_parallel", "max_degree"):
+        value = getattr(spec, name)
+        # bool is a subclass of int, but true is no size
+        if type(value) is not int and not (name == "max_degree" and value is None):
+            raise InconsistentSpecError(f"{name} must be an integer, not {value!r}")
     if spec.topology not in TOPOLOGIES:
         raise InconsistentSpecError(f"unknown topology {spec.topology!r}")
     if spec.n < 1 or spec.m < 0 or spec.v_max < 0 or spec.max_parallel < 1:

@@ -240,9 +240,6 @@ class Instance:
     def skeleton_edges(self) -> list[tuple[int, int]]:
         return sorted(self._pair)
 
-    def skeleton(self) -> dict[int, frozenset[int]]:
-        return {i: frozenset(self._neighbors[i]) for i in range(self.n)}
-
     def find_triangle(self) -> Optional[tuple[int, int, int]]:
         neigh = [set(ns) for ns in self._neighbors]
         for a, b in self.skeleton_edges():
@@ -333,12 +330,6 @@ class Allocation:
         return all(
             self._bundles[i] <= instance.incident_goods(i) for i in range(self.n)
         )
-
-    def copy(self) -> "Allocation":
-        dup = Allocation(self.n)
-        dup._bundles = list(self._bundles)
-        dup._owner = dict(self._owner)
-        return dup
 
     def owner_tuple(self, instance: Instance) -> tuple[Optional[int], ...]:
         return tuple(self._owner.get(g) for g in range(instance.m))

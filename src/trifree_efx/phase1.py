@@ -27,7 +27,7 @@ from typing import Callable, Optional
 from .cuts import CutTable, PickOrder, claimable
 from .errors import InternalSolverError, StateError
 from .model import Allocation, Instance
-from .verify import check_properties, envy_graph, strong_envy_witness
+from .verify import _efx_witnesses, check_properties, envy_graph
 
 TraceFn = Optional[Callable[[dict], None]]
 
@@ -196,12 +196,10 @@ def check_invariants(state: SolverState) -> list[InvariantViolation]:
     graph = envy_graph(instance, alloc)
     front = set(order.front)
     back = set(order.back)
+    for witness in _efx_witnesses(instance, alloc, graph):
+        if witness[0] in front | back:
+            out.append(InvariantViolation(4, witness))
     for edge in graph.edges:
-        if edge.strong and edge.src in front | back:
-            g = strong_envy_witness(
-                instance, edge.src, alloc.bundle(edge.src), alloc.bundle(edge.dst)
-            )
-            out.append(InvariantViolation(4, (edge.src, edge.dst, g)))
         if edge.src in front:
             out.append(InvariantViolation(5, (edge.src, edge.dst)))
         if edge.src in back and edge.dst in back:

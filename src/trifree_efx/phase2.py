@@ -1,16 +1,19 @@
 """Stage two: repair loop adding the free-bundle properties (5)-(7).
 
 Starting from a stage-one state (properties (1)-(4)), the loop repeatedly
-applies the first applicable rule, scanning agents by ascending id:
+applies the first applicable rule, scanning agents by ascending id.  Each
+rule fires exactly when one of the properties fails, so the rule candidates
+are read off :func:`.verify.free_bundle_check`, computed once per state:
 
-* rule A -- a non-envied agent still has a primary free unit bundle beside
-  her: she absorbs all her primary free bundles.
-* rule B -- a non-envied agent values the free goods incident to her above
-  her own bundle: for every pair with something free she trades her held
-  unit bundle for the free one, keeping pairs with nothing free untouched.
-* rule C -- an envied agent would prefer her envier's bundle joined with one
-  of her free-unit labels: the two swap their unit bundles of the shared
-  pair, then she absorbs that label's free bundles.
+* rule A -- a non-envied agent breaks (5), i.e. still has a primary free
+  unit bundle beside her: she absorbs all her primary free bundles.
+* rule B -- a non-envied agent breaks (6), i.e. values the free goods
+  incident to her above her own bundle: for every pair with something free
+  she trades her held unit bundle for the free one, keeping pairs with
+  nothing free untouched.
+* rule C -- an envied agent breaks (7), i.e. would prefer her envier's
+  bundle joined with one of her free-unit labels: the two swap their unit
+  bundles of the shared pair, then she absorbs that label's free bundles.
 
 Each step strictly lowers the triple (number of envied agents, rule-B
 violators, rule-A violators) in lexicographic order, so the loop ends after
@@ -22,11 +25,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
-from .cuts import FreeUnits, free_units, pair_state
+from .cuts import free_units, pair_state
 from .errors import InternalSolverError
 from .model import Bundle
 from .phase1 import SolveMetrics, SolverState, TraceFn
-from .verify import check_properties, envy_graph
+from .verify import FreeBundleCheck, check_properties, envy_graph, free_bundle_check
 
 
 class Potential(NamedTuple):
@@ -36,56 +39,20 @@ class Potential(NamedTuple):
     leftover_violations: int  # rule-B candidates
     claim_violations: int  # rule-A candidates
 
+    @classmethod
+    def of(cls, check: FreeBundleCheck) -> "Potential":
+        return cls(len(check.envied), len(check.breaks_6), len(check.breaks_5))
+
 
 def unallocated_incident(state: SolverState, i: int) -> Bundle:
     """All free goods incident to agent ``i``."""
     return state.alloc.unallocated_goods(state.instance) & state.instance.incident_goods(i)
 
 
-@dataclass
-class _Scan:
-    """One snapshot of everything the branch selection needs."""
-
-    envied: set[int]
-    enviers: dict[int, list[int]]
-    units: FreeUnits
-    rule_a: list[int]
-    rule_b: list[int]
-    rule_c: list[tuple[int, int, int]]  # (agent, envier, label index)
-
-    @property
-    def potential(self) -> Potential:
-        return Potential(len(self.envied), len(self.rule_b), len(self.rule_a))
-
-    @property
-    def done(self) -> bool:
-        return not (self.rule_a or self.rule_b or self.rule_c)
-
-
-def _scan(state: SolverState) -> _Scan:
+def _scan(state: SolverState) -> FreeBundleCheck:
     instance, alloc = state.instance, state.alloc
     graph = envy_graph(instance, alloc)
-    envied = set(graph.envied_agents())
-    enviers = {i: graph.enviers_of(i) for i in envied}
-    units = free_units(instance, alloc, state.order, state.cuts)
-    rule_a: list[int] = []
-    rule_b: list[int] = []
-    rule_c: list[tuple[int, int, int]] = []
-    free = alloc.unallocated_goods(instance)
-    for i in range(instance.n):
-        v = instance.valuations[i].value
-        own = v(alloc.bundle(i))
-        if i not in envied:
-            if units.primary[i]:
-                rule_a.append(i)
-            if v(free & instance.incident_goods(i)) > own:
-                rule_b.append(i)
-        else:
-            for j in enviers[i]:
-                for u, bundle in enumerate((units.primary[i], units.secondary[i]), start=1):
-                    if v(alloc.bundle(j) | bundle) > own:
-                        rule_c.append((i, j, u))
-    return _Scan(envied, enviers, units, rule_a, rule_b, rule_c)
+    return free_bundle_check(instance, alloc, state.order, state.cuts, graph)
 
 
 @dataclass
@@ -96,7 +63,7 @@ class StepRecord:
     potential_before: Potential
 
 
-def _apply_rule_a(state: SolverState, scan: _Scan, i: int) -> None:
+def _apply_rule_a(state: SolverState, scan: FreeBundleCheck, i: int) -> None:
     alloc = state.alloc
     alloc.set_bundle(i, alloc.bundle(i) | scan.units.primary[i])
 
@@ -111,7 +78,7 @@ def _apply_rule_b(state: SolverState, i: int) -> None:
     alloc.set_bundle(i, frozenset(keep) | loose)
 
 
-def _apply_rule_c(state: SolverState, scan: _Scan, i: int, j: int, u: int) -> None:
+def _apply_rule_c(state: SolverState, scan: FreeBundleCheck, i: int, j: int, label: str) -> None:
     instance, alloc = state.instance, state.alloc
     pair = instance.pair_goods(i, j)
     held_i = alloc.bundle(i) & pair
@@ -129,34 +96,35 @@ def _apply_rule_c(state: SolverState, scan: _Scan, i: int, j: int, u: int) -> No
     alloc.set_bundle(i, alloc.bundle(i) - held_i)
     alloc.set_bundle(j, (alloc.bundle(j) - held_j) | held_i)
     alloc.set_bundle(i, alloc.bundle(i) | held_j)
-    before = scan.units.primary[i] if u == 1 else scan.units.secondary[i]
-    after_units = free_units(instance, alloc, state.order, state.cuts)
-    after = after_units.primary[i] if u == 1 else after_units.secondary[i]
+    before = getattr(scan.units, label)[i]
+    after = getattr(free_units(instance, alloc, state.order, state.cuts), label)[i]
     if before != after:
         raise InternalSolverError(
-            f"free-unit label {u} of agent {i} changed across the pair swap"
+            f"{label} free-unit label of agent {i} changed across the pair swap"
         )
     alloc.set_bundle(i, alloc.bundle(i) | after)
 
 
-def phase2_step(state: SolverState, *, scan: Optional[_Scan] = None, trace: TraceFn = None) -> Optional[StepRecord]:
+def phase2_step(
+    state: SolverState, *, scan: Optional[FreeBundleCheck] = None, trace: TraceFn = None
+) -> Optional[StepRecord]:
     """Apply one repair rule; ``None`` when properties (5)-(7) already hold."""
     if scan is None:
         scan = _scan(state)
-    if scan.done:
+    if scan.ok:
         return None
-    phi = scan.potential
-    if scan.rule_a:
-        i = min(scan.rule_a)
+    phi = Potential.of(scan)
+    if scan.breaks_5:
+        i = scan.breaks_5[0]
         _apply_rule_a(state, scan, i)
         record = StepRecord("A", i, None, phi)
-    elif scan.rule_b:
-        i = min(scan.rule_b)
+    elif scan.breaks_6:
+        i = scan.breaks_6[0]
         _apply_rule_b(state, i)
         record = StepRecord("B", i, None, phi)
     else:
-        i, j, u = min(scan.rule_c)
-        _apply_rule_c(state, scan, i, j, u)
+        i, j, label = scan.breaks_7[0]
+        _apply_rule_c(state, scan, i, j, label)
         record = StepRecord("C", i, j, phi)
     if trace is not None:
         trace(
@@ -190,17 +158,7 @@ def run_phase2(
     metrics = metrics if metrics is not None else SolveMetrics()
     cap = max(1, instance.n**3)
     scan = _scan(state)
-    prev_phi: Optional[Potential] = None
     while True:
-        if prev_phi is not None and scan.potential >= prev_phi:
-            raise InternalSolverError(
-                f"repair potential failed to drop: {prev_phi} -> {scan.potential}"
-            )
-        prev_envy = (
-            {(e.src, e.dst) for e in envy_graph(instance, state.alloc).edges}
-            if validate
-            else None
-        )
         record = phase2_step(state, scan=scan, trace=trace)
         if record is None:
             break
@@ -210,10 +168,16 @@ def run_phase2(
             raise InternalSolverError(
                 f"repair loop exceeded {cap} iterations on {instance.n} agents"
             )
-        prev_phi = record.potential_before
+        # the checks on either side of the step give its before and after envy
+        after = _scan(state)
         if validate:
-            _validate_step(state, record, prev_envy)
-        scan = _scan(state)
+            _validate_step(state, record, scan, after)
+        phi = Potential.of(after)
+        if phi >= record.potential_before:
+            raise InternalSolverError(
+                f"repair potential failed to drop: {record.potential_before} -> {phi}"
+            )
+        scan = after
     report = check_properties(
         instance, state.alloc, state.order, state.cuts, which=set(range(1, 8))
     )
@@ -222,24 +186,25 @@ def run_phase2(
     return state
 
 
-def _validate_step(state: SolverState, record: StepRecord, prev_envy: set) -> None:
-    instance = state.instance
-    graph = envy_graph(instance, state.alloc)
-    now_envy = {(e.src, e.dst) for e in graph.edges}
+def _validate_step(
+    state: SolverState, record: StepRecord, before: FreeBundleCheck, after: FreeBundleCheck
+) -> None:
     report = check_properties(
-        instance, state.alloc, state.order, state.cuts, which={1, 2, 3, 4}
+        state.instance, state.alloc, state.order, state.cuts, which={1, 2, 3, 4}
     )
     if not report.ok:
         raise InternalSolverError(
             f"rule {record.branch} on agent {record.agent} broke {report.summary()}"
         )
+    prev_envy = {(e.src, e.dst) for e in before.graph.edges}
+    now_envy = {(e.src, e.dst) for e in after.graph.edges}
     if record.branch in ("A", "B") and not now_envy <= prev_envy:
         raise InternalSolverError(
             f"rule {record.branch} on agent {record.agent} created envy "
             f"{sorted(now_envy - prev_envy)}"
         )
     if record.branch == "C":
-        envied_now = set(graph.envied_agents())
+        envied_now = after.envied
         if record.agent in envied_now:
             raise InternalSolverError(
                 f"rule C left agent {record.agent} envied"
@@ -248,8 +213,7 @@ def _validate_step(state: SolverState, record: StepRecord, prev_envy: set) -> No
             raise InternalSolverError(
                 f"rule C made the envier {record.partner} envied"
             )
-        envied_before = {dst for _, dst in prev_envy}
-        if not len(envied_now) < len(envied_before):
+        if not len(envied_now) < len(before.envied):
             raise InternalSolverError(
                 "rule C did not shrink the set of envied agents"
             )

@@ -85,7 +85,7 @@ def run_phase3(
         j = enviers[i]
         dumped = units.primary[i]
         if validate:
-            live = free_units(instance, alloc, state.order, state.cuts, strict=False)
+            live = free_units(instance, alloc, state.order, state.cuts)
             if live.primary[i] != dumped:
                 raise InternalSolverError(
                     f"live free-unit labels of agent {i} diverged from the frozen ones"

@@ -6,6 +6,12 @@ checks is meaningful evidence.  The only shared vocabulary is the fixed
 pair splits (unit bundles), which the structural property checks need by
 definition.
 
+``free_bundle_check`` is the one place the free-bundle properties (5)-(7)
+are decided: stage two picks its repair rule from it, and
+``check_properties`` only formats what it returns.  Pair goods held by a
+third party are reported by property (2); the free-bundle check never
+raises on them.
+
 Envy vocabulary: agent ``i`` envies ``j`` when she values ``j``'s bundle
 strictly above her own, and *strongly* envies when some single good can be
 removed from ``j``'s bundle with the envy surviving.  An allocation is EFX
@@ -17,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
-from .cuts import CutTable, PickOrder, free_units, pair_state
+from .cuts import CutTable, FreeUnits, PickOrder, free_units, pair_state
 from .model import Allocation, Bundle, Instance
 
 ALL_PROPERTIES = frozenset(range(1, 8))
@@ -40,9 +46,6 @@ class EnvyGraph:
 
     def envied_agents(self) -> list[int]:
         return sorted({e.dst for e in self.edges})
-
-    def envies(self, i: int) -> list[int]:
-        return [e.dst for e in self.edges if e.src == i]
 
     def has_strong_envy(self) -> bool:
         return any(e.strong for e in self.edges)
@@ -119,18 +122,22 @@ class CheckReport:
         }
 
 
+def _efx_witnesses(
+    instance: Instance, alloc: Allocation, graph: EnvyGraph
+) -> list[tuple[int, int, int]]:
+    """``(i, j, good)`` for every strong-envy edge of ``graph``, in edge order."""
+    bundle = alloc.bundle
+    return [
+        (e.src, e.dst, strong_envy_witness(instance, e.src, bundle(e.src), bundle(e.dst)))
+        for e in graph.edges
+        if e.strong
+    ]
+
+
 def check_efx(instance: Instance, alloc: Allocation) -> CheckReport:
     """No ordered pair may exhibit strong envy; witnesses are (i, j, good)."""
     graph = envy_graph(instance, alloc)
-    report = CheckReport("efx")
-    for edge in graph.edges:
-        if not edge.strong:
-            continue
-        g = strong_envy_witness(
-            instance, edge.src, alloc.bundle(edge.src), alloc.bundle(edge.dst)
-        )
-        report.violations.append((edge.src, edge.dst, g))
-    return report
+    return CheckReport("efx", _efx_witnesses(instance, alloc, graph))
 
 
 def check_orientation(instance: Instance, alloc: Allocation) -> CheckReport:
@@ -197,6 +204,59 @@ def check_envied_by_one(instance: Instance, alloc: Allocation) -> CheckReport:
 #     bundle joined with either of her free-unit labels.
 
 
+@dataclass
+class FreeBundleCheck:
+    """Which agents break the free-bundle properties (5)-(7) in one state.
+
+    Each list is in ascending order; stage two repairs its first entry.
+    """
+
+    graph: EnvyGraph
+    envied: set[int]
+    units: FreeUnits
+    breaks_5: list[int]  # non-envied agents with a primary free bundle
+    breaks_6: list[int]  # non-envied agents preferring their free goods
+    breaks_7: list[tuple[int, int, str]]  # (envied agent, envier, label)
+
+    @property
+    def ok(self) -> bool:
+        return not (self.breaks_5 or self.breaks_6 or self.breaks_7)
+
+
+def free_bundle_check(
+    instance: Instance,
+    alloc: Allocation,
+    order: PickOrder,
+    cuts: CutTable,
+    graph: EnvyGraph,
+) -> FreeBundleCheck:
+    """Decide properties (5)-(7) for every agent, given the envy graph of
+    ``alloc``; the order must be complete."""
+    envied = set(graph.envied_agents())
+    units = free_units(instance, alloc, order, cuts)
+    free = alloc.unallocated_goods(instance)
+    breaks_5: list[int] = []
+    breaks_6: list[int] = []
+    breaks_7: list[tuple[int, int, str]] = []
+    for i in range(instance.n):
+        v = instance.valuations[i].value
+        own = v(alloc.bundle(i))
+        if i not in envied:
+            if units.primary[i]:
+                breaks_5.append(i)
+            if v(free & instance.incident_goods(i)) > own:
+                breaks_6.append(i)
+            continue
+        for j in graph.enviers_of(i):
+            for label, bundle in (
+                ("primary", units.primary[i]),
+                ("secondary", units.secondary[i]),
+            ):
+                if v(alloc.bundle(j) | bundle) > own:
+                    breaks_7.append((i, j, label))
+    return FreeBundleCheck(graph, envied, units, breaks_5, breaks_6, breaks_7)
+
+
 def _pair_pattern_violation(
     instance: Instance,
     alloc: Allocation,
@@ -254,7 +314,8 @@ def check_properties(
 
     ``agents`` restricts properties (2) and (3) to pairs touching the given
     agents (used while the picking order is still partial).  Properties
-    (5)-(7) need the full envy picture and are intended for complete orders.
+    (5)-(7) are decided by :func:`free_bundle_check` and need a complete
+    order.  The envy graph is built at most once, for (1), (4) and (5)-(7).
     """
     which = frozenset(which)
     if not which <= ALL_PROPERTIES:
@@ -262,9 +323,10 @@ def check_properties(
     report = PropertyReport(checked=which)
     scope = set(range(instance.n)) if agents is None else set(agents)
 
+    graph = envy_graph(instance, alloc) if which & {1, 4, 5, 6, 7} else None
     if 1 in which:
         report.extend(1, check_orientation(instance, alloc).violations)
-        report.extend(1, check_efx(instance, alloc).violations)
+        report.extend(1, _efx_witnesses(instance, alloc, graph))
     if 2 in which:
         for a, b in instance.skeleton_edges():
             if a not in scope and b not in scope:
@@ -278,45 +340,23 @@ def check_properties(
         for i in sorted(scope):
             report.extend(3, _property3_violations(instance, alloc, order, cuts, i))
     if 4 in which:
-        graph = envy_graph(instance, alloc)
         into = {e.dst: e.src for e in graph.edges}
         chains = [
             (into[e.src], e.src, e.dst) for e in graph.edges if e.src in into
         ]
         if chains:
             report.extend(4, [chains[0]])
-
     if which & {5, 6, 7}:
-        graph = envy_graph(instance, alloc)
-        envied = set(graph.envied_agents())
-        units = free_units(instance, alloc, order, cuts)
-        free = alloc.unallocated_goods(instance)
+        check = free_bundle_check(instance, alloc, order, cuts, graph)
         if 5 in which:
-            for i in range(instance.n):
-                if i in envied:
-                    continue
-                primary = units.primary[i]
-                if primary:
-                    report.extend(5, [(i, sorted(primary))])
+            report.extend(5, [(i, sorted(check.units.primary[i])) for i in check.breaks_5])
         if 6 in which:
-            for i in range(instance.n):
-                if i in envied:
-                    continue
-                v = instance.valuations[i].value
-                loose = free & instance.incident_goods(i)
-                if v(loose) > v(alloc.bundle(i)):
-                    report.extend(6, [(i, sorted(loose))])
+            free = alloc.unallocated_goods(instance)
+            report.extend(
+                6, [(i, sorted(free & instance.incident_goods(i))) for i in check.breaks_6]
+            )
         if 7 in which:
-            for i in sorted(envied):
-                v = instance.valuations[i].value
-                own = v(alloc.bundle(i))
-                for j in graph.enviers_of(i):
-                    for label, bundle in (
-                        ("primary", units.primary[i]),
-                        ("secondary", units.secondary[i]),
-                    ):
-                        if v(alloc.bundle(j) | bundle) > own:
-                            report.extend(7, [(i, j, label)])
+            report.extend(7, check.breaks_7)
     return report
 
 

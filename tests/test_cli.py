@@ -6,7 +6,7 @@ import pytest
 from trifree_efx import cli
 from trifree_efx.cli import main
 from trifree_efx.errors import InternalSolverError, StateError
-from trifree_efx.generate import GenSpec, gen_instance, gen_triangle_instance
+from trifree_efx.generate import GenSpec, gen_instance, gen_triangle_instance, suite_spec
 from trifree_efx.phase3 import solve_state
 from trifree_efx.serialize import dump_json, instance_from_json, instance_to_json, load_json
 
@@ -139,6 +139,23 @@ def cycle4_solved(tmp_path):
     assert run(["gen", "--seed", 3, "--n", 4, "--m", 8, "--topology", "cycle_even", "--out", ipath]) == 0
     assert run(["solve", ipath, "--out", apath]) == 0
     return ipath, apath
+
+
+def test_verify_reports_stage_three_dumps_under_properties_1_and_2(tmp_path, capsys):
+    # stage three hands agent 2 a good of pair (3,4), outside her incidence:
+    # a complete EFX allocation that is no orientation, reported as failed
+    # properties rather than as an error
+    ipath = tmp_path / "instance.json"
+    apath = tmp_path / "allocation.json"
+    dump_json(instance_to_json(gen_instance(suite_spec("cycle_even", 4))), str(ipath))
+    assert run(["solve", ipath, "--out", apath]) == 0
+    capsys.readouterr()
+    assert run(["verify", ipath, apath, "--require-complete", "--properties", "1-7"]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    efx, complete, props = json.loads(captured.out)["checks"]
+    assert efx["ok"] and complete["ok"]
+    assert props["failures"] == {"1": [[2, 0]], "2": [[3, 4, "held-outside-pair", 0]]}
 
 
 @pytest.mark.parametrize("sigma", ["0,1", "0,1,2,3,3", "0,1,2,4", "0,x,2,3"])
@@ -293,6 +310,12 @@ def test_bench_small_sweep(tmp_path):
         {"seed": 1, "n": 6, "topology": "tree"},
         {"seed": 1, "m": 6, "topology": "tree"},
         {"seed": 1, "n": 6, "m": 6},
+        {"n": "6", "m": 6, "topology": "tree"},
+        {"seed": "x", "n": 6, "m": 6, "topology": "tree"},
+        {"seed": 1, "n": 6, "m": 6, "topology": "tree", "max_parallel": True},
+        {"seed": 1, "n": 6, "m": 6.5, "topology": "tree"},
+        {"seed": 1, "n": 6, "m": 6, "topology": "tree", "max_degree": "3"},
+        {"seed": 1, "n": 6, "m": 6, "topology": "triangle"},
     ],
 )
 def test_bench_rejects_malformed_entry(tmp_path, capsys, entry):

@@ -1,17 +1,26 @@
+import pytest
+
 from trifree_efx import (
+    Allocation,
+    CutTable,
+    PickOrder,
+    SolveConfig,
     check_properties,
     envy_graph,
     phase2_step,
     run_phase1,
     run_phase2,
+    solve,
     structure_report,
     unallocated_incident,
 )
-from trifree_efx.phase1 import SolveMetrics
+from trifree_efx import phase2
+from trifree_efx.errors import InternalSolverError
+from trifree_efx.phase1 import SolveMetrics, SolverState
 from trifree_efx.phase2 import Potential, _scan
 from trifree_efx.generate import gen_adversarial_suite, gen_instance, suite_spec
 
-from helpers import two_agent_parallel
+from helpers import additive_instance, two_agent_parallel
 
 
 def adversarial(name):
@@ -125,9 +134,9 @@ def test_fixed_point_means_zero_iterations():
 def test_potential_descends_lexicographically():
     inst = adversarial("hub_trade")
     state = run_phase1(inst)
-    trail = [_scan(state).potential]
+    trail = [Potential.of(_scan(state))]
     while phase2_step(state) is not None:
-        trail.append(_scan(state).potential)
+        trail.append(Potential.of(_scan(state)))
     for before, after in zip(trail, trail[1:]):
         assert after < before
     assert trail[-1] <= trail[0]
@@ -175,3 +184,93 @@ def test_structure_report_on_random_instances():
         state = run_phase1(inst)
         run_phase2(state)
         structure_report(state)  # raises on any pattern violation
+
+
+# -- one free-bundle property failing at a time ---------------------------------------
+
+# Each state below is a complete-order orientation satisfying (1)-(4) in
+# which exactly one of (5)-(7) fails; every pair has two goods, so its unit
+# bundles are single goods whoever cuts it.
+ONLY_5 = (
+    3,
+    [
+        (0, 1, {0: 5, 1: 1}),  # g0: held by 0
+        (0, 1, {0: 5, 1: 1}),  # g1: free, agent 1's primary label
+        (1, 2, {1: 10, 2: 10}),  # g2: held by 1
+        (1, 2, {1: 10, 2: 10}),  # g3: held by 2
+    ],
+    [[0], [2], [3]],
+)
+ONLY_6 = (
+    5,
+    [
+        (0, 1, {0: 2, 1: 1}),  # g0: held by 0
+        (0, 1, {0: 3, 1: 1}),  # g1: free
+        (0, 3, {0: 2, 3: 1}),  # g2: held by 0
+        (0, 3, {0: 3, 3: 1}),  # g3: free; g1 + g3 beat agent 0's bundle
+        (1, 2, {1: 10, 2: 5}),  # g4: held by 1, envied by 2
+        (1, 2, {1: 1, 2: 1}),  # g5: held by 2
+        (3, 4, {3: 10, 4: 5}),  # g6: held by 3, envied by 4
+        (3, 4, {3: 1, 4: 1}),  # g7: held by 4
+    ],
+    [[0, 2], [4], [5], [6], [7]],
+)
+ONLY_7 = (
+    3,
+    [
+        (0, 1, {0: 4, 1: 2}),  # g0: held by 0
+        (0, 1, {0: 4, 1: 3}),  # g1: free, both of agent 1's labels
+        (1, 2, {1: 5, 2: 6}),  # g2: held by 1, envied by 2
+        (1, 2, {1: 3, 2: 2}),  # g3: held by 2; g3 + g1 beat agent 1's bundle
+    ],
+    [[0], [2], [3]],
+)
+
+
+def hand_state(n, rows, bundles) -> SolverState:
+    instance = additive_instance(n, rows)
+    state = SolverState(
+        instance, Allocation(n), PickOrder.complete(list(range(n))), CutTable(instance)
+    )
+    for i, goods in enumerate(bundles):
+        state.alloc.set_bundle(i, goods)
+    return state
+
+
+@pytest.mark.parametrize(
+    "case, prop, branch, agent, partner",
+    [(ONLY_5, 5, "A", 1, None), (ONLY_6, 6, "B", 0, None), (ONLY_7, 7, "C", 1, 2)],
+    ids=["5", "6", "7"],
+)
+def test_one_failing_free_bundle_property_picks_its_rule(case, prop, branch, agent, partner):
+    state = hand_state(*case)
+    inst = state.instance
+    report = check_properties(inst, state.alloc, state.order, state.cuts)
+    assert report.failed_properties() == [prop]
+    assert report.failures[prop][0][0] == agent
+    record = phase2_step(state)
+    assert (record.branch, record.agent, record.partner) == (branch, agent, partner)
+    run_phase2(state)
+    assert check_properties(inst, state.alloc, state.order, state.cuts).ok
+
+
+# -- a broken orientation inside stage two ---------------------------------------------
+
+
+@pytest.mark.parametrize("validate", [True, False])
+def test_rule_giving_a_third_party_pair_goods_is_an_internal_error(monkeypatch, validate):
+    # rule A hands the absorbed free bundle to an agent outside its pair;
+    # the stage-two checks must report that as a broken guarantee, not as a
+    # caller error
+    def misplace(state, scan, i):
+        goods = scan.units.primary[i]
+        ends = {end for g in goods for end in (inst.goods[g].u, inst.goods[g].v)}
+        outsider = min(k for k in range(inst.n) if k not in ends)
+        state.alloc.set_bundle(outsider, state.alloc.bundle(outsider) | goods)
+
+    inst = adversarial("star_two_leaves")
+    monkeypatch.setattr(phase2, "_apply_rule_a", misplace)
+    with pytest.raises(InternalSolverError) as err:
+        solve(inst, SolveConfig(validate_steps=validate))
+    if validate:
+        assert "(2) x1" in str(err.value)
