@@ -10,12 +10,14 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
+import io
 import json
 import sys
 import time
 from typing import Optional, Sequence
 
-from .cuts import CutTable, PickOrder
+from .cuts import CutTable, PickOrder, pair_state
 from .errors import (
     InconsistentSpecError,
     InternalSolverError,
@@ -36,6 +38,7 @@ from .serialize import (
     instance_from_json,
     instance_to_json,
     load_json,
+    write_text,
 )
 from .verify import check_completeness, check_efx, check_properties
 
@@ -69,15 +72,13 @@ def cmd_solve(args) -> int:
     if args.out is None:
         sys.stdout.write(text)
     if args.trace:
-        with open(args.trace, "w", encoding="utf-8") as fh:
-            for row in trace_rows:
-                fh.write(json.dumps(row) + "\n")
+        write_text(args.trace, "".join(json.dumps(row) + "\n" for row in trace_rows))
     if args.metrics_out:
         dump_json(result.metrics.to_dict(), args.metrics_out)
     if args.dump_config:
         rows = []
         for a, b in instance.skeleton_edges():
-            cut = state.cuts.cut(a, b, state.order.later(a, b))
+            cut = pair_state(instance, state.alloc, state.order, state.cuts, a, b)[0]
             rows.append(
                 {
                     "pair": [a, b],
@@ -165,8 +166,7 @@ def cmd_envy_graph(args) -> int:
     alloc, _ = allocation_from_json(load_json(args.allocation), instance)
     dot = envy_graph_dot(instance, alloc)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(dot)
+        write_text(args.out, dot)
     else:
         sys.stdout.write(dot)
     return EXIT_OK
@@ -213,6 +213,7 @@ def cmd_bench(args) -> int:
     suite = load_json(args.suite)
     if not isinstance(suite, list):
         raise ValidationError("a bench suite is a JSON list of generator specs")
+    spec_keys = {f.name for f in dataclasses.fields(GenSpec)}
     rows = []
     for idx, raw in enumerate(suite):
         if not isinstance(raw, dict):
@@ -220,16 +221,10 @@ def cmd_bench(args) -> int:
         missing = [key for key in ("n", "m", "topology") if key not in raw]
         if missing:
             raise ValidationError(f"bench entry {idx} lacks {', '.join(missing)}")
-        spec = GenSpec(
-            seed=raw.get("seed", idx),
-            n=raw["n"],
-            m=raw["m"],
-            topology=raw["topology"],
-            valuation_class=raw.get("valuation_class", "additive"),
-            v_max=raw.get("v_max", 50),
-            max_parallel=raw.get("max_parallel", 4),
-            max_degree=raw.get("max_degree"),
-        )
+        unknown = sorted(set(raw) - spec_keys)
+        if unknown:
+            raise ValidationError(f"bench entry {idx} has unknown keys {', '.join(unknown)}")
+        spec = GenSpec(**{"seed": idx, **raw})
         try:
             instance = gen_instance(spec)
         except InconsistentSpecError as exc:
@@ -261,15 +256,15 @@ def cmd_bench(args) -> int:
         "pr_moves",
         "wall_s",
     ]
-    out = open(args.out, "w", newline="", encoding="utf-8") if args.out else sys.stdout
-    try:
-        writer = csv.DictWriter(out, fieldnames=fields)
-        writer.writeheader()
-        for row in sorted(rows, key=lambda r: r["id"]):
-            writer.writerow(row)
-    finally:
-        if args.out:
-            out.close()
+    out = io.StringIO()
+    writer = csv.DictWriter(out, fieldnames=fields)
+    writer.writeheader()
+    for row in sorted(rows, key=lambda r: r["id"]):
+        writer.writerow(row)
+    if args.out:
+        write_text(args.out, out.getvalue())
+    else:
+        sys.stdout.write(out.getvalue())
     return EXIT_OK
 
 

@@ -49,9 +49,6 @@ class PairCut:
     def parts(self) -> tuple[Bundle, Bundle]:
         return (self.first, self.second)
 
-    def other_part(self, part: Bundle) -> Bundle:
-        return self.second if part == self.first else self.first
-
 
 @dataclass
 class CutStats:
@@ -272,13 +269,36 @@ def pair_state(
     ``free`` the unallocated ones.  The three sets are disjoint, and a pair
     good in none of them is held by a third agent.  ``a`` and ``b`` may come
     in either order; the held sets follow it.  This is the one place a pair's
-    state is read.
+    state is read, and the only place the later-picker-cuts rule is written.
     """
     goods = instance.pair_goods(a, b)
     held_a = alloc.bundle(a) & goods
     held_b = alloc.bundle(b) & goods
     free = frozenset(filterfalse(alloc.is_allocated, goods))
     return cuts.cut(a, b, order.later(a, b)), goods, held_a, held_b, free
+
+
+def pair_fault(
+    a: int, b: int, pair: tuple[PairCut, Bundle, Bundle, Bundle, Bundle]
+) -> Optional[tuple[int, int, str, int]]:
+    """Why the :func:`pair_state` result ``pair`` of ``(a, b)`` is not whole
+    unit bundles on the pair's endpoints, or ``None`` when it is.
+
+    The fault is ``(lo, hi, "held-outside-pair", smallest such good)`` or
+    ``(lo, hi, "torn-unit-bundle", lower-id endpoint holding a torn part)``,
+    with ``lo < hi`` the pair's endpoints.  Two endpoints can never hold the
+    same part, since bundles are disjoint.
+    """
+    cut, goods, held_a, held_b, free = pair
+    outside = goods.difference(held_a, held_b, free)
+    if outside:
+        return (cut.a, cut.b, "held-outside-pair", min(outside))
+    if a > b:
+        a, b, held_a, held_b = b, a, held_b, held_a
+    for who, held in ((a, held_a), (b, held_b)):
+        if held and held not in cut.parts():
+            return (cut.a, cut.b, "torn-unit-bundle", who)
+    return None
 
 
 def claimable(
@@ -291,26 +311,24 @@ def claimable(
 ) -> Bundle:
     """Goods of the pair ``(i, j)`` that agent ``i`` may still take.
 
+    * no goods shared with ``j``: nothing;
     * nothing of the pair allocated: the unit bundle ``i`` values most
       (ties prefer the split's first part);
     * only ``j`` holds from the pair: the remaining unit bundle;
     * ``i`` already holds from the pair (or both do): nothing.
 
-    Any other pair state (a torn unit bundle, a third party holding pair
+    A :func:`pair_fault` (a torn unit bundle, a third party holding pair
     goods) never arises in a valid run and raises ``StateError``.
     """
     if not instance.pair_goods(i, j):
         return EMPTY_BUNDLE
-    cut, goods, held_i, held_j, free = pair_state(instance, alloc, order, cuts, i, j)
-    if len(held_i) + len(held_j) + len(free) != len(goods):
+    pair = pair_state(instance, alloc, order, cuts, i, j)
+    fault = pair_fault(i, j, pair)
+    if fault is not None:
         raise StateError(
-            f"goods of pair ({i},{j}) are held by an agent outside the pair"
+            "pair (%d,%d) is not whole unit bundles on its endpoints: %s %d" % fault
         )
-    for held, who in ((held_i, i), (held_j, j)):
-        if held and held not in cut.parts():
-            raise StateError(
-                f"agent {who} holds a torn unit bundle of pair ({cut.a},{cut.b})"
-            )
+    cut, goods, held_i, held_j, free = pair
     if free == goods:
         vi = instance.valuations[i].value
         return cut.first if vi(cut.first) >= vi(cut.second) else cut.second

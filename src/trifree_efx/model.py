@@ -40,16 +40,6 @@ class Good:
     u: int
     v: int
 
-    def endpoints(self) -> tuple[int, int]:
-        return (self.u, self.v)
-
-    def other_end(self, agent: int) -> int:
-        if agent == self.u:
-            return self.v
-        if agent == self.v:
-            return self.u
-        raise ValueError(f"agent {agent} is not an endpoint of good {self.id}")
-
 
 class Valuation:
     """Base class: integer-valued, monotone, local to the incident goods."""
@@ -112,6 +102,15 @@ class TransformedAdditiveValuation(AdditiveValuation):
         return self.transform[self._raw(goods)]
 
 
+def check_table_degree(owner: int, degree: int) -> None:
+    """Reject a monotone table over more goods than the cap allows."""
+    if degree > MONOTONE_TABLE_DEGREE_CAP:
+        raise ValidationError(
+            f"agent {owner}: degree {degree} exceeds the monotone-table cap "
+            f"of {MONOTONE_TABLE_DEGREE_CAP}"
+        )
+
+
 class MonotoneTableValuation(Valuation):
     class_name = "monotone_table"
 
@@ -122,11 +121,7 @@ class MonotoneTableValuation(Valuation):
                 f"agent {owner}: table good order must be ascending good ids"
             )
         d = len(good_order)
-        if d > MONOTONE_TABLE_DEGREE_CAP:
-            raise ValidationError(
-                f"agent {owner}: degree {d} exceeds the monotone-table cap "
-                f"of {MONOTONE_TABLE_DEGREE_CAP}"
-            )
+        check_table_degree(owner, d)
         table = tuple(table)
         if len(table) != 1 << d:
             raise ValidationError(
@@ -200,12 +195,13 @@ class Instance:
             incident[g.v].add(g.id)
             key = (g.u, g.v) if g.u < g.v else (g.v, g.u)
             pair.setdefault(key, set()).add(g.id)
+        neighbors: list[list[int]] = [[] for _ in range(n)]
+        for a, b in pair:
+            neighbors[a].append(b)
+            neighbors[b].append(a)
         self._incident = tuple(frozenset(s) for s in incident)
         self._pair = {k: frozenset(s) for k, s in pair.items()}
-        self._neighbors = tuple(
-            tuple(sorted({g.other_end(i) for g in goods if i in g.endpoints()}))
-            for i in range(n)
-        )
+        self._neighbors = tuple(tuple(sorted(ns)) for ns in neighbors)
 
         valuations = tuple(valuations)
         if len(valuations) != n:

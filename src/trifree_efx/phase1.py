@@ -21,7 +21,7 @@ properties (1)-(4) of :mod:`.verify`.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from typing import Callable, Optional
 
 from .cuts import CutTable, PickOrder, claimable
@@ -97,26 +97,23 @@ class InvariantViolation:
         return f"invariant ({self.code}) broken: {INVARIANT_NAMES[self.code]} at {self.witness}"
 
 
-def _best_partner_on(instance, alloc, order, cuts, i) -> int:
+def _best_partner(state: SolverState, i: int) -> int:
     """The partner whose claimable bundle agent ``i`` values most.
 
-    Runs over every agent: non-neighbours (and ``i`` herself) contribute an
-    empty bundle worth 0, and ties go to the lowest id (the comparison is a
-    strict ``>`` starting from -1), so an agent with nothing of value to
-    take resolves to agent 0, neighbour or not, and picks nothing.
+    Agent ``i`` values only goods on her own edges, so only her neighbours
+    are visited.  The search starts from agent 0 at value 0 and moves only
+    on a strictly higher value, so ties go to the lowest id and an agent
+    with nothing of value to take resolves to agent 0, neighbour or not.
+    If agent 0 is her neighbour she then takes her zero-valued unit bundle
+    from pair ``(i, 0)``; otherwise that pair is empty and she takes nothing.
     """
-    best_j = -1
-    best_val = -1
-    value = instance.valuations[i].value
-    for j in range(instance.n):
-        val = value(claimable(instance, alloc, order, cuts, i, j))
+    value = state.instance.valuations[i].value
+    best_j, best_val = 0, 0
+    for j in state.instance.neighbors(i):
+        val = value(state.claimable(i, j))
         if val > best_val:
             best_j, best_val = j, val
     return best_j
-
-
-def _best_partner(state: SolverState, i: int) -> Optional[int]:
-    return _best_partner_on(state.instance, state.alloc, state.order, state.cuts, i)
 
 
 def augment(
@@ -265,11 +262,7 @@ def greedy_replay(state: SolverState) -> Allocation:
     Each agent takes the claimable bundle she values most at her turn; the
     result must coincide with the stage-one allocation.
     """
-    instance = state.instance
-    replay = Allocation(instance.n)
+    replay = replace(state, alloc=Allocation(state.instance.n))
     for i in state.sigma():
-        j = _best_partner_on(instance, replay, state.order, state.cuts, i)
-        replay.set_bundle(
-            i, claimable(instance, replay, state.order, state.cuts, i, j)
-        )
-    return replay
+        replay.alloc.set_bundle(i, replay.claimable(i, _best_partner(replay, i)))
+    return replay.alloc

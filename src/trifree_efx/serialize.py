@@ -32,6 +32,7 @@ from .model import (
     Instance,
     MonotoneTableValuation,
     TransformedAdditiveValuation,
+    check_table_degree,
 )
 from .verify import envy_graph
 
@@ -131,6 +132,7 @@ def instance_from_json(data: dict) -> Instance:
         elif cls == "monotone_table":
             raw = entry.get("table")
             _require(isinstance(raw, dict), f"agent {agent}: table must be an object")
+            check_table_degree(agent, len(mine))  # before the 2^degree list exists
             size = 1 << len(mine)
             table = [None] * size
             for key, v in raw.items():
@@ -216,9 +218,17 @@ def load_json(path: str) -> dict:
         raise ValidationError(f"{path} is not valid JSON: {exc}") from exc
 
 
+def write_text(path: str, text: str) -> None:
+    """Write ``text`` to ``path``; an unwritable path is a ``ValidationError``."""
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ValidationError(f"cannot write {path}: {exc}") from exc
+
+
 def dump_json(payload: dict, path: Optional[str]) -> str:
     text = json.dumps(payload, indent=2, sort_keys=False) + "\n"
     if path is not None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        write_text(path, text)
     return text

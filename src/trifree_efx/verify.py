@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
-from .cuts import CutTable, FreeUnits, PickOrder, free_units, pair_state
+from .cuts import CutTable, FreeUnits, PickOrder, free_units, pair_fault, pair_state
 from .model import Allocation, Bundle, Instance
 
 ALL_PROPERTIES = frozenset(range(1, 8))
@@ -46,9 +46,6 @@ class EnvyGraph:
 
     def envied_agents(self) -> list[int]:
         return sorted({e.dst for e in self.edges})
-
-    def has_strong_envy(self) -> bool:
-        return any(e.strong for e in self.edges)
 
 
 def strong_envy_witness(
@@ -257,26 +254,6 @@ def free_bundle_check(
     return FreeBundleCheck(graph, envied, units, breaks_5, breaks_6, breaks_7)
 
 
-def _pair_pattern_violation(
-    instance: Instance,
-    alloc: Allocation,
-    order: PickOrder,
-    cuts: CutTable,
-    a: int,
-    b: int,
-) -> Optional[tuple]:
-    cut, goods, held_a, held_b, free = pair_state(instance, alloc, order, cuts, a, b)
-    outside = goods.difference(held_a, held_b, free)
-    if outside:
-        return (a, b, "held-outside-pair", min(outside))
-    for who, held in ((a, held_a), (b, held_b)):
-        if held and held not in cut.parts():
-            return (a, b, "torn-unit-bundle", who)
-    if held_a and held_b and held_a == held_b:
-        return (a, b, "same-part-twice", None)
-    return None
-
-
 def _property3_violations(
     instance: Instance,
     alloc: Allocation,
@@ -290,13 +267,9 @@ def _property3_violations(
     for j in instance.neighbors(i):
         if not order.determined(i, j):
             continue
-        cut = cuts.cut(i, j, order.later(i, j))
+        cut, _, _, _, free = pair_state(instance, alloc, order, cuts, i, j)
         for part in cut.parts():
-            if not part:
-                continue
-            if any(alloc.is_allocated(g) for g in part):
-                continue
-            if v(part) > own:
+            if part and part <= free and v(part) > own:
                 out.append((i, j, sorted(part)))
     return out
 
@@ -333,7 +306,7 @@ def check_properties(
                 continue
             if not order.determined(a, b):
                 continue
-            bad = _pair_pattern_violation(instance, alloc, order, cuts, a, b)
+            bad = pair_fault(a, b, pair_state(instance, alloc, order, cuts, a, b))
             if bad is not None:
                 report.extend(2, [bad])
     if 3 in which:

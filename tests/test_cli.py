@@ -316,6 +316,7 @@ def test_bench_small_sweep(tmp_path):
         {"seed": 1, "n": 6, "m": 6.5, "topology": "tree"},
         {"seed": 1, "n": 6, "m": 6, "topology": "tree", "max_degree": "3"},
         {"seed": 1, "n": 6, "m": 6, "topology": "triangle"},
+        {"seed": 1, "n": 6, "m": 6, "topology": "tree", "valuation_clas": "monotone_table"},
     ],
 )
 def test_bench_rejects_malformed_entry(tmp_path, capsys, entry):
@@ -324,6 +325,41 @@ def test_bench_rejects_malformed_entry(tmp_path, capsys, entry):
     assert run(["bench", suite]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: bench entry 1 ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [
+        ("solve", "--out"),
+        ("solve", "--trace"),
+        ("solve", "--metrics-out"),
+        ("solve", "--dump-config"),
+        ("verify", "--report-out"),
+        ("envy-graph", "--out"),
+        ("oracle", "--out"),
+        ("gen", "--out"),
+        ("bench", "--out"),
+    ],
+)
+def test_unwritable_output_path_exits_1(tmp_path, capsys, command, flag):
+    ipath = tmp_path / "instance.json"
+    apath = tmp_path / "allocation.json"
+    suite = tmp_path / "suite.json"
+    dump_json(instance_to_json(two_agent_parallel([5, 3, 3])), str(ipath))
+    dump_json({"bundles": [[0], [1, 2]], "sigma": [1, 0]}, str(apath))
+    suite.write_text(json.dumps([{"seed": 1, "n": 4, "m": 6, "topology": "path"}]))
+    args = {
+        "solve": ["solve", ipath],
+        "verify": ["verify", ipath, apath, "--properties", "1-7"],
+        "envy-graph": ["envy-graph", ipath, apath],
+        "oracle": ["oracle", ipath],
+        "gen": ["gen", "--seed", 1, "--n", 4, "--m", 6, "--topology", "path"],
+        "bench": ["bench", suite],
+    }[command]
+    bad = tmp_path / "no-such-dir" / "out"
+    assert run(args + [flag, bad]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {bad}: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("command", ["solve", "bench"])

@@ -9,12 +9,13 @@ from trifree_efx import (
     MonotoneTableValuation,
     PickOrder,
     StateError,
+    check_properties,
     claimable,
     efx_cut,
     free_units,
     pair_state,
 )
-from trifree_efx.cuts import _efx_cut_with_moves
+from trifree_efx.cuts import _efx_cut_with_moves, pair_fault
 from trifree_efx.generate import gen_instance, suite_spec
 from trifree_efx.phase1 import run_phase1
 from trifree_efx.phase2 import phase2_step
@@ -284,6 +285,46 @@ def test_claimable_rejects_third_party_holder():
     alloc.set_bundle(2, frozenset({0}))  # agent 2 holds a good of pair (0,1)
     with pytest.raises(StateError):
         claimable(inst, alloc, order, cuts, 0, 1)
+
+
+def _three_agents_two_pairs():
+    return additive_instance(
+        3, [(0, 1, {0: 5, 1: 5}), (0, 1, {0: 3, 1: 3}), (1, 2, {1: 1, 2: 1})]
+    )
+
+
+@pytest.mark.parametrize(
+    "make, bundles, fault",
+    [
+        # agent 1 holds half of the {3,3} part
+        (lambda: two_agent_parallel([5, 3, 3]), [set(), {1}], (0, 1, "torn-unit-bundle", 1)),
+        # each endpoint holds half of it: the lower id is named, from either side
+        (lambda: two_agent_parallel([5, 3, 3]), [{1}, {2}], (0, 1, "torn-unit-bundle", 0)),
+        # agent 2 holds a good of pair (0,1); a held-outside good outranks a torn part
+        (_three_agents_two_pairs, [set(), set(), {0}], (0, 1, "held-outside-pair", 0)),
+        (_three_agents_two_pairs, [{1}, set(), {0, 2}], (0, 1, "held-outside-pair", 0)),
+        # whole unit bundles on the endpoints: sound
+        (lambda: two_agent_parallel([5, 3, 3]), [{0}, {1, 2}], None),
+    ],
+    ids=["torn", "both-torn", "third-party", "third-party-and-torn", "sound"],
+)
+def test_claimable_and_property_2_report_the_same_pair_fault(make, bundles, fault):
+    inst = make()
+    alloc = Allocation.from_bundles(inst.n, bundles)
+    order, cuts = PickOrder.complete(list(range(inst.n))), CutTable(inst)
+    for a, b in ((0, 1), (1, 0)):
+        assert pair_fault(a, b, pair_state(inst, alloc, order, cuts, a, b)) == fault
+    report = check_properties(inst, alloc, order, cuts, which={2})
+    assert report.failures == ({} if fault is None else {2: [fault]})
+    for i, j in ((0, 1), (1, 0)):
+        if fault is None:
+            claimable(inst, alloc, order, cuts, i, j)
+            continue
+        with pytest.raises(StateError) as exc:
+            claimable(inst, alloc, order, cuts, i, j)
+        assert str(exc.value) == (
+            "pair (%d,%d) is not whole unit bundles on its endpoints: %s %d" % fault
+        )
 
 
 def test_claimable_requires_determined_order():

@@ -11,6 +11,8 @@ from trifree_efx import (
     ValidationError,
 )
 
+from trifree_efx.generate import TOPOLOGIES, gen_adversarial_suite, gen_instance, suite_spec
+
 from helpers import additive_instance, two_agent_parallel
 
 
@@ -106,6 +108,18 @@ def test_pair_goods_symmetric():
     inst = two_agent_parallel([1, 1, 1])
     assert inst.pair_goods(0, 1) == frozenset({0, 1, 2})
     assert inst.pair_goods(1, 0) == inst.pair_goods(0, 1)
+
+
+@pytest.mark.parametrize("topology", TOPOLOGIES)
+def test_neighbors_match_the_goods_definition(topology):
+    # the pair map gives each agent's neighbours; check it against the
+    # written-out rule: the other endpoints of the goods incident to her
+    instances = [gen_instance(suite_spec(topology, idx)) for idx in range(20)]
+    instances += [inst for _, inst in gen_adversarial_suite()]
+    for inst in instances:
+        for i in range(inst.n):
+            expected = sorted({g.v if g.u == i else g.u for g in inst.goods if i in (g.u, g.v)})
+            assert inst.neighbors(i) == tuple(expected)
 
 
 # -- construction and validation ----------------------------------------------

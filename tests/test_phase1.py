@@ -10,8 +10,9 @@ from trifree_efx import (
     greedy_replay,
     run_phase1,
 )
-from trifree_efx.phase1 import SolveMetrics, SolverState, _best_partner_on
-from trifree_efx.generate import gen_instance, suite_spec
+from trifree_efx import phase1
+from trifree_efx.phase1 import SolveMetrics, SolverState, _best_partner
+from trifree_efx.generate import TOPOLOGIES, gen_instance, suite_spec
 
 from helpers import additive_instance, c4_instance, two_agent_parallel
 
@@ -60,17 +61,44 @@ def test_two_isolated_agents():
 
 
 def test_best_partner_tie_goes_to_agent_0_even_when_not_a_neighbour():
-    # path 0-1-2 where agent 2 values her only good at 0: every partner ties at
-    # value 0 and the strict comparison keeps the first, agent 0, who is not
-    # her neighbour (not agent 2 herself)
+    # path 0-1-2 where agent 2 values her only good at 0: the search starts at
+    # agent 0 with value 0 and moves only on a strictly higher value, so it
+    # stays at agent 0, who is not her neighbour (not agent 2 herself)
     inst = additive_instance(3, [(0, 1, {0: 4, 1: 4}), (1, 2, {1: 3, 2: 0})])
     state = SolverState.fresh(inst)
     state.order.prepend_back(2)
-    assert _best_partner_on(inst, state.alloc, state.order, state.cuts, 2) == 0
+    assert _best_partner(state, 2) == 0
     state.order.prepend_back(1)
-    assert _best_partner_on(inst, state.alloc, state.order, state.cuts, 1) == 0
+    assert _best_partner(state, 1) == 0
     state.alloc.set_bundle(0, {0})  # agent 1 now only has good 1, worth 3, left
-    assert _best_partner_on(inst, state.alloc, state.order, state.cuts, 1) == 2
+    assert _best_partner(state, 1) == 2
+
+
+def _all_agents_argmax(state, i):
+    """The written-out partner rule: the first agent whose claimable bundle
+    agent ``i`` values most, over all agents (``i`` herself and
+    non-neighbours offer nothing)."""
+    value = state.instance.valuations[i].value
+    values = [value(state.claimable(i, j)) for j in range(state.instance.n)]
+    return values.index(max(values))
+
+
+@pytest.mark.parametrize("topology", TOPOLOGIES)
+def test_best_partner_matches_all_agents_argmax_mid_augment(monkeypatch, topology):
+    # every partner search of stage one (and of its greedy replay) is checked
+    # against the all-agents definition on the state it is asked about
+    searches = []
+
+    def checked(state, i):
+        j = _best_partner(state, i)
+        assert j == _all_agents_argmax(state, i), (i, j)
+        searches.append(j in state.instance.neighbors(i))
+        return j
+
+    monkeypatch.setattr(phase1, "_best_partner", checked)
+    for idx in range(15):
+        run_phase1(gen_instance(suite_spec(topology, idx)))
+    assert any(searches) and not all(searches)  # neighbours and agent-0 fallbacks
 
 
 def test_no_goods_properties_hold_vacuously():

@@ -23,6 +23,11 @@ from trifree_efx.generate import gen_adversarial_suite, gen_instance, suite_spec
 from helpers import additive_instance, two_agent_parallel
 
 
+def step_cap(inst):
+    """The most repair steps ``run_phase2`` allows, as it computes them."""
+    return max(1, inst.n**3)
+
+
 def adversarial(name):
     for key, inst in gen_adversarial_suite():
         if key == name:
@@ -97,7 +102,7 @@ def test_rule_b_trades_held_bundles_for_leftovers():
     state = run_phase1(inst)
     hub = 1
     seen_b = False
-    while True:
+    for _ in range(step_cap(inst) + 1):
         loose_before = unallocated_incident(state, hub)
         record = phase2_step(state)
         if record is None:
@@ -107,6 +112,8 @@ def test_rule_b_trades_held_bundles_for_leftovers():
             assert record.agent == hub
             # everything that was loose beside the hub is hers afterwards
             assert loose_before <= state.alloc.bundle(hub)
+    else:
+        pytest.fail(f"stage two ran past its cap of {step_cap(inst)} steps")
     assert seen_b
 
 
@@ -135,8 +142,12 @@ def test_potential_descends_lexicographically():
     inst = adversarial("hub_trade")
     state = run_phase1(inst)
     trail = [Potential.of(_scan(state))]
-    while phase2_step(state) is not None:
+    for _ in range(step_cap(inst) + 1):
+        if phase2_step(state) is None:
+            break
         trail.append(Potential.of(_scan(state)))
+    else:
+        pytest.fail(f"stage two ran past its cap of {step_cap(inst)} steps")
     for before, after in zip(trail, trail[1:]):
         assert after < before
     assert trail[-1] <= trail[0]

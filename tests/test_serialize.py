@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import pytest
 
@@ -112,6 +113,27 @@ def test_incomplete_table_rejected():
     }
     with pytest.raises(ValidationError):
         instance_from_json(payload)
+
+
+def test_table_degree_cap_checked_before_the_table_is_built():
+    # degree 21 is one past the cap; the 2^21-entry list alone would take
+    # about 16 MB, so a small allocation peak shows the cap came first
+    payload = {
+        "n": 2,
+        "goods": [{"id": g, "u": 0, "v": 1} for g in range(21)],
+        "valuations": [
+            {"agent": 0, "class": "monotone_table", "table": {"0": 0}},
+            {"agent": 1, "class": "additive", "weights": {}},
+        ],
+    }
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValidationError, match="degree 21 exceeds the monotone-table cap of 20"):
+            instance_from_json(payload)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4_000_000
 
 
 def test_overlapping_bundles_rejected():
