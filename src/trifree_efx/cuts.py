@@ -16,7 +16,7 @@ therefore at most ``len(goods) * (max value + 1)``.
 
 For additive (and transformed-additive) valuations the initial partition is
 a largest-first greedy split, which is already feasible, so the local search
-performs zero moves; this is monitored rather than assumed.
+performs zero moves; the tests assert this.
 """
 
 from __future__ import annotations
@@ -26,14 +26,7 @@ from itertools import filterfalse
 from typing import Optional, Sequence
 
 from .errors import InternalSolverError, StateError
-from .model import (
-    EMPTY_BUNDLE,
-    AdditiveValuation,
-    Allocation,
-    Bundle,
-    Instance,
-    MonotoneTableValuation,
-)
+from .model import EMPTY_BUNDLE, AdditiveValuation, Allocation, Bundle, Instance
 
 
 @dataclass(frozen=True)
@@ -54,10 +47,7 @@ class PairCut:
 class CutStats:
     pair: tuple[int, int]
     cutter: int
-    size: int
     moves: int
-    additive: bool
-    distinct_values: Optional[int] = None
 
 
 def _feasibility_witness(value, p1: Bundle, p2: Bundle) -> Optional[tuple[int, int]]:
@@ -167,30 +157,8 @@ class CutTable:
         (first, second), moves = _efx_cut_with_moves(self.instance, cutter, goods)
         cut = PairCut(a, b, cutter, first, second)
         self._memo[key] = cut
-        valuation = self.instance.valuations[cutter]
-        distinct = None
-        if isinstance(valuation, MonotoneTableValuation) and len(goods) <= 16:
-            distinct = len(_distinct_subset_values(valuation, goods))
-        self.stats.append(
-            CutStats(
-                pair=(a, b),
-                cutter=cutter,
-                size=len(goods),
-                moves=moves,
-                additive=isinstance(valuation, AdditiveValuation),
-                distinct_values=distinct,
-            )
-        )
+        self.stats.append(CutStats(pair=(a, b), cutter=cutter, moves=moves))
         return cut
-
-
-def _distinct_subset_values(valuation, goods: Bundle) -> set[int]:
-    order = sorted(goods)
-    vals = set()
-    for mask in range(1 << len(order)):
-        subset = frozenset(order[k] for k in range(len(order)) if mask >> k & 1)
-        vals.add(valuation.value(subset))
-    return vals
 
 
 class PickOrder:

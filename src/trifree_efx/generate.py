@@ -96,6 +96,7 @@ def _check_spec(spec: GenSpec) -> None:
         raise InconsistentSpecError(f"unknown topology {spec.topology!r}")
     if spec.n < 1 or spec.m < 0 or spec.v_max < 0 or spec.max_parallel < 1:
         raise InconsistentSpecError("sizes must be positive (m, v_max may be 0)")
+    _check_degree_cap(spec.max_degree)
     if spec.topology in ("star", "path", "bipartite") and spec.n < 2 and spec.m > 0:
         raise InconsistentSpecError(f"{spec.topology} with goods needs n >= 2")
     if spec.topology == "cycle_even" and (spec.n < 4 or spec.n % 2):
@@ -104,6 +105,12 @@ def _check_spec(spec: GenSpec) -> None:
         raise InconsistentSpecError("c4_girth needs n >= 4")
     if spec.valuation_class not in ("additive", "transformed_additive", "monotone_table"):
         raise InconsistentSpecError(f"unknown valuation class {spec.valuation_class!r}")
+
+
+def _check_degree_cap(max_degree: Optional[int]) -> None:
+    # a cap below 1 would only bite after the first good is placed
+    if max_degree is not None and max_degree < 1:
+        raise InconsistentSpecError(f"max_degree must be at least 1, got {max_degree}")
 
 
 def _skeleton(spec: GenSpec, rng: SplitMix64) -> list[tuple[int, int]]:
@@ -378,6 +385,7 @@ def suite_spec(
     Sizes are drawn from the same deterministic stream as the instance
     content, respecting each topology's constraints (parity, capacity).
     """
+    _check_degree_cap(max_degree)
     seed = (base_seed * 0x100000001B3 + index) & _MASK64
     rng = SplitMix64(seed ^ 0xD6E8FEB86659FD93)
     n_hi = min(n_max, n_cap) if n_cap else n_max

@@ -247,11 +247,6 @@ class Instance:
     def is_triangle_free(self) -> bool:
         return self.find_triangle() is None
 
-    # -- valuations --------------------------------------------------------
-
-    def value(self, agent: int, goods: Iterable[int]) -> int:
-        return self.valuations[agent].value(goods)
-
 
 class Allocation:
     """A partial allocation: one bundle per agent, pairwise disjoint.
@@ -288,9 +283,6 @@ class Allocation:
     def bundles(self) -> tuple[Bundle, ...]:
         return tuple(self._bundles)
 
-    def owner_of(self, g: int) -> Optional[int]:
-        return self._owner.get(g)
-
     def is_allocated(self, g: int) -> bool:
         return g in self._owner
 
@@ -321,14 +313,6 @@ class Allocation:
 
     def is_complete(self, instance: Instance) -> bool:
         return len(self._owner) == instance.m
-
-    def is_orientation(self, instance: Instance) -> bool:
-        return all(
-            self._bundles[i] <= instance.incident_goods(i) for i in range(self.n)
-        )
-
-    def owner_tuple(self, instance: Instance) -> tuple[Optional[int], ...]:
-        return tuple(self._owner.get(g) for g in range(instance.m))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Allocation) and self._bundles == other._bundles

@@ -14,7 +14,7 @@ from typing import Iterator, Optional
 import numpy as np
 
 from . import cuts as _cuts
-from .errors import SearchSpaceTooLargeError
+from .errors import SearchSpaceTooLargeError, ValidationError
 from .model import Allocation, Bundle, Instance
 
 ENUMERATION_GUARD = 10_000_000
@@ -95,13 +95,19 @@ def enumerate_efx_allocations(
 
     Assignments run through a mixed-radix counter over the goods (good 0 is
     the most significant digit), so truncation by ``limit`` is reproducible.
+    At most ``limit`` allocations are returned; a negative ``limit`` is
+    rejected.
     """
+    if limit is not None and limit < 0:
+        raise ValidationError(f"limit must be non-negative, got {limit}")
     n, m = instance.n, instance.m
     total = n**m
     if total > guard:
         raise SearchSpaceTooLargeError(
             f"{n}^{m} = {total} assignments exceed the guard of {guard}"
         )
+    if limit == 0:
+        return []
     if m == 0:
         return [Allocation(n)]
     tables = _tables(instance)

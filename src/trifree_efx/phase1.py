@@ -54,8 +54,6 @@ class SolveMetrics:
     phase3_dumps: int = 0
     cuts_computed: int = 0
     pr_moves_total: int = 0
-    additive_cuts_with_moves: int = 0
-    pr_quadratic_flags: list = field(default_factory=list)
     wall_time_s: float = 0.0
 
     def to_dict(self) -> dict:

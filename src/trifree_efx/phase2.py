@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
-from .cuts import free_units, pair_state
+from .cuts import free_units
 from .errors import InternalSolverError
 from .model import Bundle
 from .phase1 import SolveMetrics, SolverState, TraceFn
@@ -218,41 +218,3 @@ def _validate_step(
                 "rule C did not shrink the set of envied agents"
             )
 
-
-def structure_report(state: SolverState) -> list[tuple[tuple[int, int], str]]:
-    """Classify every adjacent pair by envy status and assert its free-good
-    pattern (assumes properties (1)-(5)).
-
-    * both endpoints non-envied: nothing of the pair is free;
-    * an envied agent and her envier: nothing free;
-    * an envied agent and a non-envied non-envier: the free goods form
-      exactly one unit bundle;
-    * two envied agents: the whole pair is free.
-    """
-    instance, alloc = state.instance, state.alloc
-    graph = envy_graph(instance, alloc)
-    envied = set(graph.envied_agents())
-    out = []
-    for a, b in instance.skeleton_edges():
-        cut, goods, _, _, free = pair_state(instance, alloc, state.order, state.cuts, a, b)
-        if a not in envied and b not in envied:
-            case = "both-non-envied"
-            ok = not free
-        elif a in envied and b in envied:
-            case = "both-envied"
-            ok = free == goods
-        else:
-            i = a if a in envied else b
-            j = b if a in envied else a
-            if j in graph.enviers_of(i):
-                case = "envied-with-envier"
-                ok = not free
-            else:
-                case = "envied-beside-non-envier"
-                ok = free in cut.parts()
-        if not ok:
-            raise InternalSolverError(
-                f"pair ({a},{b}) breaks the {case} free-good pattern: free={sorted(free)}"
-            )
-        out.append(((a, b), case))
-    return out

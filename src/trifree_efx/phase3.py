@@ -145,11 +145,5 @@ def solve_state(
 
     metrics.cuts_computed = len(state.cuts.stats)
     metrics.pr_moves_total = sum(s.moves for s in state.cuts.stats)
-    metrics.additive_cuts_with_moves = sum(
-        1 for s in state.cuts.stats if s.additive and s.moves > 0
-    )
-    for s in state.cuts.stats:
-        if s.additive and s.moves > s.size**2:
-            metrics.pr_quadratic_flags.append((s.pair, s.cutter, s.moves))
     metrics.wall_time_s = time.perf_counter() - started
     return SolveResult(allocation=allocation, sigma=state.sigma(), metrics=metrics), state

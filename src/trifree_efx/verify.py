@@ -153,40 +153,6 @@ def check_completeness(instance: Instance, alloc: Allocation) -> CheckReport:
     return report
 
 
-def max_envy_path_length(instance: Instance, alloc: Allocation) -> int:
-    """0 = no envy, 1 = envy but no chain, 2 = some chain of length >= 2.
-
-    A chain through an agent who both envies and is envied (including a
-    mutual-envy pair) counts as length >= 2; longer paths are not measured.
-    """
-    graph = envy_graph(instance, alloc)
-    if not graph.edges:
-        return 0
-    sources = {e.src for e in graph.edges}
-    targets = {e.dst for e in graph.edges}
-    return 2 if sources & targets else 1
-
-
-def check_envied_by_one(instance: Instance, alloc: Allocation) -> CheckReport:
-    """Every envied agent has one envier and holds only goods they share.
-
-    This is the structural fingerprint of envy inside a partial EFX
-    orientation; it is what later phases rely on.
-    """
-    graph = envy_graph(instance, alloc)
-    report = CheckReport("envied_by_one")
-    for i in graph.envied_agents():
-        enviers = graph.enviers_of(i)
-        if len(enviers) > 1:
-            report.violations.append((i, tuple(enviers)))
-            continue
-        j = enviers[0]
-        stray = alloc.bundle(i) - instance.pair_goods(i, j)
-        if stray:
-            report.violations.append((i, j, min(stray)))
-    return report
-
-
 # -- numbered structural properties -----------------------------------------
 #
 # (1) the allocation is an EFX orientation;

@@ -3,6 +3,12 @@
 from trifree_efx.generate import _additive_instance as additive_instance
 
 
+def owner_tuple(alloc, instance):
+    """The holder of each good in id order, ``None`` for a free good."""
+    owner = {g: i for i, bundle in enumerate(alloc.bundles()) for g in bundle}
+    return tuple(owner.get(g) for g in range(instance.m))
+
+
 def two_agent_parallel(weights_0, weights_1=None):
     """Two agents joined by len(weights_0) parallel goods."""
     weights_1 = weights_0 if weights_1 is None else weights_1

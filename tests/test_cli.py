@@ -213,6 +213,21 @@ def test_oracle_limit_flag(tmp_path, capsys):
     assert payload["count"] == 2
 
 
+def test_oracle_limit_zero_prints_no_allocation(tmp_path, capsys):
+    path = tmp_path / "i.json"
+    dump_json(instance_to_json(two_agent_parallel([1, 1])), str(path))
+    assert run(["oracle", path, "--limit", "0"]) == 0
+    assert json.loads(capsys.readouterr().out) == {"count": 0, "allocations": []}
+
+
+def test_oracle_rejects_negative_limit(tmp_path, capsys):
+    path = tmp_path / "i.json"
+    dump_json(instance_to_json(two_agent_parallel([1])), str(path))
+    assert run(["oracle", path, "--limit", "-1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_verify_exit_matches_checker_on_perturbed_allocations(tmp_path):
     from trifree_efx import Allocation, check_efx
 
@@ -262,6 +277,14 @@ def test_gen_command_round_trips(tmp_path):
 
 def test_gen_inconsistent_spec_exits_1():
     assert run(["gen", "--seed", 1, "--n", 5, "--m", 2, "--topology", "cycle_even"]) == 1
+
+
+@pytest.mark.parametrize("max_degree", ["0", "-5"])
+def test_gen_rejects_degree_cap_below_one(capsys, max_degree):
+    args = ["gen", "--seed", 3, "--n", 3, "--m", 1, "--topology", "path"]
+    assert run(args + ["--max-degree", max_degree]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_bench_empty_suite_writes_header(tmp_path):

@@ -5,18 +5,21 @@ from hypothesis import given, settings, strategies as st
 
 from trifree_efx import (
     Allocation,
-    CutTable,
     MonotoneTableValuation,
-    PickOrder,
     StateError,
     check_properties,
-    claimable,
     efx_cut,
-    free_units,
     pair_state,
 )
-from trifree_efx.cuts import _efx_cut_with_moves, pair_fault
-from trifree_efx.generate import gen_instance, suite_spec
+from trifree_efx.cuts import (
+    CutTable,
+    PickOrder,
+    _efx_cut_with_moves,
+    claimable,
+    free_units,
+    pair_fault,
+)
+from trifree_efx.generate import GenSpec, gen_instance, suite_spec
 from trifree_efx.phase1 import run_phase1
 from trifree_efx.phase2 import phase2_step
 
@@ -142,6 +145,43 @@ def test_cut_table_memoisation_is_pure():
     again = cuts.cut(1, 0, cutter=1)
     assert first is again
     assert len(cuts.stats) == 1
+
+
+def test_cut_table_miss_costs_what_the_split_costs(monkeypatch):
+    # one 16-good pair of monotone tables: a miss must not scan its subsets
+    inst = gen_instance(
+        GenSpec(
+            seed=5,
+            n=2,
+            m=16,
+            topology="path",
+            valuation_class="monotone_table",
+            max_parallel=16,
+            v_max=1000,
+        )
+    )
+    goods = inst.pair_goods(0, 1)
+    assert len(goods) == 16
+    for cutter in (0, 1):
+        calls = count_value_calls(monkeypatch, inst.valuations[cutter])
+        _efx_cut_with_moves(inst, cutter, goods)
+        split_calls = len(calls)
+        calls.clear()
+        CutTable(inst).cut(0, 1, cutter)
+        assert len(calls) == split_calls
+
+
+def count_value_calls(monkeypatch, valuation):
+    """Record every bundle ``valuation.value`` is asked about."""
+    calls = []
+    value = valuation.value
+
+    def counted(goods):
+        calls.append(goods)
+        return value(goods)
+
+    monkeypatch.setattr(valuation, "value", counted)
+    return calls
 
 
 def test_cut_table_rejects_foreign_cutter():

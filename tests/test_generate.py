@@ -131,6 +131,14 @@ def test_max_degree_respected():
         assert len(inst.incident_goods(i)) <= 4
 
 
+@pytest.mark.parametrize("max_degree", [0, -5])
+def test_degree_cap_below_one_rejected(max_degree):
+    with pytest.raises(InconsistentSpecError):
+        gen_instance(GenSpec(seed=3, n=3, m=1, topology="path", max_degree=max_degree))
+    with pytest.raises(InconsistentSpecError):
+        suite_spec("tree", 1, max_degree=max_degree)
+
+
 def test_weight_bounds_respected():
     inst = gen_instance(GenSpec(seed=9, n=5, m=10, topology="tree", v_max=7))
     for val in inst.valuations:

@@ -12,6 +12,7 @@ from trifree_efx import (
 )
 
 from trifree_efx.generate import TOPOLOGIES, gen_adversarial_suite, gen_instance, suite_spec
+from trifree_efx.verify import check_orientation
 
 from helpers import additive_instance, two_agent_parallel
 
@@ -29,13 +30,13 @@ def star_instance(leaves=5, parallel=1, weight=1):
 
 def test_value_singleton_additive():
     inst = two_agent_parallel([5])
-    assert inst.value(0, frozenset({0})) == 5
+    assert inst.valuations[0].value(frozenset({0})) == 5
 
 
 def test_value_empty_set_is_zero():
     inst = two_agent_parallel([5, 3])
     for agent in range(2):
-        assert inst.value(agent, frozenset()) == 0
+        assert inst.valuations[agent].value(frozenset()) == 0
 
 
 def test_value_drops_non_incident_goods():
@@ -48,8 +49,8 @@ def test_value_drops_non_incident_goods():
             (1, 2, {1: 2, 2: 9}),
         ],
     )
-    assert inst.value(0, frozenset({0, 1, 2})) == 7
-    assert inst.value(0, frozenset({2})) == 0
+    assert inst.valuations[0].value(frozenset({0, 1, 2})) == 7
+    assert inst.valuations[0].value(frozenset({2})) == 0
 
 
 # -- skeleton / triangle probes ----------------------------------------------
@@ -202,9 +203,9 @@ def test_allocation_disjointness_enforced_on_parse():
 def test_allocation_set_bundle_moves_ownership():
     alloc = Allocation(2)
     alloc.set_bundle(0, frozenset({0, 1}))
-    assert alloc.owner_of(1) == 0
+    assert alloc.is_allocated(1) and 1 in alloc.bundle(0)
     alloc.set_bundle(0, frozenset({0}))
-    assert alloc.owner_of(1) is None
+    assert not alloc.is_allocated(1)
     alloc.set_bundle(1, frozenset({1}))
     assert alloc.bundle(1) == frozenset({1})
 
@@ -222,7 +223,7 @@ def test_allocation_complete_and_orientation():
     inst = two_agent_parallel([1, 2])
     alloc = Allocation.from_bundles(2, [{0}, {1}])
     assert alloc.is_complete(inst)
-    assert alloc.is_orientation(inst)
+    assert check_orientation(inst, alloc).ok
 
 
 # -- valuation class laws -----------------------------------------------------

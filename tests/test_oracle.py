@@ -7,15 +7,16 @@ from trifree_efx import (
     Allocation,
     Instance,
     SearchSpaceTooLargeError,
+    ValidationError,
     check_efx,
     enumerate_efx_allocations,
-    scan_strong_envy,
     solve,
     verify_cut_exhaustive,
 )
 from trifree_efx.generate import SplitMix64, gen_instance, suite_spec
+from trifree_efx.oracle import scan_strong_envy
 
-from helpers import two_agent_parallel
+from helpers import owner_tuple, two_agent_parallel
 
 
 def brute_force_reference(inst):
@@ -36,7 +37,7 @@ def test_one_shared_good_has_two_efx_allocations():
     inst = two_agent_parallel([1])
     found = enumerate_efx_allocations(inst)
     assert len(found) == 2
-    assert {a.owner_tuple(inst) for a in found} == {(0,), (1,)}
+    assert {owner_tuple(a, inst) for a in found} == {(0,), (1,)}
 
 
 def test_no_goods_has_exactly_the_empty_allocation():
@@ -49,13 +50,13 @@ def test_no_goods_has_exactly_the_empty_allocation():
 def test_enumeration_matches_test_local_reference():
     for idx in range(40):
         inst = gen_instance(suite_spec("path", idx, n_cap=3, m_cap=5))
-        got = [a.owner_tuple(inst) for a in enumerate_efx_allocations(inst)]
+        got = [owner_tuple(a, inst) for a in enumerate_efx_allocations(inst)]
         assert got == brute_force_reference(inst)
 
 
 def test_enumeration_order_is_mixed_radix_ascending():
     inst = two_agent_parallel([4, 2, 1])
-    owners = [a.owner_tuple(inst) for a in enumerate_efx_allocations(inst)]
+    owners = [owner_tuple(a, inst) for a in enumerate_efx_allocations(inst)]
     assert owners == sorted(owners)
 
 
@@ -65,6 +66,17 @@ def test_limit_truncates_reproducibly():
     assert len(full) > 3
     prefix = enumerate_efx_allocations(inst, limit=3)
     assert [a.bundles() for a in prefix] == [a.bundles() for a in full[:3]]
+
+
+@pytest.mark.parametrize("weights", [[], [1, 1]])
+def test_limit_zero_returns_no_allocation(weights):
+    inst = two_agent_parallel(weights)
+    assert enumerate_efx_allocations(inst, limit=0) == []
+
+
+def test_negative_limit_rejected():
+    with pytest.raises(ValidationError):
+        enumerate_efx_allocations(two_agent_parallel([1]), limit=-1)
 
 
 def test_guard_rejects_large_spaces():
@@ -82,9 +94,9 @@ def test_solver_output_is_enumerated_for_tiny_instances():
                 continue
             found = enumerate_efx_allocations(inst)
             assert found, "every triangle-free instance must admit a solution"
-            owners = {a.owner_tuple(inst) for a in found}
+            owners = {owner_tuple(a, inst) for a in found}
             result = solve(inst)
-            assert result.allocation.owner_tuple(inst) in owners
+            assert owner_tuple(result.allocation, inst) in owners
             hits += 1
     assert hits >= 40
 

@@ -4,14 +4,18 @@ from trifree_efx import (
     AdditiveValuation,
     Instance,
     StateError,
-    augment,
-    check_invariants,
     check_properties,
-    greedy_replay,
     run_phase1,
 )
 from trifree_efx import phase1
-from trifree_efx.phase1 import SolveMetrics, SolverState, _best_partner
+from trifree_efx.phase1 import (
+    SolveMetrics,
+    SolverState,
+    _best_partner,
+    augment,
+    check_invariants,
+    greedy_replay,
+)
 from trifree_efx.generate import TOPOLOGIES, gen_instance, suite_spec
 
 from helpers import additive_instance, c4_instance, two_agent_parallel

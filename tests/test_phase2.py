@@ -2,22 +2,19 @@ import pytest
 
 from trifree_efx import (
     Allocation,
-    CutTable,
-    PickOrder,
     SolveConfig,
     check_properties,
     envy_graph,
-    phase2_step,
+    pair_state,
     run_phase1,
     run_phase2,
     solve,
-    structure_report,
-    unallocated_incident,
 )
 from trifree_efx import phase2
+from trifree_efx.cuts import CutTable, PickOrder
 from trifree_efx.errors import InternalSolverError
 from trifree_efx.phase1 import SolveMetrics, SolverState
-from trifree_efx.phase2 import Potential, _scan
+from trifree_efx.phase2 import Potential, _scan, phase2_step, unallocated_incident
 from trifree_efx.generate import gen_adversarial_suite, gen_instance, suite_spec
 
 from helpers import additive_instance, two_agent_parallel
@@ -174,6 +171,42 @@ def test_potential_tuple_ordering():
 # -- pair structure after repairs ---------------------------------------------------
 
 
+def structure_report(state):
+    """Classify every adjacent pair by envy status and assert its free-good
+    pattern (assumes properties (1)-(5)).
+
+    * both endpoints non-envied: nothing of the pair is free;
+    * an envied agent and her envier: nothing free;
+    * an envied agent and a non-envied non-envier: the free goods form
+      exactly one unit bundle;
+    * two envied agents: the whole pair is free.
+    """
+    instance, alloc = state.instance, state.alloc
+    graph = envy_graph(instance, alloc)
+    envied = set(graph.envied_agents())
+    out = []
+    for a, b in instance.skeleton_edges():
+        cut, goods, _, _, free = pair_state(instance, alloc, state.order, state.cuts, a, b)
+        if a not in envied and b not in envied:
+            case = "both-non-envied"
+            ok = not free
+        elif a in envied and b in envied:
+            case = "both-envied"
+            ok = free == goods
+        else:
+            i = a if a in envied else b
+            j = b if a in envied else a
+            if j in graph.enviers_of(i):
+                case = "envied-with-envier"
+                ok = not free
+            else:
+                case = "envied-beside-non-envier"
+                ok = free in cut.parts()
+        assert ok, f"pair ({a},{b}) breaks the {case} free-good pattern: free={sorted(free)}"
+        out.append(((a, b), case))
+    return out
+
+
 def test_structure_classes_cover_all_four_cases():
     seen = set()
     for name, inst in gen_adversarial_suite():
@@ -194,7 +227,7 @@ def test_structure_report_on_random_instances():
         inst = gen_instance(suite_spec("cycle_even", idx))
         state = run_phase1(inst)
         run_phase2(state)
-        structure_report(state)  # raises on any pattern violation
+        structure_report(state)  # asserts every pair's pattern
 
 
 # -- one free-bundle property failing at a time ---------------------------------------

@@ -16,6 +16,7 @@ from trifree_efx.generate import (
     gen_triangle_instance,
     suite_spec,
 )
+from trifree_efx.verify import check_orientation
 
 
 
@@ -29,7 +30,7 @@ def test_no_envied_agents_means_no_dumps():
     assert result.metrics.envied_after_phase2 == 0
     assert result.metrics.phase3_dumps == 0
     assert result.allocation.is_complete(inst)
-    assert result.allocation.is_orientation(inst)
+    assert check_orientation(inst, result.allocation).ok
 
 
 def test_single_envied_bundle_goes_to_the_envier():
@@ -69,7 +70,7 @@ def test_adjacent_envied_agents_split_their_pair_between_enviers():
 def test_dump_can_cross_incidence():
     inst = adversarial("star_two_leaves")
     result = solve(inst)
-    assert not result.allocation.is_orientation(inst)
+    assert not check_orientation(inst, result.allocation).ok
     assert check_efx(inst, result.allocation).ok
 
 
@@ -107,7 +108,7 @@ def test_solve_metrics_are_coherent():
     assert m.augment_calls >= 1
     assert m.phase2_iterations == sum(m.phase2_branches.values())
     assert m.cuts_computed >= len(inst.skeleton_edges())
-    assert m.additive_cuts_with_moves == 0
+    assert m.pr_moves_total == 0  # every cutter is additive
     assert m.wall_time_s > 0
     assert sorted(result.sigma) == list(range(inst.n))
 

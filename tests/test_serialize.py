@@ -8,11 +8,11 @@ from trifree_efx import (
     ValidationError,
     allocation_from_json,
     allocation_to_json,
-    envy_graph_dot,
     instance_from_json,
     instance_to_json,
 )
 from trifree_efx.generate import GenSpec, gen_instance
+from trifree_efx.serialize import envy_graph_dot
 from trifree_efx.model import Good
 
 from helpers import additive_instance, two_agent_parallel
@@ -71,8 +71,8 @@ def test_missing_weights_default_to_zero():
         ],
     }
     inst = instance_from_json(payload)
-    assert inst.value(0, frozenset({0, 1})) == 4
-    assert inst.value(1, frozenset({0, 1})) == 0
+    assert inst.valuations[0].value(frozenset({0, 1})) == 4
+    assert inst.valuations[1].value(frozenset({0, 1})) == 0
 
 
 def test_non_incident_weight_rejected():
@@ -165,9 +165,9 @@ def test_table_bitmask_respects_ascending_good_ids():
         ],
     }
     inst = instance_from_json(payload)
-    assert inst.value(0, frozenset({0})) == 5
-    assert inst.value(0, frozenset({2})) == 7
-    assert inst.value(0, frozenset({0, 2})) == 12
+    assert inst.valuations[0].value(frozenset({0})) == 5
+    assert inst.valuations[0].value(frozenset({2})) == 7
+    assert inst.valuations[0].value(frozenset({0, 2})) == 12
 
 
 # -- DOT export ---------------------------------------------------------------------

@@ -3,22 +3,19 @@ from hypothesis import given, settings, strategies as st
 
 from trifree_efx import (
     Allocation,
-    CutTable,
-    PickOrder,
     check_efx,
-    check_envied_by_one,
     check_completeness,
-    check_orientation,
     check_properties,
     envy_graph,
-    max_envy_path_length,
     run_phase1,
     run_phase2,
     solve_state,
 )
+from trifree_efx.cuts import CutTable, PickOrder
 from trifree_efx.generate import TOPOLOGIES, gen_instance, suite_spec
 from trifree_efx.model import VALUATION_CLASSES
 from trifree_efx.oracle import scan_strong_envy
+from trifree_efx.verify import CheckReport, check_orientation
 
 from helpers import additive_instance, two_agent_parallel
 
@@ -72,7 +69,12 @@ def test_completeness_reports_missing_goods():
     assert report.violations == [(1,)]
 
 
-# -- envy path lengths -------------------------------------------------------------
+# -- property (4): envy paths -------------------------------------------------------
+
+
+def property4(inst, alloc):
+    order = PickOrder.complete(range(inst.n))
+    return check_properties(inst, alloc, order, CutTable(inst), which={4})
 
 
 def test_envy_path_lengths():
@@ -83,10 +85,10 @@ def test_envy_path_lengths():
             (1, 2, {1: 5, 2: 5}),
         ],
     )
-    assert max_envy_path_length(inst, Allocation(3)) == 0
-    # 0 envies 1 only
-    one_edge = Allocation.from_bundles(3, [set(), {0, 1}, set()])
-    assert max_envy_path_length(inst, one_edge) == 1
+    assert property4(inst, Allocation(3)).ok
+    # a star: 0 and 2 both envy 1, and nobody envies them
+    star = Allocation.from_bundles(3, [set(), {0, 1}, set()])
+    assert property4(inst, star).ok
     # chain: 0 envies 1 (has good 0), 1 envies 2 (has good 1, worth more)
     inst2 = additive_instance(
         3,
@@ -96,7 +98,7 @@ def test_envy_path_lengths():
         ],
     )
     chain = Allocation.from_bundles(3, [set(), {0}, {1}])
-    assert max_envy_path_length(inst2, chain) == 2
+    assert property4(inst2, chain).failures == {4: [(0, 1, 2)]}
 
 
 def test_mutual_envy_counts_as_length_two():
@@ -109,10 +111,30 @@ def test_mutual_envy_counts_as_length_two():
         ],
     )
     alloc = Allocation.from_bundles(2, [{1}, {0}])
-    assert max_envy_path_length(inst, alloc) == 2
+    assert property4(inst, alloc).failures == {4: [(1, 0, 1)]}
 
 
 # -- single-envier structure --------------------------------------------------------
+
+
+def check_envied_by_one(instance, alloc):
+    """Every envied agent has one envier and holds only goods they share.
+
+    This is the structural fingerprint of envy inside a partial EFX
+    orientation; it is what later phases rely on.
+    """
+    graph = envy_graph(instance, alloc)
+    report = CheckReport("envied_by_one")
+    for i in graph.envied_agents():
+        enviers = graph.enviers_of(i)
+        if len(enviers) > 1:
+            report.violations.append((i, tuple(enviers)))
+            continue
+        j = enviers[0]
+        stray = alloc.bundle(i) - instance.pair_goods(i, j)
+        if stray:
+            report.violations.append((i, j, min(stray)))
+    return report
 
 
 def test_envied_by_one_on_solver_outputs():
