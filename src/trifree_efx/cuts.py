@@ -22,7 +22,6 @@ performs zero moves; the tests assert this.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import filterfalse
 from typing import Optional, Sequence
 
 from .errors import InternalSolverError, StateError
@@ -206,7 +205,7 @@ class PickOrder:
         return not (a in self.unplaced and b in self.unplaced)
 
     def precedes(self, a: int, b: int) -> bool:
-        if not self.determined(a, b):
+        if a in self.unplaced and b in self.unplaced:
             raise StateError(
                 f"relative order of agents {a} and {b} is not determined yet"
             )
@@ -242,7 +241,7 @@ def pair_state(
     goods = instance.pair_goods(a, b)
     held_a = alloc.bundle(a) & goods
     held_b = alloc.bundle(b) & goods
-    free = frozenset(filterfalse(alloc.is_allocated, goods))
+    free = alloc.free_among(goods)
     return cuts.cut(a, b, order.later(a, b)), goods, held_a, held_b, free
 
 
@@ -327,6 +326,34 @@ class FreeUnits:
     secondary: list[set[int]]
 
 
+Labels = tuple[Bundle, Bundle]  # (primary, secondary)
+NO_LABELS: Labels = (EMPTY_BUNDLE, EMPTY_BUNDLE)
+
+
+def pair_labels(
+    a: int, b: int, pair: tuple[PairCut, Bundle, Bundle, Bundle, Bundle]
+) -> tuple[Labels, Labels]:
+    """The ``(primary, secondary)`` labels that the :func:`pair_state` result
+    ``pair`` of ``(a, b)`` gives ``a`` and ``b``, by the rule of :class:`FreeUnits`.
+
+    This is the one place the per-pair label rule is written.
+    """
+    cut, _, held_a, held_b, free = pair
+    first, second = cut.first, cut.second
+    free_first, free_second = first <= free, second <= free
+    if free_first and free_second:
+        # nothing of the pair is held; the lower-id endpoint's primary is the first part
+        low, high = (first, second), (second, first)
+        return (low, high) if a < b else (high, low)
+    if free_first or free_second:
+        loose = first if free_first else second
+        return (
+            NO_LABELS if held_a else (loose, loose),
+            NO_LABELS if held_b else (loose, loose),
+        )
+    return NO_LABELS, NO_LABELS
+
+
 def free_units(
     instance: Instance,
     alloc: Allocation,
@@ -341,19 +368,10 @@ def free_units(
     primary: list[set[int]] = [set() for _ in range(instance.n)]
     secondary: list[set[int]] = [set() for _ in range(instance.n)]
     for a, b in instance.skeleton_edges():
-        cut, _, held_a, held_b, free = pair_state(instance, alloc, order, cuts, a, b)
-        first, second = cut.first, cut.second
-        free_first, free_second = first <= free, second <= free
-        if free_first and free_second:
-            # nothing of the pair is held; a < b, so a's primary is the first part
-            primary[a] |= first
-            secondary[a] |= second
-            primary[b] |= second
-            secondary[b] |= first
-        elif free_first or free_second:
-            loose = first if free_first else second
-            for i, held in ((a, held_a), (b, held_b)):
-                if not held:
-                    primary[i] |= loose
-                    secondary[i] |= loose
+        pair = pair_state(instance, alloc, order, cuts, a, b)
+        (primary_a, secondary_a), (primary_b, secondary_b) = pair_labels(a, b, pair)
+        primary[a] |= primary_a
+        secondary[a] |= secondary_a
+        primary[b] |= primary_b
+        secondary[b] |= secondary_b
     return FreeUnits(primary, secondary)

@@ -161,7 +161,9 @@ def _skeleton(spec: GenSpec, rng: SplitMix64) -> list[tuple[int, int]]:
 
 def _place_goods(spec: GenSpec, rng: SplitMix64, edges: list[tuple[int, int]]) -> list[Good]:
     # the open list keeps skeleton order; removals preserve it, so drawing
-    # the k-th open edge is equivalent to rebuilding the eligible list
+    # the k-th open edge is equivalent to rebuilding the eligible list.
+    # Skeleton edges are unique, so a saturated edge is deleted at its
+    # drawn index instead of searched for.
     open_edges = list(edges)
     multiplicity = {e: 0 for e in edges}
     degree = [0] * spec.n
@@ -171,13 +173,14 @@ def _place_goods(spec: GenSpec, rng: SplitMix64, edges: list[tuple[int, int]]) -
             raise InconsistentSpecError(
                 f"cannot place good {gid}: no edge has capacity left"
             )
-        a, b = edge = open_edges[rng.below(len(open_edges))]
+        k = rng.below(len(open_edges))
+        a, b = edge = open_edges[k]
         multiplicity[edge] += 1
         degree[a] += 1
         degree[b] += 1
         goods.append(Good(gid, a, b))
         if multiplicity[edge] >= spec.max_parallel:
-            open_edges.remove(edge)
+            del open_edges[k]
         if spec.max_degree is not None:
             saturated = {x for x in (a, b) if degree[x] >= spec.max_degree}
             if saturated:

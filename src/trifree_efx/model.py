@@ -22,6 +22,7 @@ Three valuation classes are supported:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import filterfalse, repeat
 from typing import Iterable, Optional, Sequence
 
 from .errors import ValidationError
@@ -71,7 +72,7 @@ class AdditiveValuation(Valuation):
         w = self.weights
         if len(w) <= len(goods):
             return sum(x for g, x in w.items() if g in goods)
-        return sum(w[g] for g in goods if g in w)
+        return sum(map(w.get, goods, repeat(0)))
 
     def value(self, goods) -> int:
         return self._raw(goods)
@@ -288,6 +289,10 @@ class Allocation:
 
     def allocated_goods(self) -> Bundle:
         return frozenset(self._owner)
+
+    def free_among(self, goods: Iterable[int]) -> Bundle:
+        """The goods of ``goods`` that nobody holds, in O(len(goods))."""
+        return frozenset(filterfalse(self._owner.__contains__, goods))
 
     def unallocated_goods(self, instance: Instance) -> Bundle:
         return instance.all_goods - self.allocated_goods()

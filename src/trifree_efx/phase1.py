@@ -54,6 +54,9 @@ class SolveMetrics:
     phase3_dumps: int = 0
     cuts_computed: int = 0
     pr_moves_total: int = 0
+    phase1_s: float = 0.0
+    phase2_s: float = 0.0
+    phase3_s: float = 0.0
     wall_time_s: float = 0.0
 
     def to_dict(self) -> dict:

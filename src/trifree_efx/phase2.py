@@ -3,7 +3,7 @@
 Starting from a stage-one state (properties (1)-(4)), the loop repeatedly
 applies the first applicable rule, scanning agents by ascending id.  Each
 rule fires exactly when one of the properties fails, so the rule candidates
-are read off :func:`.verify.free_bundle_check`, computed once per state:
+are read off a :class:`.verify.FreeBundleCheck` of the current state:
 
 * rule A -- a non-envied agent breaks (5), i.e. still has a primary free
   unit bundle beside her: she absorbs all her primary free bundles.
@@ -15,6 +15,12 @@ are read off :func:`.verify.free_bundle_check`, computed once per state:
   bundle joined with one of her free-unit labels: the two swap their unit
   bundles of the shared pair, then she absorbs that label's free bundles.
 
+The loop builds the check from scratch once, with
+:func:`.verify.free_bundle_check`, and then keeps it live (:class:`LiveCheck`):
+a rule changes the bundles of at most two agents ``C``, and only ``C`` and
+its neighbours ``N(C)`` are rechecked.  With ``validate`` set, every step
+also builds the check from scratch and compares the two field by field.
+
 Each step strictly lowers the triple (number of envied agents, rule-B
 violators, rule-A violators) in lexicographic order, so the loop ends after
 at most ``n**3`` steps, at which point properties (1)-(7) all hold.
@@ -22,14 +28,25 @@ at most ``n**3`` steps, at which point properties (1)-(7) all hold.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from dataclasses import dataclass, fields
+from typing import Iterable, NamedTuple, Optional
 
-from .cuts import free_units
+# ``free_units`` is no longer called here, but the benchmark's tracer wraps
+# ``phase2.free_units`` by name, so a reintroduced call is counted
+from .cuts import FreeUnits, Labels, free_units, pair_labels, pair_state  # noqa: F401
 from .errors import InternalSolverError
 from .model import Bundle
 from .phase1 import SolveMetrics, SolverState, TraceFn
-from .verify import FreeBundleCheck, check_properties, envy_graph, free_bundle_check
+from .verify import (
+    EnvyEdge,
+    EnvyGraph,
+    FreeBundleCheck,
+    agent_free_bundle_breaks,
+    check_properties,
+    envy_graph,
+    free_bundle_check,
+    viewer_envy,
+)
 
 
 class Potential(NamedTuple):
@@ -45,8 +62,20 @@ class Potential(NamedTuple):
 
 
 def unallocated_incident(state: SolverState, i: int) -> Bundle:
-    """All free goods incident to agent ``i``."""
-    return state.alloc.unallocated_goods(state.instance) & state.instance.incident_goods(i)
+    """All free goods incident to agent ``i``, read from her own goods only."""
+    return state.alloc.free_among(state.instance.incident_goods(i))
+
+
+def _own_labels(state: SolverState, i: int) -> tuple[set[int], set[int]]:
+    """Agent ``i``'s primary and secondary free-unit labels, read from her own pairs."""
+    primary: set[int] = set()
+    secondary: set[int] = set()
+    for k in state.instance.neighbors(i):
+        pair = pair_state(state.instance, state.alloc, state.order, state.cuts, i, k)
+        first, second = pair_labels(i, k, pair)[0]
+        primary |= first
+        secondary |= second
+    return primary, secondary
 
 
 def _scan(state: SolverState) -> FreeBundleCheck:
@@ -61,6 +90,155 @@ class StepRecord:
     agent: int
     partner: Optional[int]
     potential_before: Potential
+
+    def changed(self) -> tuple[int, ...]:
+        """The agents whose bundles the step changed."""
+        return (self.agent,) if self.partner is None else (self.agent, self.partner)
+
+
+class LiveCheck:
+    """Stage two's free-bundle check, kept up to date after every step.
+
+    It starts from a from-scratch :func:`.verify.free_bundle_check`, to which
+    it adds each pair's free goods and labels, each agent's free incident
+    goods and the value of her own bundle.  After a rule changes the bundles
+    of the agents ``C``, :meth:`update` recomputes only the pairs touching
+    ``C``, ``C``'s outgoing envy, each neighbour's envy toward ``C``, and
+    properties (5)-(7) for ``C`` and its neighbours ``N(C)``.  It returns a
+    check equal field by field to the from-scratch one: the edges with their
+    strong flags and order, the envied set, the labels and the break lists.
+
+    This is exact because stage two keeps property (2), so every good is
+    free or held by an endpoint of its pair, and valuations are local.
+    Agent ``i``'s envy toward ``j``, her labels and her free incident goods
+    therefore read only the goods of her own pairs, and those change only
+    when ``i`` or one of her neighbours is in ``C``.  Distinct pairs share no
+    goods, so an agent's labels and free goods are disjoint unions over her
+    pairs, and a changed pair's old part is swapped for its new one.  The
+    rules are the from-scratch ones: :func:`.cuts.pair_labels` per pair,
+    :func:`.verify.viewer_envy` per viewer and
+    :func:`.verify.agent_free_bundle_breaks` per agent.
+    """
+
+    def __init__(self, state: SolverState, check: FreeBundleCheck):
+        self.state = state
+        instance, alloc = state.instance, state.alloc
+        n = instance.n
+        # (a, b) with a < b -> (free goods, a's labels, b's labels)
+        self._pairs = {(a, b): self._read_pair(a, b) for a, b in instance.skeleton_edges()}
+        self._primary = list(check.units.primary)
+        self._secondary = list(check.units.secondary)
+        self._loose = [alloc.free_among(instance.incident_goods(i)) for i in range(n)]
+        self._own = [instance.valuations[i].value(alloc.bundle(i)) for i in range(n)]
+        self._out: list[dict[int, EnvyEdge]] = [{} for _ in range(n)]
+        self._into: list[set[int]] = [set() for _ in range(n)]
+        for e in check.graph.edges:
+            self._out[e.src][e.dst] = e
+            self._into[e.dst].add(e.src)
+        self._sources = {e.src for e in check.graph.edges}
+        self._envied = set(check.envied)
+        self._breaks_5 = set(check.breaks_5)
+        self._breaks_6 = set(check.breaks_6)
+        self._breaks_7: dict[int, list[tuple[int, int, str]]] = {}
+        for row in check.breaks_7:
+            self._breaks_7.setdefault(row[0], []).append(row)
+
+    def _read_pair(self, a: int, b: int) -> tuple[Bundle, Labels, Labels]:
+        state = self.state
+        pair = pair_state(state.instance, state.alloc, state.order, state.cuts, a, b)
+        return (pair[4], *pair_labels(a, b, pair))
+
+    def _refresh_pair(self, a: int, b: int) -> None:
+        key = (a, b) if a < b else (b, a)
+        old = self._pairs[key]
+        new = self._read_pair(*key)
+        if new == old:
+            return
+        self._pairs[key] = new
+        old_free, new_free = old[0], new[0]
+        for i, (old_1, old_2), (new_1, new_2) in zip(key, old[1:], new[1:]):
+            self._loose[i] = self._loose[i] - old_free | new_free
+            self._primary[i] = self._primary[i] - old_1 | new_1
+            self._secondary[i] = self._secondary[i] - old_2 | new_2
+
+    def _set_envy(self, i: int, owners: Iterable[int]) -> None:
+        """Recompute agent ``i``'s envy toward ``owners``, all neighbours of hers."""
+        instance, alloc = self.state.instance, self.state.alloc
+        out = self._out[i]
+        parts = {}
+        for j in owners:
+            if out.pop(j, None) is not None:
+                self._into[j].discard(i)
+            part = alloc.bundle(j) & instance.pair_goods(i, j)
+            if part:
+                parts[j] = part
+        for e in viewer_envy(instance, alloc, i, self._own[i], parts):
+            out[e.dst] = e
+            self._into[e.dst].add(i)
+        if out:
+            self._sources.add(i)
+        else:
+            self._sources.discard(i)
+
+    def _decide(self, i: int) -> None:
+        """Recompute agent ``i``'s envied status and properties (5)-(7)."""
+        enviers = sorted(self._into[i])
+        b5, b6, b7 = agent_free_bundle_breaks(
+            self.state.instance,
+            self.state.alloc,
+            i,
+            self._own[i],
+            enviers,
+            self._primary[i],
+            self._secondary[i],
+            self._loose[i],
+        )
+        for found, members in (
+            (bool(enviers), self._envied),
+            (b5, self._breaks_5),
+            (b6, self._breaks_6),
+        ):
+            if found:
+                members.add(i)
+            else:
+                members.discard(i)
+        if b7:
+            self._breaks_7[i] = b7
+        else:
+            self._breaks_7.pop(i, None)
+
+    def update(self, changed: Iterable[int]) -> FreeBundleCheck:
+        """The check after a step that changed the bundles of ``changed``."""
+        instance, alloc = self.state.instance, self.state.alloc
+        changed = set(changed)
+        # each neighbour outside C -> her neighbours in C
+        toward: dict[int, list[int]] = {}
+        for c in changed:
+            self._own[c] = instance.valuations[c].value(alloc.bundle(c))
+            for k in instance.neighbors(c):
+                # a pair inside C is refreshed twice, the second time to no effect
+                self._refresh_pair(c, k)
+                if k not in changed:
+                    toward.setdefault(k, []).append(c)
+        for c in changed:
+            self._set_envy(c, instance.neighbors(c))
+        for k, owners in toward.items():
+            self._set_envy(k, owners)
+        for i in changed.union(toward):
+            self._decide(i)
+        return self.check()
+
+    def check(self) -> FreeBundleCheck:
+        out = self._out
+        edges = [out[i][j] for i in sorted(self._sources) for j in sorted(out[i])]
+        return FreeBundleCheck(
+            EnvyGraph(self.state.instance.n, edges),
+            set(self._envied),
+            FreeUnits(list(self._primary), list(self._secondary)),
+            sorted(self._breaks_5),
+            sorted(self._breaks_6),
+            [row for i in sorted(self._breaks_7) for row in self._breaks_7[i]],
+        )
 
 
 def _apply_rule_a(state: SolverState, scan: FreeBundleCheck, i: int) -> None:
@@ -97,7 +275,8 @@ def _apply_rule_c(state: SolverState, scan: FreeBundleCheck, i: int, j: int, lab
     alloc.set_bundle(j, (alloc.bundle(j) - held_j) | held_i)
     alloc.set_bundle(i, alloc.bundle(i) | held_j)
     before = getattr(scan.units, label)[i]
-    after = getattr(free_units(instance, alloc, state.order, state.cuts), label)[i]
+    primary, secondary = _own_labels(state, i)
+    after = primary if label == "primary" else secondary
     if before != after:
         raise InternalSolverError(
             f"{label} free-unit label of agent {i} changed across the pair swap"
@@ -150,14 +329,18 @@ def run_phase2(
     """Iterate repair steps until properties (1)-(7) all hold.
 
     The potential must drop strictly on every step and the loop must finish
-    within ``n**3`` steps; either failure is an internal error.  With
-    ``validate`` set, properties (1)-(4) are re-checked and rule-specific
-    postconditions asserted after every step.
+    within ``n**3`` steps; either failure is an internal error.  Each step's
+    check comes from one :class:`LiveCheck`.  With ``validate`` set, the
+    live check is compared with a from-scratch one after every step,
+    properties (1)-(4) are re-checked and rule-specific postconditions
+    asserted.
     """
     instance = state.instance
     metrics = metrics if metrics is not None else SolveMetrics()
     cap = max(1, instance.n**3)
     scan = _scan(state)
+    # a state that needs no repair needs no live check
+    live = None if scan.ok else LiveCheck(state, scan)
     while True:
         record = phase2_step(state, scan=scan, trace=trace)
         if record is None:
@@ -169,9 +352,20 @@ def run_phase2(
                 f"repair loop exceeded {cap} iterations on {instance.n} agents"
             )
         # the checks on either side of the step give its before and after envy
-        after = _scan(state)
+        after = live.update(record.changed())
         if validate:
-            _validate_step(state, record, scan, after)
+            reference = _scan(state)
+            if after != reference:
+                differ = [
+                    f.name
+                    for f in fields(FreeBundleCheck)
+                    if getattr(after, f.name) != getattr(reference, f.name)
+                ]
+                raise InternalSolverError(
+                    f"after rule {record.branch} on agent {record.agent} the live "
+                    f"free-bundle check differs from the reference in {differ}"
+                )
+            _validate_step(state, record, scan, reference)
         phi = Potential.of(after)
         if phi >= record.potential_before:
             raise InternalSolverError(

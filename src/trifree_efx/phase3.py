@@ -138,10 +138,15 @@ def solve_state(
     state = run_phase1(
         instance, validate=config.validate_steps, metrics=metrics, trace=config.trace
     )
+    phase1_done = time.perf_counter()
     run_phase2(state, validate=config.validate_steps, metrics=metrics, trace=config.trace)
+    phase2_done = time.perf_counter()
     allocation = run_phase3(
         state, validate=config.validate_steps, trace=config.trace, metrics=metrics
     )
+    metrics.phase1_s = phase1_done - started
+    metrics.phase2_s = phase2_done - phase1_done
+    metrics.phase3_s = time.perf_counter() - phase2_done
 
     metrics.cuts_computed = len(state.cuts.stats)
     metrics.pr_moves_total = sum(s.moves for s in state.cuts.stats)

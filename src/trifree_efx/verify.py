@@ -8,9 +8,11 @@ definition.
 
 ``free_bundle_check`` is the one place the free-bundle properties (5)-(7)
 are decided: stage two picks its repair rule from it, and
-``check_properties`` only formats what it returns.  Pair goods held by a
-third party are reported by property (2); the free-bundle check never
-raises on them.
+``check_properties`` only formats what it returns.  Its per-agent rule
+(``agent_free_bundle_breaks``) and the envy comparison of one viewer
+(``viewer_envy``) are also what stage two's live check reruns for the agents
+a step touched.  Pair goods held by a third party are reported by property
+(2); the free-bundle check never raises on them.
 
 Envy vocabulary: agent ``i`` envies ``j`` when she values ``j``'s bundle
 strictly above her own, and *strongly* envies when some single good can be
@@ -21,7 +23,7 @@ when no strong envy exists between any ordered pair.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .cuts import CutTable, FreeUnits, PickOrder, free_units, pair_fault, pair_state
 from .model import Allocation, Bundle, Instance
@@ -87,17 +89,35 @@ def envy_graph(instance: Instance, alloc: Allocation) -> EnvyGraph:
                     seen[i].setdefault(j, []).append(g)
     edges = []
     for i, by_owner in enumerate(seen):
-        if not by_owner:
-            continue
-        v = instance.valuations[i].value
-        own_bundle = alloc.bundle(i)
-        own = v(own_bundle)
-        for j in sorted(by_owner):
-            if v(by_owner[j]) > own:
-                other = alloc.bundle(j)
-                strong = strong_envy_witness(instance, i, own_bundle, other) is not None
-                edges.append(EnvyEdge(i, j, strong))
+        if by_owner:
+            own = instance.valuations[i].value(alloc.bundle(i))
+            edges.extend(viewer_envy(instance, alloc, i, own, by_owner))
     return EnvyGraph(instance.n, edges)
+
+
+def viewer_envy(
+    instance: Instance,
+    alloc: Allocation,
+    i: int,
+    own: int,
+    parts: Mapping[int, Iterable[int]],
+) -> list[EnvyEdge]:
+    """Agent ``i``'s envy edges toward the owners in ``parts``, by ascending owner.
+
+    ``own`` is her value for her own bundle and ``parts[j]`` the part of
+    ``j``'s bundle incident to her; she envies ``j`` when that part is worth
+    more than ``own``.  This is the one place the envy comparison and its
+    strong flag are written.
+    """
+    v = instance.valuations[i].value
+    own_bundle = alloc.bundle(i)
+    edges = []
+    for j in sorted(parts):
+        if v(parts[j]) > own:
+            other = alloc.bundle(j)
+            strong = strong_envy_witness(instance, i, own_bundle, other) is not None
+            edges.append(EnvyEdge(i, j, strong))
+    return edges
 
 
 @dataclass
@@ -195,29 +215,64 @@ def free_bundle_check(
 ) -> FreeBundleCheck:
     """Decide properties (5)-(7) for every agent, given the envy graph of
     ``alloc``; the order must be complete."""
-    envied = set(graph.envied_agents())
+    enviers: dict[int, list[int]] = {}
+    for e in graph.edges:
+        enviers.setdefault(e.dst, []).append(e.src)
     units = free_units(instance, alloc, order, cuts)
     free = alloc.unallocated_goods(instance)
     breaks_5: list[int] = []
     breaks_6: list[int] = []
     breaks_7: list[tuple[int, int, str]] = []
     for i in range(instance.n):
-        v = instance.valuations[i].value
-        own = v(alloc.bundle(i))
-        if i not in envied:
-            if units.primary[i]:
-                breaks_5.append(i)
-            if v(free & instance.incident_goods(i)) > own:
-                breaks_6.append(i)
-            continue
-        for j in graph.enviers_of(i):
-            for label, bundle in (
-                ("primary", units.primary[i]),
-                ("secondary", units.secondary[i]),
-            ):
-                if v(alloc.bundle(j) | bundle) > own:
-                    breaks_7.append((i, j, label))
-    return FreeBundleCheck(graph, envied, units, breaks_5, breaks_6, breaks_7)
+        b5, b6, b7 = agent_free_bundle_breaks(
+            instance,
+            alloc,
+            i,
+            instance.valuations[i].value(alloc.bundle(i)),
+            enviers.get(i, []),
+            units.primary[i],
+            units.secondary[i],
+            free & instance.incident_goods(i),
+        )
+        if b5:
+            breaks_5.append(i)
+        if b6:
+            breaks_6.append(i)
+        breaks_7.extend(b7)
+    return FreeBundleCheck(graph, set(enviers), units, breaks_5, breaks_6, breaks_7)
+
+
+def agent_free_bundle_breaks(
+    instance: Instance,
+    alloc: Allocation,
+    i: int,
+    own: int,
+    enviers: Sequence[int],
+    primary: Bundle,
+    secondary: Bundle,
+    loose: Bundle,
+) -> tuple[bool, bool, list[tuple[int, int, str]]]:
+    """Whether agent ``i`` breaks (5) and (6), and her (7) rows.
+
+    ``own`` is her value for her own bundle, ``enviers`` her enviers in
+    ascending order, ``primary`` and ``secondary`` her free-unit labels and
+    ``loose`` the free goods incident to her.  A non-envied agent can break
+    only (5) and (6), an envied one only (7).  This is the one place the
+    per-agent rule is written.
+    """
+    v = instance.valuations[i].value
+    if not enviers:
+        return bool(primary), v(loose) > own, []
+    return (
+        False,
+        False,
+        [
+            (i, j, label)
+            for j in enviers
+            for label, bundle in (("primary", primary), ("secondary", secondary))
+            if v(alloc.bundle(j) | bundle) > own
+        ],
+    )
 
 
 def _property3_violations(

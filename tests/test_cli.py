@@ -109,7 +109,9 @@ def test_solve_trace_and_metrics_and_config(tmp_path, instance_file):
     )
     rows = [json.loads(line) for line in trace.read_text().splitlines()]
     assert rows and all(row["phase"] in (1, 2, 3) for row in rows)
-    assert "augment_calls" in json.loads(metrics.read_text())
+    written = json.loads(metrics.read_text())
+    assert "augment_calls" in written
+    assert {"phase1_s", "phase2_s", "phase3_s"} <= set(written)
     cuts = json.loads(config.read_text())["configurations"]
     assert cuts and all(
         set(c) == {"pair", "cutter", "first", "second"} for c in cuts

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -54,6 +55,45 @@ def test_same_seed_same_instance(topology):
     a = instance_to_json(gen_instance(spec))
     b = instance_to_json(gen_instance(spec))
     assert json.dumps(a) == json.dumps(b)
+
+
+# Hashes of ``json.dumps(instance_to_json(...))``, recorded before the goods
+# placement stopped searching the open-edge list for a saturated edge.
+PINNED_INSTANCES = [
+    (
+        GenSpec(seed=8, n=200, m=20000, topology="bipartite", v_max=10**6, max_parallel=2),
+        "84a82ce377f4bbc10b111fc18b30b9fa4daa00958b523b1608613f47a7962409",
+    ),
+    (
+        GenSpec(seed=1, n=50, m=1250, topology="bipartite", v_max=10**6, max_parallel=2),
+        "84643f754d1b482f35fec8af672522261b6f3f13ebe11a7d5e2c8d2304ad62a5",
+    ),
+    (
+        GenSpec(seed=3, n=60, m=50, topology="tree", max_parallel=2, max_degree=3),
+        "1a3fb7726603e30536f9c7bd66608e04473d6260aff8933dfd1ed7c32c7116bd",
+    ),
+    (
+        GenSpec(
+            seed=5,
+            n=8,
+            m=14,
+            topology="bipartite",
+            valuation_class="monotone_table",
+            v_max=20,
+            max_parallel=2,
+            max_degree=4,
+        ),
+        "ea5965bdb8d5e9fad5acfb6d53c81257e52678baabdc756725329ff2b4bc6de0",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "spec, digest", PINNED_INSTANCES, ids=["criterion8", "dense50", "tree-deg3", "monotone"]
+)
+def test_generated_instance_text_is_pinned(spec, digest):
+    text = json.dumps(instance_to_json(gen_instance(spec)))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_different_seeds_differ_somewhere():

@@ -14,8 +14,18 @@ from trifree_efx import phase2
 from trifree_efx.cuts import CutTable, PickOrder
 from trifree_efx.errors import InternalSolverError
 from trifree_efx.phase1 import SolveMetrics, SolverState
-from trifree_efx.phase2 import Potential, _scan, phase2_step, unallocated_incident
-from trifree_efx.generate import gen_adversarial_suite, gen_instance, suite_spec
+from trifree_efx.phase2 import LiveCheck, Potential, _scan, phase2_step, unallocated_incident
+from trifree_efx.generate import (
+    TOPOLOGIES,
+    GenSpec,
+    SplitMix64,
+    _valuation,
+    gen_adversarial_suite,
+    gen_instance,
+    suite_spec,
+)
+from trifree_efx.model import Good, Instance
+from trifree_efx.oracle import scan_strong_envy
 
 from helpers import additive_instance, two_agent_parallel
 
@@ -318,3 +328,177 @@ def test_rule_giving_a_third_party_pair_goods_is_an_internal_error(monkeypatch, 
         solve(inst, SolveConfig(validate_steps=validate))
     if validate:
         assert "(2) x1" in str(err.value)
+
+
+# -- the live free-bundle check ----------------------------------------------------
+
+VALUATION_CLASSES = ("additive", "transformed_additive", "monotone_table")
+
+
+def cycle(n):
+    return [(k, (k + 1) % n) for k in range(n)]
+
+
+def petersen():
+    outer = cycle(5)
+    spokes = [(k, k + 5) for k in range(5)]
+    inner = [(5 + k, 5 + (k + 2) % 5) for k in range(5)]
+    return 10, outer + spokes + inner
+
+
+def c5_blowup(per_vertex):
+    """C5 with each vertex replaced by ``per_vertex`` independent agents."""
+    edges = [
+        (v * per_vertex + s, w * per_vertex + t)
+        for v, w in cycle(5)
+        for s in range(per_vertex)
+        for t in range(per_vertex)
+    ]
+    return 5 * per_vertex, edges
+
+
+ODD_SKELETONS = {
+    "C5": (5, cycle(5)),
+    "C7": (7, cycle(7)),
+    "Petersen": petersen(),
+    "C5x2": c5_blowup(2),
+}
+
+
+def odd_cycle_instance(skeleton, valuation_class, seed):
+    """A triangle-free instance with odd cycles: 1-3 parallel goods per
+    skeleton edge, valuations drawn as the generator draws them."""
+    n, edges = ODD_SKELETONS[skeleton]
+    rng = SplitMix64(seed)
+    goods = []
+    for a, b in edges:
+        for _ in range(1 + rng.below(3)):
+            goods.append(Good(len(goods), a, b))
+    incident = [sorted(g.id for g in goods if i in (g.u, g.v)) for i in range(n)]
+    spec = GenSpec(
+        seed=seed, n=n, m=len(goods), topology="path", valuation_class=valuation_class, v_max=20
+    )
+    instance = Instance(n, goods, [_valuation(spec, rng, i, incident[i]) for i in range(n)])
+    assert instance.is_triangle_free()
+    return instance
+
+
+def live_check_instances():
+    for topology in TOPOLOGIES:
+        for valuation_class in VALUATION_CLASSES:
+            for index in range(8):
+                if valuation_class == "monotone_table":
+                    spec = suite_spec(
+                        topology,
+                        index,
+                        valuation_class=valuation_class,
+                        v_max=20,
+                        max_parallel=2,
+                        max_degree=4,
+                        n_max=8,
+                        m_max=16,
+                    )
+                else:
+                    spec = suite_spec(topology, index, valuation_class=valuation_class)
+                yield f"{topology}/{valuation_class}/{index}", gen_instance(spec)
+    for name, instance in gen_adversarial_suite():
+        yield name, instance
+    for skeleton in ODD_SKELETONS:
+        for valuation_class in VALUATION_CLASSES:
+            for seed in range(4):
+                name = f"{skeleton}/{valuation_class}/{seed}"
+                yield name, odd_cycle_instance(skeleton, valuation_class, seed)
+
+
+def test_live_check_matches_reference_every_step():
+    """At every stage-two state the live check equals the from-scratch one.
+
+    The loop is ``run_phase2``'s: the same step cap, a strictly falling
+    potential, and a final check of properties (1)-(7).  The odd-cycle
+    solves are also checked by the oracle's strong-envy scan and for
+    completeness.
+    """
+    fired = {"A": 0, "B": 0, "C": 0}
+    for name, inst in live_check_instances():
+        state = run_phase1(inst)
+        scan = _scan(state)
+        live = LiveCheck(state, scan)
+        assert live.check() == scan, name
+        for _ in range(step_cap(inst) + 1):
+            record = phase2_step(state, scan=scan)
+            if record is None:
+                break
+            fired[record.branch] += 1
+            scan = live.update(record.changed())
+            reference = _scan(state)
+            assert scan == reference, (name, record)
+            assert Potential.of(scan) < record.potential_before, (name, record)
+        else:
+            pytest.fail(f"{name}: stage two ran past its cap of {step_cap(inst)} steps")
+        report = check_properties(inst, state.alloc, state.order, state.cuts)
+        assert report.ok, (name, report.summary())
+        if name.startswith(tuple(ODD_SKELETONS)):
+            result = solve(inst, SolveConfig(validate_steps=False))
+            assert result.allocation.is_complete(inst), name
+            assert scan_strong_envy(inst, result.allocation) == [], name
+    assert all(fired.values()), fired
+
+
+def unit_bundle_moves(state, rng):
+    """Random bundle changes that keep every pair whole unit bundles on its
+    endpoints: an agent frees her part of a pair, takes a free part of a
+    pair she holds nothing of, or swaps parts with her neighbour.  Yields
+    the agents each move changed."""
+    instance, alloc = state.instance, state.alloc
+    pairs = instance.skeleton_edges()
+    for _ in range(3 * len(pairs)):
+        a, b = pairs[rng.below(len(pairs))]
+        if rng.below(2):
+            a, b = b, a
+        cut, _, held_a, held_b, free = pair_state(instance, alloc, state.order, state.cuts, a, b)
+        move = rng.below(3)
+        if move == 0 and held_a:
+            alloc.set_bundle(a, alloc.bundle(a) - held_a)
+            yield (a,)
+        elif move == 1 and not held_a and free:
+            part = next(p for p in cut.parts() if p and p <= free)
+            alloc.set_bundle(a, alloc.bundle(a) | part)
+            yield (a,)
+        elif move == 2 and held_a and held_b:
+            alloc.set_bundle(a, alloc.bundle(a) - held_a)
+            alloc.set_bundle(b, alloc.bundle(b) - held_b | held_a)
+            alloc.set_bundle(a, alloc.bundle(a) | held_b)
+            yield (a, b)
+
+
+def test_live_check_follows_any_unit_bundle_move():
+    """The live check is exact for any change that keeps property (2), not
+    only for the repair rules.  In a valid run no rule changes a neighbour's
+    envy toward the changed agents (rules A and B act on non-envied agents
+    and create no envy; rule C's envied agent has a single envier), so only
+    moves like these exercise that part of the update."""
+    rng = SplitMix64(2024)
+    for name, inst in live_check_instances():
+        state = run_phase1(inst)
+        run_phase2(state, validate=False)
+        live = LiveCheck(state, _scan(state))
+        for changed in unit_bundle_moves(state, rng):
+            assert live.update(changed) == _scan(state), (name, changed)
+
+
+def test_stage_two_builds_each_full_check_at_most_once(monkeypatch):
+    # the live check replaces the per-step envy graph and free-unit labels,
+    # whatever the number of steps
+    counts = {"envy_graph": 0, "free_units": 0}
+    for name in counts:
+        original = getattr(phase2, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(phase2, name, counted)
+    inst = gen_instance(GenSpec(seed=1, n=1000, m=3000, topology="tree"))
+    metrics = solve(inst, SolveConfig(validate_steps=False)).metrics
+    assert metrics.phase2_iterations > 100
+    assert counts["envy_graph"] <= 1 and counts["free_units"] <= 1, counts

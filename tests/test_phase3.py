@@ -113,6 +113,15 @@ def test_solve_metrics_are_coherent():
     assert sorted(result.sigma) == list(range(inst.n))
 
 
+@pytest.mark.parametrize("validate", [True, False])
+def test_stage_times_fit_inside_the_wall_time(validate):
+    inst = adversarial("hub_trade")
+    m = solve(inst, SolveConfig(validate_steps=validate)).metrics
+    stages = (m.phase1_s, m.phase2_s, m.phase3_s)
+    assert all(t >= 0 for t in stages)
+    assert sum(stages) <= m.wall_time_s
+
+
 def test_solve_without_step_validation_matches_validated_run():
     for idx in range(40):
         inst = gen_instance(suite_spec("c4_girth", idx))
