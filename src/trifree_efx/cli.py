@@ -99,14 +99,18 @@ def _parse_properties(text: str) -> set[int]:
             continue
         try:
             if "-" in chunk:
-                lo, hi = chunk.split("-", 1)
-                chosen.update(range(int(lo), int(hi) + 1))
+                lo, hi = (int(end) for end in chunk.split("-", 1))
             else:
-                chosen.add(int(chunk))
+                lo = hi = int(chunk)
         except ValueError:
             raise ValidationError(
                 f"properties must be numbers or ranges like 1-4, got {chunk!r}"
             ) from None
+        if lo > hi:
+            raise ValidationError(f"properties range {chunk!r} is empty")
+        chosen.update(range(lo, hi + 1))
+    if not chosen:
+        raise ValidationError(f"properties must name at least one property, got {text!r}")
     if not chosen <= set(range(1, 8)):
         raise ValidationError(f"properties must be within 1..7, got {sorted(chosen)}")
     return chosen
@@ -128,6 +132,8 @@ def _parse_sigma(text: str, n: int) -> list[int]:
 def cmd_verify(args) -> int:
     instance = _read_instance(args.instance)
     alloc, sigma = allocation_from_json(load_json(args.allocation), instance)
+    if args.sigma is not None:
+        sigma = _parse_sigma(args.sigma, instance.n)
     report: dict = {"checks": []}
     failed = False
 
@@ -140,10 +146,8 @@ def cmd_verify(args) -> int:
         report["checks"].append(complete.to_dict())
         failed |= not complete.ok
 
-    if args.properties:
+    if args.properties is not None:
         chosen = _parse_properties(args.properties)
-        if args.sigma:
-            sigma = _parse_sigma(args.sigma, instance.n)
         if sigma is None:
             print(
                 "error: property checks need the picking order; pass --sigma or "
@@ -295,7 +299,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--properties",
         help="comma list / ranges of numbered properties to check, e.g. 1-4 or 1,2,5",
     )
-    p.add_argument("--sigma", help="picking order as a comma list (for --properties)")
+    p.add_argument(
+        "--sigma",
+        help="picking order as a comma list, for --properties; checked whenever given",
+    )
     p.add_argument("--require-complete", action="store_true")
     p.add_argument("--report-out", help="also write the JSON report here")
     p.set_defaults(func=cmd_verify)

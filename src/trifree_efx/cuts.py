@@ -375,3 +375,22 @@ def free_units(
         primary[b] |= primary_b
         secondary[b] |= secondary_b
     return FreeUnits(primary, secondary)
+
+
+def own_labels(
+    instance: Instance,
+    alloc: Allocation,
+    order: PickOrder,
+    cuts: CutTable,
+    i: int,
+) -> tuple[set[int], set[int]]:
+    """Agent ``i``'s ``(primary, secondary)`` entries of :func:`free_units`,
+    read from her own pairs only."""
+    primary: set[int] = set()
+    secondary: set[int] = set()
+    for k in instance.neighbors(i):
+        pair = pair_state(instance, alloc, order, cuts, i, k)
+        first, second = pair_labels(i, k, pair)[0]
+        primary |= first
+        secondary |= second
+    return primary, secondary

@@ -16,7 +16,8 @@ nobody (5), back agents do not envy each other (6), and the pair-structure
 and free-bundle-preference properties hold for placed agents (7).
 
 When no agents remain unplaced, the allocation satisfies the numbered
-properties (1)-(4) of :mod:`.verify`.
+properties (1)-(4) of :mod:`.verify`.  Stage two asserts them in the check
+it opens with, so this stage does not check its own output again.
 """
 
 from __future__ import annotations
@@ -223,9 +224,10 @@ def run_phase1(
     """Drive augmentation until every agent is placed.
 
     With ``validate`` set, the seven invariants are re-checked after every
-    round and the numbered properties (1)-(4) are asserted on the result;
-    the final allocation is also replayed greedily along the finished order,
-    which must reproduce it exactly.
+    round, and the final allocation is replayed greedily along the finished
+    order, which must reproduce it exactly.  The numbered properties (1)-(4)
+    of the result are asserted by :func:`.phase2.run_phase2`, which opens
+    with one check of (1)-(7) on its input.
     """
     if state is None:
         state = SolverState.fresh(instance)
@@ -245,9 +247,6 @@ def run_phase1(
         raise InternalSolverError(
             f"{metrics.augment_calls} rounds for {instance.n} agents"
         )
-    report = check_properties(instance, state.alloc, state.order, state.cuts, which={1, 2, 3, 4})
-    if not report.ok:
-        raise InternalSolverError(f"stage-one output: {report.summary()}")
     if validate:
         replay = greedy_replay(state)
         if replay != state.alloc:

@@ -15,11 +15,14 @@ are read off a :class:`.verify.FreeBundleCheck` of the current state:
   bundle joined with one of her free-unit labels: the two swap their unit
   bundles of the shared pair, then she absorbs that label's free bundles.
 
-The loop builds the check from scratch once, with
-:func:`.verify.free_bundle_check`, and then keeps it live (:class:`LiveCheck`):
-a rule changes the bundles of at most two agents ``C``, and only ``C`` and
-its neighbours ``N(C)`` are rechecked.  With ``validate`` set, every step
-also builds the check from scratch and compares the two field by field.
+The stage opens with one from-scratch :func:`.verify.check_properties` of
+properties (1)-(7) on its input: (1)-(4) must hold, and the check's
+:class:`.verify.FreeBundleCheck` seeds a live one (:class:`LiveCheck`).  A
+rule changes the bundles of at most two agents ``C``, and only ``C`` and its
+neighbours ``N(C)`` are rechecked.  With ``validate`` set, every step also
+runs one from-scratch check of (1)-(7): (1)-(4) must still hold and its
+free-bundle check must equal the live one field by field.  The stage's
+output is checked by stage three, which opens with the same check.
 
 Each step strictly lowers the triple (number of envied agents, rule-B
 violators, rule-A violators) in lexicographic order, so the loop ends after
@@ -28,23 +31,26 @@ at most ``n**3`` steps, at which point properties (1)-(7) all hold.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, fields
+from operator import attrgetter, itemgetter
 from typing import Iterable, NamedTuple, Optional
 
-# ``free_units`` is no longer called here, but the benchmark's tracer wraps
-# ``phase2.free_units`` by name, so a reintroduced call is counted
-from .cuts import FreeUnits, Labels, free_units, pair_labels, pair_state  # noqa: F401
+# ``free_units`` and ``envy_graph`` are no longer called here, but the
+# benchmark's tracer wraps both by name, so a reintroduced call is counted
+from .cuts import FreeUnits, Labels, free_units, own_labels, pair_labels, pair_state  # noqa: F401
 from .errors import InternalSolverError
 from .model import Bundle
 from .phase1 import SolveMetrics, SolverState, TraceFn
-from .verify import (
+from .verify import (  # noqa: F401
+    FREE_BUNDLE_PROPERTIES,
+    STAGE_ONE_PROPERTIES,
     EnvyEdge,
     EnvyGraph,
     FreeBundleCheck,
     agent_free_bundle_breaks,
     check_properties,
     envy_graph,
-    free_bundle_check,
     viewer_envy,
 )
 
@@ -66,22 +72,33 @@ def unallocated_incident(state: SolverState, i: int) -> Bundle:
     return state.alloc.free_among(state.instance.incident_goods(i))
 
 
-def _own_labels(state: SolverState, i: int) -> tuple[set[int], set[int]]:
-    """Agent ``i``'s primary and secondary free-unit labels, read from her own pairs."""
-    primary: set[int] = set()
-    secondary: set[int] = set()
-    for k in state.instance.neighbors(i):
-        pair = pair_state(state.instance, state.alloc, state.order, state.cuts, i, k)
-        first, second = pair_labels(i, k, pair)[0]
-        primary |= first
-        secondary |= second
-    return primary, secondary
-
-
 def _scan(state: SolverState) -> FreeBundleCheck:
-    instance, alloc = state.instance, state.alloc
-    graph = envy_graph(instance, alloc)
-    return free_bundle_check(instance, alloc, state.order, state.cuts, graph)
+    """The from-scratch free-bundle check of ``state``."""
+    report = check_properties(
+        state.instance, state.alloc, state.order, state.cuts, FREE_BUNDLE_PROPERTIES
+    )
+    return report.free_bundles
+
+
+def _mark(members: list[int], i: int, present: bool) -> None:
+    """Put ``i`` into the ascending list ``members`` or take it out."""
+    k = bisect_left(members, i)
+    there = k < len(members) and members[k] == i
+    if present and not there:
+        members.insert(k, i)
+    elif there and not present:
+        del members[k]
+
+
+def _splice(rows: list, i: int, new: list, key) -> None:
+    """Replace the run of ``rows`` whose ``key`` is ``i`` with ``new``;
+    ``rows`` is in ascending ``key`` order and stays so."""
+    lo = bisect_left(rows, i, key=key)
+    rows[lo : bisect_right(rows, i, lo, key=key)] = new
+
+
+_SRC = attrgetter("src")
+_AGENT = itemgetter(0)
 
 
 @dataclass
@@ -99,14 +116,19 @@ class StepRecord:
 class LiveCheck:
     """Stage two's free-bundle check, kept up to date after every step.
 
-    It starts from a from-scratch :func:`.verify.free_bundle_check`, to which
-    it adds each pair's free goods and labels, each agent's free incident
-    goods and the value of her own bundle.  After a rule changes the bundles
-    of the agents ``C``, :meth:`update` recomputes only the pairs touching
-    ``C``, ``C``'s outgoing envy, each neighbour's envy toward ``C``, and
-    properties (5)-(7) for ``C`` and its neighbours ``N(C)``.  It returns a
-    check equal field by field to the from-scratch one: the edges with their
-    strong flags and order, the envied set, the labels and the break lists.
+    It starts from a from-scratch :func:`.verify.check_properties` and takes
+    over what that check read (:class:`.verify.StateReads`): each pair's free
+    goods and labels, each agent's free incident goods and the value of her
+    own bundle.  After a rule changes the bundles of the agents ``C``,
+    :meth:`update` recomputes only the pairs touching ``C``, ``C``'s outgoing
+    envy, each neighbour's envy toward ``C``, and properties (5)-(7) for
+    ``C`` and its neighbours ``N(C)``.  It returns a check equal field by
+    field to the from-scratch one: the edges with their strong flags and
+    order, the envied set, the labels and the break lists.  The edge list
+    and the break lists are kept in order as they change, so a step sorts
+    only what it changed and copies nothing of size ``n``: the check that
+    :meth:`check` and :meth:`update` return is a view of the live state,
+    valid until the next update.
 
     This is exact because stage two keeps property (2), so every good is
     free or held by an endpoint of its pair, and valuations are local.
@@ -122,26 +144,24 @@ class LiveCheck:
 
     def __init__(self, state: SolverState, check: FreeBundleCheck):
         self.state = state
-        instance, alloc = state.instance, state.alloc
-        n = instance.n
+        reads = check.reads
+        n = state.instance.n
         # (a, b) with a < b -> (free goods, a's labels, b's labels)
-        self._pairs = {(a, b): self._read_pair(a, b) for a, b in instance.skeleton_edges()}
+        self._pairs = dict(reads.pairs)
         self._primary = list(check.units.primary)
         self._secondary = list(check.units.secondary)
-        self._loose = [alloc.free_among(instance.incident_goods(i)) for i in range(n)]
-        self._own = [instance.valuations[i].value(alloc.bundle(i)) for i in range(n)]
+        self._loose = list(reads.loose)
+        self._own = list(reads.own)
         self._out: list[dict[int, EnvyEdge]] = [{} for _ in range(n)]
         self._into: list[set[int]] = [set() for _ in range(n)]
         for e in check.graph.edges:
             self._out[e.src][e.dst] = e
             self._into[e.dst].add(e.src)
-        self._sources = {e.src for e in check.graph.edges}
+        self._edges = list(check.graph.edges)  # in (src, dst) order
         self._envied = set(check.envied)
-        self._breaks_5 = set(check.breaks_5)
-        self._breaks_6 = set(check.breaks_6)
-        self._breaks_7: dict[int, list[tuple[int, int, str]]] = {}
-        for row in check.breaks_7:
-            self._breaks_7.setdefault(row[0], []).append(row)
+        self._breaks_5 = list(check.breaks_5)
+        self._breaks_6 = list(check.breaks_6)
+        self._breaks_7 = list(check.breaks_7)  # in (envied agent, envier, label) order
 
     def _read_pair(self, a: int, b: int) -> tuple[Bundle, Labels, Labels]:
         state = self.state
@@ -175,10 +195,7 @@ class LiveCheck:
         for e in viewer_envy(instance, alloc, i, self._own[i], parts):
             out[e.dst] = e
             self._into[e.dst].add(i)
-        if out:
-            self._sources.add(i)
-        else:
-            self._sources.discard(i)
+        _splice(self._edges, i, [out[j] for j in sorted(out)], _SRC)
 
     def _decide(self, i: int) -> None:
         """Recompute agent ``i``'s envied status and properties (5)-(7)."""
@@ -193,19 +210,13 @@ class LiveCheck:
             self._secondary[i],
             self._loose[i],
         )
-        for found, members in (
-            (bool(enviers), self._envied),
-            (b5, self._breaks_5),
-            (b6, self._breaks_6),
-        ):
-            if found:
-                members.add(i)
-            else:
-                members.discard(i)
-        if b7:
-            self._breaks_7[i] = b7
+        if enviers:
+            self._envied.add(i)
         else:
-            self._breaks_7.pop(i, None)
+            self._envied.discard(i)
+        _mark(self._breaks_5, i, b5)
+        _mark(self._breaks_6, i, b6)
+        _splice(self._breaks_7, i, b7, _AGENT)
 
     def update(self, changed: Iterable[int]) -> FreeBundleCheck:
         """The check after a step that changed the bundles of ``changed``."""
@@ -229,15 +240,14 @@ class LiveCheck:
         return self.check()
 
     def check(self) -> FreeBundleCheck:
-        out = self._out
-        edges = [out[i][j] for i in sorted(self._sources) for j in sorted(out[i])]
+        """The live check, as a view valid until the next update."""
         return FreeBundleCheck(
-            EnvyGraph(self.state.instance.n, edges),
-            set(self._envied),
-            FreeUnits(list(self._primary), list(self._secondary)),
-            sorted(self._breaks_5),
-            sorted(self._breaks_6),
-            [row for i in sorted(self._breaks_7) for row in self._breaks_7[i]],
+            EnvyGraph(self.state.instance.n, self._edges),
+            self._envied,
+            FreeUnits(self._primary, self._secondary),
+            self._breaks_5,
+            self._breaks_6,
+            self._breaks_7,
         )
 
 
@@ -275,7 +285,7 @@ def _apply_rule_c(state: SolverState, scan: FreeBundleCheck, i: int, j: int, lab
     alloc.set_bundle(j, (alloc.bundle(j) - held_j) | held_i)
     alloc.set_bundle(i, alloc.bundle(i) | held_j)
     before = getattr(scan.units, label)[i]
-    primary, secondary = _own_labels(state, i)
+    primary, secondary = own_labels(instance, alloc, state.order, state.cuts, i)
     after = primary if label == "primary" else secondary
     if before != after:
         raise InternalSolverError(
@@ -326,19 +336,28 @@ def run_phase2(
     metrics: Optional[SolveMetrics] = None,
     trace: TraceFn = None,
 ) -> SolverState:
-    """Iterate repair steps until properties (1)-(7) all hold.
+    """Iterate repair steps until properties (5)-(7) hold as well.
 
-    The potential must drop strictly on every step and the loop must finish
-    within ``n**3`` steps; either failure is an internal error.  Each step's
-    check comes from one :class:`LiveCheck`.  With ``validate`` set, the
-    live check is compared with a from-scratch one after every step,
-    properties (1)-(4) are re-checked and rule-specific postconditions
-    asserted.
+    The stage opens with one check of properties (1)-(7) on the stage-one
+    output: a failure of (1)-(4) is an internal error, and the check's
+    free-bundle part seeds the :class:`LiveCheck` that gives every step's
+    check.  The potential must drop strictly on every step and the loop must
+    finish within ``n**3`` steps; either failure is an internal error.  With
+    ``validate`` set, each step runs one from-scratch check of (1)-(7):
+    (1)-(4) must still hold, its free-bundle check must equal the live one,
+    and rule-specific postconditions are asserted.  The output is checked by
+    :func:`.phase3.run_phase3`.
     """
     instance = state.instance
     metrics = metrics if metrics is not None else SolveMetrics()
     cap = max(1, instance.n**3)
-    scan = _scan(state)
+    report = check_properties(instance, state.alloc, state.order, state.cuts)
+    broken = report.only(STAGE_ONE_PROPERTIES)
+    if not broken.ok:
+        raise InternalSolverError(f"stage-one output: {broken.summary()}")
+    # the from-scratch check of the state before the next step
+    reference = report.free_bundles
+    scan = reference
     # a state that needs no repair needs no live check
     live = None if scan.ok else LiveCheck(state, scan)
     while True:
@@ -351,54 +370,52 @@ def run_phase2(
             raise InternalSolverError(
                 f"repair loop exceeded {cap} iterations on {instance.n} agents"
             )
-        # the checks on either side of the step give its before and after envy
-        after = live.update(record.changed())
+        scan = live.update(record.changed())
         if validate:
-            reference = _scan(state)
-            if after != reference:
-                differ = [
-                    f.name
-                    for f in fields(FreeBundleCheck)
-                    if getattr(after, f.name) != getattr(reference, f.name)
-                ]
-                raise InternalSolverError(
-                    f"after rule {record.branch} on agent {record.agent} the live "
-                    f"free-bundle check differs from the reference in {differ}"
-                )
-            _validate_step(state, record, scan, reference)
-        phi = Potential.of(after)
+            reference = _validate_step(state, record, reference, scan)
+        phi = Potential.of(scan)
         if phi >= record.potential_before:
             raise InternalSolverError(
                 f"repair potential failed to drop: {record.potential_before} -> {phi}"
             )
-        scan = after
-    report = check_properties(
-        instance, state.alloc, state.order, state.cuts, which=set(range(1, 8))
-    )
-    if not report.ok:
-        raise InternalSolverError(f"stage-two output: {report.summary()}")
     return state
 
 
 def _validate_step(
     state: SolverState, record: StepRecord, before: FreeBundleCheck, after: FreeBundleCheck
-) -> None:
-    report = check_properties(
-        state.instance, state.alloc, state.order, state.cuts, which={1, 2, 3, 4}
-    )
-    if not report.ok:
+) -> FreeBundleCheck:
+    """Check one step from scratch and return that check.
+
+    Properties (1)-(4) must still hold, the live check ``after`` must equal
+    the from-scratch one, and the rule's postconditions must hold against
+    ``before``, the from-scratch check of the state before the step.
+    """
+    report = check_properties(state.instance, state.alloc, state.order, state.cuts)
+    broken = report.only(STAGE_ONE_PROPERTIES)
+    if not broken.ok:
         raise InternalSolverError(
-            f"rule {record.branch} on agent {record.agent} broke {report.summary()}"
+            f"rule {record.branch} on agent {record.agent} broke {broken.summary()}"
+        )
+    reference = report.free_bundles
+    if after != reference:
+        differ = [
+            f.name
+            for f in fields(FreeBundleCheck)
+            if f.compare and getattr(after, f.name) != getattr(reference, f.name)
+        ]
+        raise InternalSolverError(
+            f"after rule {record.branch} on agent {record.agent} the live "
+            f"free-bundle check differs from the reference in {differ}"
         )
     prev_envy = {(e.src, e.dst) for e in before.graph.edges}
-    now_envy = {(e.src, e.dst) for e in after.graph.edges}
+    now_envy = {(e.src, e.dst) for e in reference.graph.edges}
     if record.branch in ("A", "B") and not now_envy <= prev_envy:
         raise InternalSolverError(
             f"rule {record.branch} on agent {record.agent} created envy "
             f"{sorted(now_envy - prev_envy)}"
         )
     if record.branch == "C":
-        envied_now = after.envied
+        envied_now = reference.envied
         if record.agent in envied_now:
             raise InternalSolverError(
                 f"rule C left agent {record.agent} envied"
@@ -411,4 +428,4 @@ def _validate_step(
             raise InternalSolverError(
                 "rule C did not shrink the set of envied agents"
             )
-
+    return reference

@@ -9,8 +9,11 @@ goods she is not incident to -- never starts envying anyone.  This is the
 one stage that needs the triangle-free assumption, and the one stage that
 turns the orientation into a general allocation.
 
-``solve`` wires the three stages together behind a triangle-freeness guard
-and re-verifies the final allocation (complete + EFX) from first principles.
+The stage opens with one check of properties (1)-(7) on its input, which
+is the check of stage two's output, and reads the envy graph and the labels
+it dumps from that check.  ``solve`` wires the three stages together behind
+a triangle-freeness guard and re-verifies the final allocation (complete +
+EFX) from first principles.
 """
 
 from __future__ import annotations
@@ -19,12 +22,14 @@ import time
 from dataclasses import dataclass
 from typing import Optional
 
-from .cuts import free_units
+# ``free_units`` and ``envy_graph`` are no longer called here, but the
+# benchmark's tracer wraps both by name, so a reintroduced call is counted
+from .cuts import free_units, own_labels  # noqa: F401
 from .errors import InternalSolverError, NotTriangleFreeError
 from .model import Allocation, Instance
 from .phase1 import SolveMetrics, SolverState, TraceFn, run_phase1
 from .phase2 import run_phase2
-from .verify import check_completeness, check_efx, envy_graph
+from .verify import check_completeness, check_efx, check_properties, envy_graph  # noqa: F401
 
 
 @dataclass
@@ -34,7 +39,10 @@ class SolveConfig:
     ``validate_steps`` re-checks every invariant after every mutation; it is
     the default and recommended mode.  Turning it off keeps the stage-boundary
     and final checks but skips the per-step ones (useful for large benchmark
-    instances).
+    instances).  The stage-boundary checks are the ones stages two and three
+    open with, each one check of properties (1)-(7) on its input, and the
+    final one is the complete-and-EFX check; an unvalidated solve therefore
+    builds the envy graph three times.
     """
 
     validate_steps: bool = True
@@ -57,18 +65,27 @@ def run_phase3(
 ) -> Allocation:
     """Dump every envied agent's primary free bundles on her envier.
 
-    The envy picture and the free-unit labels are frozen on entry; with
-    ``validate`` the labels are also recomputed live before each dump, which
-    must agree.  The output must be a complete EFX allocation.
+    The stage opens with one check of properties (1)-(7) on the stage-two
+    output; any failure is an internal error.  The envy graph, the enviers
+    and the free-unit labels are read from that check and frozen; with
+    ``validate`` the dumped agent's primary label is also read from her own
+    pairs before each dump, and must agree.  The output must be a complete
+    EFX allocation.
     """
     instance, alloc = state.instance, state.alloc
     metrics = metrics if metrics is not None else SolveMetrics()
-    graph = envy_graph(instance, alloc)
-    envied = graph.envied_agents()
+    report = check_properties(instance, alloc, state.order, state.cuts)
+    if not report.ok:
+        raise InternalSolverError(f"stage-two output: {report.summary()}")
+    check = report.free_bundles
+    envied = sorted(check.envied)
     metrics.envied_after_phase2 = len(envied)
+    into: dict[int, list[int]] = {}
+    for e in check.graph.edges:
+        into.setdefault(e.dst, []).append(e.src)
     enviers: dict[int, int] = {}
     for i in envied:
-        who = graph.enviers_of(i)
+        who = into[i]
         if len(who) != 1:
             raise InternalSolverError(
                 f"envied agent {i} has {len(who)} enviers at the dump stage"
@@ -80,13 +97,13 @@ def run_phase3(
                 f"adjacent envied agents {a} and {b} share the envier {enviers[a]}; "
                 "the skeleton cannot be triangle-free"
             )
-    units = free_units(instance, alloc, state.order, state.cuts)
+    units = check.units
     for i in envied:
         j = enviers[i]
         dumped = units.primary[i]
         if validate:
-            live = free_units(instance, alloc, state.order, state.cuts)
-            if live.primary[i] != dumped:
+            live, _ = own_labels(instance, alloc, state.order, state.cuts, i)
+            if live != dumped:
                 raise InternalSolverError(
                     f"live free-unit labels of agent {i} diverged from the frozen ones"
                 )

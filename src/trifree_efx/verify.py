@@ -6,9 +6,11 @@ checks is meaningful evidence.  The only shared vocabulary is the fixed
 pair splits (unit bundles), which the structural property checks need by
 definition.
 
-``free_bundle_check`` is the one place the free-bundle properties (5)-(7)
-are decided: stage two picks its repair rule from it, and
-``check_properties`` only formats what it returns.  Its per-agent rule
+``check_properties`` checks a state in one pass: each agent's own value is
+computed once, the envy graph is built once and each pair is read once with
+``pair_state``.  ``free_bundle_check`` is the one place the free-bundle
+properties (5)-(7) are decided from those reads: stage two picks its repair
+rule from it, and ``check_properties`` only formats what it returns.  Its per-agent rule
 (``agent_free_bundle_breaks``) and the envy comparison of one viewer
 (``viewer_envy``) are also what stage two's live check reruns for the agents
 a step touched.  Pair goods held by a third party are reported by property
@@ -25,10 +27,23 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .cuts import CutTable, FreeUnits, PickOrder, free_units, pair_fault, pair_state
+# ``free_units`` is no longer called here, but the benchmark's tracer wraps
+# ``verify.free_units`` by name, so a reintroduced call is counted
+from .cuts import (  # noqa: F401
+    CutTable,
+    FreeUnits,
+    Labels,
+    PickOrder,
+    free_units,
+    pair_fault,
+    pair_labels,
+    pair_state,
+)
 from .model import Allocation, Bundle, Instance
 
 ALL_PROPERTIES = frozenset(range(1, 8))
+STAGE_ONE_PROPERTIES = frozenset(range(1, 5))
+FREE_BUNDLE_PROPERTIES = frozenset(range(5, 8))
 
 
 @dataclass(frozen=True)
@@ -62,7 +77,9 @@ def strong_envy_witness(
     return None
 
 
-def envy_graph(instance: Instance, alloc: Allocation) -> EnvyGraph:
+def envy_graph(
+    instance: Instance, alloc: Allocation, own: Optional[Sequence[int]] = None
+) -> EnvyGraph:
     """The directed envy relation of an allocation, with strong-envy flags.
 
     One scan over the owners' bundles, resting on two model facts:
@@ -78,6 +95,7 @@ def envy_graph(instance: Instance, alloc: Allocation) -> EnvyGraph:
     Each good of ``j``'s bundle is recorded under ``seen[i][j]`` for each of
     its endpoints ``i != j``; ``i`` envies ``j`` when that part is worth more
     to her than her own bundle.  Edges come out in ``(src, dst)`` order.
+    ``own``, when given, holds each agent's value for her own bundle.
     """
     goods = instance.goods
     seen: list[dict[int, list[int]]] = [{} for _ in range(instance.n)]
@@ -90,8 +108,8 @@ def envy_graph(instance: Instance, alloc: Allocation) -> EnvyGraph:
     edges = []
     for i, by_owner in enumerate(seen):
         if by_owner:
-            own = instance.valuations[i].value(alloc.bundle(i))
-            edges.extend(viewer_envy(instance, alloc, i, own, by_owner))
+            own_i = instance.valuations[i].value(alloc.bundle(i)) if own is None else own[i]
+            edges.extend(viewer_envy(instance, alloc, i, own_i, by_owner))
     return EnvyGraph(instance.n, edges)
 
 
@@ -187,11 +205,32 @@ def check_completeness(instance: Instance, alloc: Allocation) -> CheckReport:
 #     bundle joined with either of her free-unit labels.
 
 
+PairRead = tuple[Bundle, Labels, Labels]  # (free goods, a's labels, b's labels)
+
+
+@dataclass
+class StateReads:
+    """What a from-scratch check read of one state, beyond the envy graph.
+
+    ``own[i]`` is agent ``i``'s value for her own bundle, ``loose[i]`` the
+    free goods incident to her and ``pairs[a, b]`` (``a < b``) the
+    :func:`.cuts.pair_state` free goods of the pair and the labels that
+    :func:`.cuts.pair_labels` gives ``a`` and ``b``.  Stage two's live check
+    starts from these instead of reading them again.
+    """
+
+    own: list[int]
+    loose: list[set[int]]
+    pairs: dict[tuple[int, int], PairRead]
+
+
 @dataclass
 class FreeBundleCheck:
     """Which agents break the free-bundle properties (5)-(7) in one state.
 
     Each list is in ascending order; stage two repairs its first entry.
+    ``reads`` is what a from-scratch check decided them from; it is set by
+    :func:`free_bundle_check` only and is not compared.
     """
 
     graph: EnvyGraph
@@ -200,6 +239,7 @@ class FreeBundleCheck:
     breaks_5: list[int]  # non-envied agents with a primary free bundle
     breaks_6: list[int]  # non-envied agents preferring their free goods
     breaks_7: list[tuple[int, int, str]]  # (envied agent, envier, label)
+    reads: Optional[StateReads] = field(default=None, compare=False, repr=False)
 
     @property
     def ok(self) -> bool:
@@ -209,37 +249,60 @@ class FreeBundleCheck:
 def free_bundle_check(
     instance: Instance,
     alloc: Allocation,
-    order: PickOrder,
-    cuts: CutTable,
     graph: EnvyGraph,
+    own: list[int],
+    pairs: dict[tuple[int, int], PairRead],
 ) -> FreeBundleCheck:
-    """Decide properties (5)-(7) for every agent, given the envy graph of
-    ``alloc``; the order must be complete."""
+    """Decide properties (5)-(7) for every agent.
+
+    ``graph`` is the envy graph of ``alloc``, ``own`` each agent's value for
+    her own bundle and ``pairs`` every pair's free goods and labels, as
+    :class:`StateReads` holds them; :func:`check_properties` reads them in
+    its one pass.  An agent's labels and free incident goods are the unions
+    over her pairs.
+    """
+    n = instance.n
     enviers: dict[int, list[int]] = {}
     for e in graph.edges:
         enviers.setdefault(e.dst, []).append(e.src)
-    units = free_units(instance, alloc, order, cuts)
-    free = alloc.unallocated_goods(instance)
+    primary: list[set[int]] = [set() for _ in range(n)]
+    secondary: list[set[int]] = [set() for _ in range(n)]
+    loose: list[set[int]] = [set() for _ in range(n)]
+    for (a, b), (free, (primary_a, secondary_a), (primary_b, secondary_b)) in pairs.items():
+        primary[a] |= primary_a
+        secondary[a] |= secondary_a
+        primary[b] |= primary_b
+        secondary[b] |= secondary_b
+        loose[a] |= free
+        loose[b] |= free
     breaks_5: list[int] = []
     breaks_6: list[int] = []
     breaks_7: list[tuple[int, int, str]] = []
-    for i in range(instance.n):
+    for i in range(n):
         b5, b6, b7 = agent_free_bundle_breaks(
             instance,
             alloc,
             i,
-            instance.valuations[i].value(alloc.bundle(i)),
+            own[i],
             enviers.get(i, []),
-            units.primary[i],
-            units.secondary[i],
-            free & instance.incident_goods(i),
+            primary[i],
+            secondary[i],
+            loose[i],
         )
         if b5:
             breaks_5.append(i)
         if b6:
             breaks_6.append(i)
         breaks_7.extend(b7)
-    return FreeBundleCheck(graph, set(enviers), units, breaks_5, breaks_6, breaks_7)
+    return FreeBundleCheck(
+        graph,
+        set(enviers),
+        FreeUnits(primary, secondary),
+        breaks_5,
+        breaks_6,
+        breaks_7,
+        StateReads(own, loose, pairs),
+    )
 
 
 def agent_free_bundle_breaks(
@@ -275,26 +338,6 @@ def agent_free_bundle_breaks(
     )
 
 
-def _property3_violations(
-    instance: Instance,
-    alloc: Allocation,
-    order: PickOrder,
-    cuts: CutTable,
-    i: int,
-) -> list[tuple]:
-    out = []
-    v = instance.valuations[i].value
-    own = v(alloc.bundle(i))
-    for j in instance.neighbors(i):
-        if not order.determined(i, j):
-            continue
-        cut, _, _, _, free = pair_state(instance, alloc, order, cuts, i, j)
-        for part in cut.parts():
-            if part and part <= free and v(part) > own:
-                out.append((i, j, sorted(part)))
-    return out
-
-
 def check_properties(
     instance: Instance,
     alloc: Allocation,
@@ -308,31 +351,57 @@ def check_properties(
 
     ``agents`` restricts properties (2) and (3) to pairs touching the given
     agents (used while the picking order is still partial).  Properties
-    (5)-(7) are decided by :func:`free_bundle_check` and need a complete
-    order.  The envy graph is built at most once, for (1), (4) and (5)-(7).
+    (5)-(7) are decided by :func:`free_bundle_check`, need a complete order,
+    and the report carries that check as ``free_bundles``.
+
+    The check is one pass over the state.  Each agent's own value is
+    computed once and the envy graph is built at most once, for (1), (4)
+    and (5)-(7).  Each determined pair that touches ``agents`` (each pair,
+    when (5)-(7) are checked) is read once with :func:`.cuts.pair_state`,
+    and that read decides (2) for the pair, (3) for each of its endpoints in
+    ``agents``, and the pair's free goods and labels for (5)-(7).
     """
     which = frozenset(which)
     if not which <= ALL_PROPERTIES:
         raise ValueError(f"unknown property numbers: {sorted(which - ALL_PROPERTIES)}")
     report = PropertyReport(checked=which)
-    scope = set(range(instance.n)) if agents is None else set(agents)
+    n = instance.n
+    scope = set(range(n)) if agents is None else set(agents)
+    free_props = bool(which & FREE_BUNDLE_PROPERTIES)
+    own = None
+    if which - {2}:
+        own = [instance.valuations[i].value(alloc.bundle(i)) for i in range(n)]
+    graph = envy_graph(instance, alloc, own) if which & {1, 4, 5, 6, 7} else None
 
-    graph = envy_graph(instance, alloc) if which & {1, 4, 5, 6, 7} else None
+    faults: list[tuple] = []  # (2), in pair order
+    valued: dict[int, list[tuple]] = {}  # (3) rows of each agent, by partner
+    pairs: dict[tuple[int, int], PairRead] = {}
+    if which & {2, 3} or free_props:
+        for a, b in instance.skeleton_edges():
+            ends = [(i, j) for i, j in ((a, b), (b, a)) if i in scope]
+            if not free_props and not (ends and order.determined(a, b)):
+                continue
+            pair = pair_state(instance, alloc, order, cuts, a, b)
+            if 2 in which and ends:
+                fault = pair_fault(a, b, pair)
+                if fault is not None:
+                    faults.append(fault)
+            if 3 in which:
+                cut, free = pair[0], pair[4]
+                for i, j in ends:
+                    v = instance.valuations[i].value
+                    for part in cut.parts():
+                        if part and part <= free and v(part) > own[i]:
+                            valued.setdefault(i, []).append((i, j, sorted(part)))
+            if free_props:
+                pairs[a, b] = (pair[4], *pair_labels(a, b, pair))
+
     if 1 in which:
         report.extend(1, check_orientation(instance, alloc).violations)
         report.extend(1, _efx_witnesses(instance, alloc, graph))
-    if 2 in which:
-        for a, b in instance.skeleton_edges():
-            if a not in scope and b not in scope:
-                continue
-            if not order.determined(a, b):
-                continue
-            bad = pair_fault(a, b, pair_state(instance, alloc, order, cuts, a, b))
-            if bad is not None:
-                report.extend(2, [bad])
-    if 3 in which:
-        for i in sorted(scope):
-            report.extend(3, _property3_violations(instance, alloc, order, cuts, i))
+    report.extend(2, faults)
+    for i in sorted(valued):
+        report.extend(3, valued[i])
     if 4 in which:
         into = {e.dst: e.src for e in graph.edges}
         chains = [
@@ -340,15 +409,13 @@ def check_properties(
         ]
         if chains:
             report.extend(4, [chains[0]])
-    if which & {5, 6, 7}:
-        check = free_bundle_check(instance, alloc, order, cuts, graph)
+    if free_props:
+        check = free_bundle_check(instance, alloc, graph, own, pairs)
+        report.free_bundles = check
         if 5 in which:
             report.extend(5, [(i, sorted(check.units.primary[i])) for i in check.breaks_5])
         if 6 in which:
-            free = alloc.unallocated_goods(instance)
-            report.extend(
-                6, [(i, sorted(free & instance.incident_goods(i))) for i in check.breaks_6]
-            )
+            report.extend(6, [(i, sorted(check.reads.loose[i])) for i in check.breaks_6])
         if 7 in which:
             report.extend(7, check.breaks_7)
     return report
@@ -358,6 +425,8 @@ def check_properties(
 class PropertyReport:
     checked: frozenset[int]
     failures: dict[int, list[tuple]] = field(default_factory=dict)
+    # the check that decided (5)-(7), when they were checked; not serialised
+    free_bundles: Optional[FreeBundleCheck] = field(default=None, compare=False, repr=False)
 
     def extend(self, prop: int, violations: list[tuple]) -> None:
         if violations:
@@ -366,6 +435,13 @@ class PropertyReport:
     @property
     def ok(self) -> bool:
         return not self.failures
+
+    def only(self, props: Iterable[int]) -> "PropertyReport":
+        """This report restricted to the properties ``props``."""
+        checked = self.checked & frozenset(props)
+        return PropertyReport(
+            checked, {k: v for k, v in self.failures.items() if k in checked}
+        )
 
     def failed_properties(self) -> list[int]:
         return sorted(self.failures)

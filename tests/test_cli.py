@@ -160,18 +160,31 @@ def test_verify_reports_stage_three_dumps_under_properties_1_and_2(tmp_path, cap
     assert props["failures"] == {"1": [[2, 0]], "2": [[3, 4, "held-outside-pair", 0]]}
 
 
-@pytest.mark.parametrize("sigma", ["0,1", "0,1,2,3,3", "0,1,2,4", "0,x,2,3"])
-def test_verify_rejects_sigma_that_is_not_a_permutation(cycle4_solved, capsys, sigma):
+@pytest.mark.parametrize(
+    "sigma, properties",
+    [
+        *(
+            pytest.param(sigma, ["--properties", "1-7"], id=sigma)
+            for sigma in ["0,1", "0,1,2,3,3", "0,1,2,4", "0,x,2,3"]
+        ),
+        # a --sigma is checked even when no property check would read it
+        pytest.param("9,9", [], id="9,9-without-properties"),
+    ],
+)
+def test_verify_rejects_sigma_that_is_not_a_permutation(
+    cycle4_solved, capsys, sigma, properties
+):
     ipath, apath = cycle4_solved
     capsys.readouterr()
-    assert run(["verify", ipath, apath, "--properties", "1-7", "--sigma", sigma]) == 1
+    assert run(["verify", ipath, apath, *properties, "--sigma", sigma]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: --sigma")
     assert captured.err.count("\n") == 1
 
 
-@pytest.mark.parametrize("properties", ["x", "1-x", "2,,y"])
+# "3-1" and "," would otherwise check nothing and pass
+@pytest.mark.parametrize("properties", ["x", "1-x", "2,,y", "3-1", ","])
 def test_verify_rejects_unparsable_properties(cycle4_solved, capsys, properties):
     ipath, apath = cycle4_solved
     capsys.readouterr()

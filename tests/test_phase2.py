@@ -10,7 +10,7 @@ from trifree_efx import (
     run_phase2,
     solve,
 )
-from trifree_efx import phase2
+from trifree_efx import phase2, verify
 from trifree_efx.cuts import CutTable, PickOrder
 from trifree_efx.errors import InternalSolverError
 from trifree_efx.phase1 import SolveMetrics, SolverState
@@ -502,3 +502,63 @@ def test_stage_two_builds_each_full_check_at_most_once(monkeypatch):
     metrics = solve(inst, SolveConfig(validate_steps=False)).metrics
     assert metrics.phase2_iterations > 100
     assert counts["envy_graph"] <= 1 and counts["free_units"] <= 1, counts
+
+
+def test_a_validated_step_builds_one_envy_graph(monkeypatch):
+    # one from-scratch check per step serves both the (1)-(4) check and the
+    # reference for the live check; the stage opens with one more
+    builds = []
+    for owner in (phase2, verify):
+        original = owner.envy_graph
+
+        def counted(*args, _original=original, **kwargs):
+            builds.append(1)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, "envy_graph", counted)
+    # the first 40 steps are enough; the 41st stops the stage
+    class Enough(Exception):
+        pass
+
+    step = phase2.phase2_step
+
+    def first_steps(state, **kwargs):
+        if metrics.phase2_iterations == 40:
+            raise Enough
+        return step(state, **kwargs)
+
+    monkeypatch.setattr(phase2, "phase2_step", first_steps)
+    inst = gen_instance(GenSpec(seed=1, n=1000, m=3000, topology="tree"))
+    state = run_phase1(inst, validate=False)
+    metrics = SolveMetrics()
+    with pytest.raises(Enough):
+        run_phase2(state, validate=True, metrics=metrics)
+    assert len(builds) == 1 + metrics.phase2_iterations
+
+
+def test_live_check_sorts_only_what_a_step_changed(monkeypatch):
+    """A step re-sorts the out-edges and the enviers of the agents it
+    rechecks, C and N(C), and nothing else: ``sorted`` as stage two's module
+    sees it is called at most twice per rechecked agent."""
+    sorts = []
+    dirty = []
+
+    def counted_sorted(*args, **kwargs):
+        sorts.append(1)
+        return sorted(*args, **kwargs)
+
+    original_update = LiveCheck.update
+
+    def update(self, changed):
+        changed = set(changed)
+        rechecked = changed.union(*(self.state.instance.neighbors(c) for c in changed))
+        dirty.append(len(rechecked))
+        return original_update(self, changed)
+
+    inst = gen_instance(GenSpec(seed=1, n=1000, m=3000, topology="tree"))
+    state = run_phase1(inst, validate=False)
+    monkeypatch.setattr(phase2, "sorted", counted_sorted, raising=False)
+    monkeypatch.setattr(LiveCheck, "update", update)
+    run_phase2(state, validate=False)
+    assert len(dirty) > 100
+    assert len(sorts) <= 2 * sum(dirty), (len(sorts), sum(dirty))

@@ -247,3 +247,23 @@ def test_solve_on_mixed_valuation_instances(inst):
     result = solve(inst)
     assert result.allocation.is_complete(inst)
     assert check_efx(inst, result.allocation).ok
+
+
+def test_validated_dumps_read_only_the_dumped_agents_pairs(monkeypatch):
+    # before each dump the dumped agent's label is read from her own pairs;
+    # no whole-state labelling is built
+    from trifree_efx import GenSpec, phase3
+
+    whole, own = [], []
+    monkeypatch.setattr(phase3, "free_units", lambda *a, **k: whole.append(a))
+    original = phase3.own_labels
+
+    def counted(instance, alloc, order, cuts, i):
+        own.append(i)
+        return original(instance, alloc, order, cuts, i)
+
+    monkeypatch.setattr(phase3, "own_labels", counted)
+    inst = gen_instance(GenSpec(seed=1, n=140, m=420, topology="tree"))
+    metrics = solve(inst).metrics
+    assert metrics.phase3_dumps > 0
+    assert whole == [] and len(own) == metrics.phase3_dumps

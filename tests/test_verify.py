@@ -3,19 +3,29 @@ from hypothesis import given, settings, strategies as st
 
 from trifree_efx import (
     Allocation,
+    GenSpec,
+    SolveConfig,
+    StateError,
     check_efx,
     check_completeness,
     check_properties,
     envy_graph,
     run_phase1,
     run_phase2,
+    solve,
     solve_state,
 )
-from trifree_efx.cuts import CutTable, PickOrder
+from trifree_efx import phase1, phase2, phase3, verify
+from trifree_efx.cuts import CutTable, PickOrder, free_units, pair_fault, pair_state
 from trifree_efx.generate import TOPOLOGIES, gen_instance, suite_spec
 from trifree_efx.model import VALUATION_CLASSES
 from trifree_efx.oracle import scan_strong_envy
-from trifree_efx.verify import CheckReport, check_orientation
+from trifree_efx.verify import (
+    CheckReport,
+    _efx_witnesses,
+    agent_free_bundle_breaks,
+    check_orientation,
+)
 
 from helpers import additive_instance, two_agent_parallel
 
@@ -275,3 +285,177 @@ def test_envy_graph_matches_definition_on_solver_output(topology, index):
     result, _ = solve_state(inst)
     graph = envy_graph(inst, result.allocation)
     assert edge_list(graph) == envy_definition(inst, result.allocation)
+
+
+# -- the one-pass property check against the per-property definitions -----------
+
+
+def reference_failures(inst, alloc, order, cuts, which, agents=None):
+    """The numbered properties checked one property at a time, as they were
+    written before the check became one pass: (2) walks the pairs, (3) walks
+    each agent's pairs again, and (5)-(7) take their labels from
+    ``free_units`` and their free goods from ``unallocated_goods``."""
+    failures = {}
+
+    def add(prop, rows):
+        if rows:
+            failures.setdefault(prop, []).extend(rows)
+
+    scope = set(range(inst.n)) if agents is None else set(agents)
+    graph = envy_graph(inst, alloc) if which & {1, 4, 5, 6, 7} else None
+    if 1 in which:
+        add(1, check_orientation(inst, alloc).violations)
+        add(1, _efx_witnesses(inst, alloc, graph))
+    if 2 in which:
+        for a, b in inst.skeleton_edges():
+            if (a in scope or b in scope) and order.determined(a, b):
+                fault = pair_fault(a, b, pair_state(inst, alloc, order, cuts, a, b))
+                add(2, [fault] if fault else [])
+    if 3 in which:
+        for i in sorted(scope):
+            v = inst.valuations[i].value
+            own = v(alloc.bundle(i))
+            for j in inst.neighbors(i):
+                if order.determined(i, j):
+                    cut, _, _, _, free = pair_state(inst, alloc, order, cuts, i, j)
+                    add(3, [
+                        (i, j, sorted(part))
+                        for part in cut.parts()
+                        if part and part <= free and v(part) > own
+                    ])
+    if 4 in which:
+        into = {e.dst: e.src for e in graph.edges}
+        add(4, [(into[e.src], e.src, e.dst) for e in graph.edges if e.src in into][:1])
+    if which & {5, 6, 7}:
+        units = free_units(inst, alloc, order, cuts)
+        free = alloc.unallocated_goods(inst)
+        enviers = {}
+        for e in graph.edges:
+            enviers.setdefault(e.dst, []).append(e.src)
+        for i in range(inst.n):
+            loose = free & inst.incident_goods(i)
+            b5, b6, b7 = agent_free_bundle_breaks(
+                inst,
+                alloc,
+                i,
+                inst.valuations[i].value(alloc.bundle(i)),
+                enviers.get(i, []),
+                units.primary[i],
+                units.secondary[i],
+                loose,
+            )
+            if 5 in which and b5:
+                add(5, [(i, sorted(units.primary[i]))])
+            if 6 in which and b6:
+                add(6, [(i, sorted(loose))])
+            if 7 in which:
+                add(7, b7)
+    return failures, (units if which & {5, 6, 7} else None)
+
+
+@st.composite
+def checked_states(draw):
+    """A state to check: complete or partial picking orders, and per pair
+    whole unit bundles on its endpoints or goods strewn over any agent
+    (third-party holdings and torn bundles), plus an ``agents=`` scope."""
+    topology = draw(st.sampled_from(TOPOLOGIES))
+    valuation_class = draw(st.sampled_from(VALUATION_CLASSES))
+    spec = suite_spec(
+        topology,
+        draw(st.integers(0, 10_000)),
+        valuation_class=valuation_class,
+        v_max=20,
+        max_degree=6,
+    )
+    inst = gen_instance(spec)
+    n = inst.n
+    perm = draw(st.permutations(range(n)))
+    order = PickOrder(n)
+    front = draw(st.integers(0, n))
+    back = n - front if draw(st.booleans()) else draw(st.integers(0, n - front))
+    for i in perm[:front]:
+        order.append_front(i)
+    for i in perm[front : front + back]:
+        order.prepend_back(i)
+    cuts = CutTable(inst)
+    owners = {}
+    for a, b in inst.skeleton_edges():
+        mode = draw(st.integers(0, 4)) if order.determined(a, b) else 4
+        if mode == 4:
+            for g in sorted(inst.pair_goods(a, b)):
+                owner = draw(st.integers(-1, n - 1))
+                if owner >= 0:
+                    owners[g] = owner
+            continue
+        # 0: all free; 1: a holds a part; 2: b holds a part; 3: both hold one
+        parts = cuts.cut(a, b, order.later(a, b)).parts()
+        part_a, part_b = parts if draw(st.booleans()) else parts[::-1]
+        for holder, part, holds in ((a, part_a, mode in (1, 3)), (b, part_b, mode in (2, 3))):
+            if holds:
+                owners.update((g, holder) for g in part)
+    alloc = Allocation.from_bundles(
+        n, [[g for g, o in owners.items() if o == i] for i in range(n)]
+    )
+    agents = draw(st.one_of(st.none(), st.lists(st.integers(0, n - 1), unique=True)))
+    which = draw(st.sets(st.integers(1, 7), min_size=1))
+    return inst, alloc, order, cuts, frozenset(which), agents
+
+
+@given(checked_states())
+@settings(max_examples=400, deadline=None)
+def test_one_pass_matches_the_per_property_checks(state):
+    inst, alloc, order, cuts, which, agents = state
+    try:
+        expected, units = reference_failures(inst, alloc, order, cuts, which, agents)
+    except StateError:
+        # (5)-(7) need every pair's order; both checks refuse alike
+        with pytest.raises(StateError):
+            check_properties(inst, alloc, order, cuts, which, agents=agents)
+        return
+    report = check_properties(inst, alloc, order, cuts, which, agents=agents)
+    assert report.failures == expected
+    if units is not None:
+        assert report.free_bundles.units == units
+
+
+def counting(monkeypatch, owners, name):
+    """Count the calls made through ``name`` in each module of ``owners``."""
+    calls = []
+    for owner in owners:
+        original = getattr(owner, name)
+
+        def counted(*args, _original=original, **kwargs):
+            calls.append(name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_a_check_reads_each_determined_pair_once(monkeypatch):
+    inst = gen_instance(GenSpec(seed=1, n=1000, m=3000, topology="tree"))
+    state = run_phase2(run_phase1(inst, validate=False), validate=False)
+    reads = counting(monkeypatch, [verify], "pair_state")
+    assert check_properties(inst, state.alloc, state.order, state.cuts).ok
+    assert len(reads) == len(inst.skeleton_edges())
+    # a partial order: only pairs that are determined and touch the scope
+    order = PickOrder(inst.n)
+    for i in state.sigma()[:300]:
+        order.append_front(i)
+    placed = sorted(set(state.sigma()[:300]))
+    reads.clear()
+    check_properties(inst, Allocation(inst.n), order, state.cuts, {2, 3}, agents=placed)
+    determined = [
+        (a, b) for a, b in inst.skeleton_edges() if a in order.front or b in order.front
+    ]
+    assert len(reads) == len(determined) > 0
+
+
+def test_an_unvalidated_solve_builds_three_envy_graphs(monkeypatch):
+    # stage two's opening check, stage three's opening check, and the final
+    # complete-and-EFX check
+    builds = counting(monkeypatch, [phase1, phase2, phase3, verify], "envy_graph")
+    inst = gen_instance(GenSpec(seed=1, n=1000, m=3000, topology="tree"))
+    metrics = solve(inst, SolveConfig(validate_steps=False)).metrics
+    assert metrics.phase2_iterations > 100
+    assert len(builds) == 3
