@@ -80,19 +80,10 @@ def _scan(state: SolverState) -> FreeBundleCheck:
     return report.free_bundles
 
 
-def _mark(members: list[int], i: int, present: bool) -> None:
-    """Put ``i`` into the ascending list ``members`` or take it out."""
-    k = bisect_left(members, i)
-    there = k < len(members) and members[k] == i
-    if present and not there:
-        members.insert(k, i)
-    elif there and not present:
-        del members[k]
-
-
-def _splice(rows: list, i: int, new: list, key) -> None:
-    """Replace the run of ``rows`` whose ``key`` is ``i`` with ``new``;
-    ``rows`` is in ascending ``key`` order and stays so."""
+def _splice(rows: list, i: int, new: list, key=None) -> None:
+    """Replace the run of ``rows`` whose ``key`` is ``i`` (the rows equal to
+    ``i`` without a key) with ``new``; ``rows`` is in ascending ``key``
+    order and stays so."""
     lo = bisect_left(rows, i, key=key)
     rows[lo : bisect_right(rows, i, lo, key=key)] = new
 
@@ -214,8 +205,8 @@ class LiveCheck:
             self._envied.add(i)
         else:
             self._envied.discard(i)
-        _mark(self._breaks_5, i, b5)
-        _mark(self._breaks_6, i, b6)
+        _splice(self._breaks_5, i, [i] if b5 else [])
+        _splice(self._breaks_6, i, [i] if b6 else [])
         _splice(self._breaks_7, i, b7, _AGENT)
 
     def update(self, changed: Iterable[int]) -> FreeBundleCheck:

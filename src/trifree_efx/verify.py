@@ -10,11 +10,11 @@ definition.
 computed once, the envy graph is built once and each pair is read once with
 ``pair_state``.  ``free_bundle_check`` is the one place the free-bundle
 properties (5)-(7) are decided from those reads: stage two picks its repair
-rule from it, and ``check_properties`` only formats what it returns.  Its per-agent rule
-(``agent_free_bundle_breaks``) and the envy comparison of one viewer
-(``viewer_envy``) are also what stage two's live check reruns for the agents
-a step touched.  Pair goods held by a third party are reported by property
-(2); the free-bundle check never raises on them.
+rule from it, and ``check_properties`` only formats what it returns.  Its
+per-agent rule (``agent_free_bundle_breaks``) and the envy comparison of one
+viewer (``viewer_envy``) are also what stage two's live check reruns for the
+agents a step touched.  Pair goods held by a third party are reported by
+property (2); the free-bundle check never raises on them.
 
 Envy vocabulary: agent ``i`` envies ``j`` when she values ``j``'s bundle
 strictly above her own, and *strongly* envies when some single good can be
@@ -108,7 +108,10 @@ def envy_graph(
     edges = []
     for i, by_owner in enumerate(seen):
         if by_owner:
-            own_i = instance.valuations[i].value(alloc.bundle(i)) if own is None else own[i]
+            if own is None:
+                own_i = instance.valuations[i].value(alloc.bundle(i))
+            else:
+                own_i = own[i]
             edges.extend(viewer_envy(instance, alloc, i, own_i, by_owner))
     return EnvyGraph(instance.n, edges)
 

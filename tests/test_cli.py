@@ -183,8 +183,8 @@ def test_verify_rejects_sigma_that_is_not_a_permutation(
     assert captured.err.count("\n") == 1
 
 
-# "3-1" and "," would otherwise check nothing and pass
-@pytest.mark.parametrize("properties", ["x", "1-x", "2,,y", "3-1", ","])
+# "3-1" and "," would otherwise check nothing and pass, "1,3-1" only (1)
+@pytest.mark.parametrize("properties", ["x", "1-x", "2,,y", "3-1", ",", "1,3-1"])
 def test_verify_rejects_unparsable_properties(cycle4_solved, capsys, properties):
     ipath, apath = cycle4_solved
     capsys.readouterr()

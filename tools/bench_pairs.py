@@ -18,13 +18,13 @@ committed files, as a fresh checkout would.  The runs, in order:
 * one traced run (``--trace 1``) per side and workload on seed 1, for the
   behaviour digest and the per-layer counts.
 
-Every run's information and result lines are kept.  The record is rewritten
-after each run, so an interrupted session leaves every finished run on disk;
-``--resume`` continues such a record and ``--summarize`` only recomputes the
-summary of an existing one.  The summary gives, per series and end-to-end
-metric, each side's median, quartiles and range, the change-over-parent
-median ratio, the pairs the change won, and whether the median gap exceeds
-the parent's quartile spread.
+Each run lasts ``BENCHMARK.json``'s ``run_seconds``.  Every run's
+information and result lines are kept, and the record is rewritten after
+each run, so an interrupted session leaves every finished run on disk.  The
+summary gives, per series and end-to-end metric, each side's median,
+quartiles and range, the change-over-parent median ratio, the pairs the
+change won, and whether the median gap exceeds the parent's quartile
+spread.
 """
 
 from __future__ import annotations
@@ -185,20 +185,12 @@ def checkout(commit: str, where: Path) -> Path:
     return where
 
 
-def run_bench(side_dir: Path, workload: str, seed: int, seconds: float, trace: int) -> tuple[dict, dict]:
+def run_bench(side_dir: Path, step: dict) -> tuple[dict, dict]:
+    """Run one ``plan`` step with the checkout in ``side_dir``."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
-    cmd = [
-        sys.executable,
-        "perfbench/run.py",
-        "--workload",
-        workload,
-        "--seed",
-        str(seed),
-        "--seconds",
-        str(seconds),
-        "--trace",
-        str(trace),
-    ]
+    cmd = [sys.executable, "perfbench/run.py", "--workload", step["workload"]]
+    for flag in ("seed", "seconds", "trace"):
+        cmd += [f"--{flag}", str(step[flag])]
     done = subprocess.run(cmd, cwd=side_dir, env=env, capture_output=True, text=True, check=True)
     return parse_output(done.stdout)
 
@@ -208,28 +200,25 @@ def plan(seconds: float) -> list[dict]:
     steps = []
     for series, workload, seed, pairs in SERIES:
         for pair in range(1, pairs + 1):
-            first = "parent" if pair % 2 else "change"
-            second = "change" if first == "parent" else "parent"
+            first, second = ("parent", "change") if pair % 2 else ("change", "parent")
             for side in (first, second):
-                steps.append(
-                    {"kind": "runs", "series": series, "pair": pair, "side": side,
-                     "ran_first": first, "workload": workload, "seed": seed,
-                     "seconds": seconds, "trace": 0}
-                )
+                steps.append(dict(
+                    kind="runs", series=series, pair=pair, side=side, ran_first=first,
+                    workload=workload, seed=seed, seconds=seconds, trace=0,
+                ))
     workloads = sorted({workload for _, workload, _, _ in SERIES})
     for workload in workloads:
         for k in range(1, FLOOR_RUNS + 1):
-            steps.append(
-                {"kind": "floor_runs", "series": f"floor_{workload}_{k}_parent",
-                 "side": "parent", "workload": workload, "seed": 1,
-                 "seconds": seconds, "trace": 0}
-            )
+            steps.append(dict(
+                kind="floor_runs", series=f"floor_{workload}_{k}_parent", side="parent",
+                workload=workload, seed=1, seconds=seconds, trace=0,
+            ))
     for workload in workloads:
         for side in ("parent", "change"):
-            steps.append(
-                {"kind": "traced_runs", "series": f"traced_{workload}_{side}", "side": side,
-                 "workload": workload, "seed": 1, "seconds": TRACE_SECONDS, "trace": 1}
-            )
+            steps.append(dict(
+                kind="traced_runs", series=f"traced_{workload}_{side}", side=side,
+                workload=workload, seed=1, seconds=TRACE_SECONDS, trace=1,
+            ))
     return steps
 
 
@@ -241,95 +230,55 @@ def git_rev(ref: str) -> str:
 
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description="Write a BENCH_<pr>.json benchmark record.")
-    p.add_argument("--parent", help="the parent commit (any git revision)")
+    p.add_argument("--parent", required=True, help="the parent commit (any git revision)")
     p.add_argument("--change", default="HEAD", help="the change commit (default HEAD)")
-    p.add_argument("--pr", help="the record is written to BENCH_<pr>.json")
-    p.add_argument("--out", help="the record's path, instead of BENCH_<pr>.json")
+    p.add_argument("--pr", required=True, help="the record is written to BENCH_<pr>.json")
     p.add_argument("--claim", default="", help="the gain the change claims, in words")
-    p.add_argument("--seconds", type=float, default=None, help="run_seconds per run")
     p.add_argument("--work", default=None, help="where the two clones go")
-    p.add_argument("--resume", action="store_true", help="continue an existing record")
-    p.add_argument("--summarize", action="store_true", help="only recompute the summary")
     args = p.parse_args(argv)
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
-    if args.out is None and args.pr is None:
-        p.error("give --pr or --out")
-    out = Path(args.out) if args.out else ROOT / f"BENCH_{args.pr}.json"
-
-    if args.summarize or args.resume:
-        record = json.loads(out.read_text())
-        state = {
-            "header": {k: record[k] for k in HEADER_KEYS if k in record},
-            "runs": record["runs"],
-            "floor_runs": record["noise_floor_runs"],
-            "traced_runs": record.get("traced_runs", []),
-        }
-        if args.summarize:
-            out.write_text(json.dumps(build_record(state, benchmark), indent=1) + "\n")
-            return 0
-        parent, change = state["header"]["parent_commit"], state["header"]["change_commit"]
-        seconds = state["header"]["run_seconds"]
-    else:
-        if args.parent is None:
-            p.error("give --parent")
-        parent, change = git_rev(args.parent), git_rev(args.change)
-        seconds = args.seconds if args.seconds is not None else benchmark["run_seconds"]
-        state = {
-            "header": {
-                "what": (
-                    f"perfbench/run.py end-to-end runs (--seconds {seconds:g} --trace 0) of "
-                    "the parent commit and of the change, alternating which side runs "
-                    "first, plus parent-only runs as the noise floor and one traced "
-                    f"seed-1 run per side and workload (--seconds {TRACE_SECONDS} "
-                    "--trace 1); written by tools/bench_pairs.py."
-                ),
-                "parent_commit": parent,
-                "change_commit": change,
-                "run_seconds": seconds,
-                "nproc": os.cpu_count(),
-                "python": platform.python_version(),
-                "claim": args.claim,
-                "series": {
-                    name: f"{workload}, seed {seed}, {pairs} pairs"
-                    for name, workload, seed, pairs in SERIES
-                },
+    out = ROOT / f"BENCH_{args.pr}.json"
+    parent, change = git_rev(args.parent), git_rev(args.change)
+    seconds = benchmark["run_seconds"]
+    state = {
+        "header": {
+            "what": (
+                f"perfbench/run.py end-to-end runs (--seconds {seconds:g} --trace 0) of "
+                "the parent commit and of the change, alternating which side runs "
+                "first, plus parent-only runs as the noise floor and one traced "
+                f"seed-1 run per side and workload (--seconds {TRACE_SECONDS} "
+                "--trace 1); written by tools/bench_pairs.py."
+            ),
+            "parent_commit": parent,
+            "change_commit": change,
+            "run_seconds": seconds,
+            "nproc": os.cpu_count(),
+            "python": platform.python_version(),
+            "claim": args.claim,
+            "series": {
+                name: f"{workload}, seed {seed}, {pairs} pairs"
+                for name, workload, seed, pairs in SERIES
             },
-            "runs": [],
-            "floor_runs": [],
-            "traced_runs": [],
-        }
+        },
+        "runs": [],
+        "floor_runs": [],
+        "traced_runs": [],
+    }
     work = Path(args.work) if args.work else ROOT / ".bench_build"
     sides = {
         "parent": checkout(parent, work / f"parent-{parent[:12]}"),
         "change": checkout(change, work / f"change-{change[:12]}"),
     }
-    done = {
-        (kind, run["series"], run.get("pair"), run["side"])
-        for kind in ("runs", "floor_runs", "traced_runs")
-        for run in state[kind]
-    }
     for step in plan(seconds):
-        key = (step["kind"], step["series"], step.get("pair"), step["side"])
-        if key in done:
-            continue
-        info, result = run_bench(
-            sides[step["side"]], step["workload"], step["seed"], step["seconds"], step["trace"]
-        )
+        info, result = run_bench(sides[step["side"]], step)
         entry = {k: step[k] for k in ("series", "pair", "side", "ran_first") if k in step}
         state[step["kind"]].append({**entry, "info": info, "result": result})
-        if "cpu" not in state["header"]:
-            state["header"]["cpu"] = info["environment"].get("cpu")
+        state["header"].setdefault("cpu", info["environment"].get("cpu"))
         out.write_text(json.dumps(build_record(state, benchmark), indent=1) + "\n")
         print(f"{step['kind']} {step['series']} {step.get('pair', '')} {step['side']}: "
               f"{json.dumps({k: v['value'] for k, v in result['metrics'].items()})[:200]}",
               flush=True)
     return 0
-
-
-HEADER_KEYS = (
-    "what", "parent_commit", "change_commit", "run_seconds", "nproc", "cpu",
-    "python", "claim", "series",
-)
 
 
 if __name__ == "__main__":
