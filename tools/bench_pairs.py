@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
-"""Write a ``BENCH_<pr>.json`` benchmark record: alternating parent/change pairs.
+"""Write a ``BENCH_<n>.json`` benchmark record: alternating parent/change pairs.
 
 Run from the repository root, with the change committed:
 
-    python3 tools/bench_pairs.py --parent HEAD~1 --pr 9 \\
+    python3 tools/bench_pairs.py --parent HEAD~1 --number 9 \\
         --claim "sparse_tree solve_goods_per_s ..."
 
 Both commits are cloned from the local repository into ``--work`` (one
@@ -20,7 +20,7 @@ committed files, as a fresh checkout would.  The runs, in order:
 
 Each run lasts ``BENCHMARK.json``'s ``run_seconds``.  Every run's
 information and result lines are kept, and the record is rewritten after
-each run, so an interrupted session leaves every finished run on disk.  The
+each run, so an interrupted record keeps every finished run on disk.  The
 summary gives, per series and end-to-end metric, each side's median,
 quartiles and range, the change-over-parent median ratio, the pairs the
 change won, and whether the median gap exceeds the parent's quartile
@@ -152,7 +152,7 @@ def traced_entry(run: dict) -> dict:
 
 
 def build_record(state: dict, benchmark: dict) -> dict:
-    """The whole ``BENCH_<pr>.json`` record from the runs made so far."""
+    """The whole ``BENCH_<n>.json`` record from the runs made so far."""
     traced: dict[str, dict] = {}
     for run in state["traced_runs"]:
         traced.setdefault(run["info"]["workload"], {})[run["side"]] = traced_entry(run)
@@ -229,15 +229,15 @@ def git_rev(ref: str) -> str:
 
 
 def main(argv=None) -> int:
-    p = argparse.ArgumentParser(description="Write a BENCH_<pr>.json benchmark record.")
+    p = argparse.ArgumentParser(description="Write a BENCH_<n>.json benchmark record.")
     p.add_argument("--parent", required=True, help="the parent commit (any git revision)")
     p.add_argument("--change", default="HEAD", help="the change commit (default HEAD)")
-    p.add_argument("--pr", required=True, help="the record is written to BENCH_<pr>.json")
+    p.add_argument("--number", required=True, help="the record is written to BENCH_<number>.json")
     p.add_argument("--claim", default="", help="the gain the change claims, in words")
     p.add_argument("--work", default=None, help="where the two clones go")
     args = p.parse_args(argv)
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
-    out = ROOT / f"BENCH_{args.pr}.json"
+    out = ROOT / f"BENCH_{args.number}.json"
     parent, change = git_rev(args.parent), git_rev(args.change)
     seconds = benchmark["run_seconds"]
     state = {
