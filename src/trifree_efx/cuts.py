@@ -15,8 +15,10 @@ part while the lighter part's value stays put; the iteration count is
 therefore at most ``len(goods) * (max value + 1)``.
 
 For additive (and transformed-additive) valuations the initial partition is
-a largest-first greedy split, which is already feasible, so the local search
-performs zero moves; the tests assert this.
+a largest-first greedy split, which is already feasible; that is decided in
+O(k) from the parts' weight sums and lightest goods
+(:func:`_additive_split_ok`), so the local search and its subset-wise
+post-check run only for monotone tables.
 """
 
 from __future__ import annotations
@@ -73,6 +75,22 @@ def _largest_first_split(weights: dict[int, int], goods: Bundle) -> tuple[set[in
     return part1, part2
 
 
+def _additive_split_ok(weights: dict[int, int], p1, p2) -> bool:
+    """Whether ``(p1, p2)`` is a two-way EFX split under additive ``weights``.
+
+    Dropping good ``g`` from part B leaves ``raw(B) - w(g)``, largest for the
+    lightest good, so A is safe against B iff ``raw(B) - min w(B) <= raw(A)``
+    (vacuous for an empty B).  A strictly increasing transform keeps every
+    such comparison, so this decides transformed-additive splits too: it
+    equals ``_feasibility_witness(value, p1, p2) is None`` in O(k).
+    """
+    get = weights.__getitem__
+    raw1, raw2 = sum(map(get, p1)), sum(map(get, p2))
+    return (not p2 or raw2 - min(map(get, p2)) <= raw1) and (
+        not p1 or raw1 - min(map(get, p1)) <= raw2
+    )
+
+
 def _rebalance(value, p1: set[int], p2: set[int], cap: int) -> int:
     """Local-search until both parts are feasible; returns the move count."""
     moves = 0
@@ -110,6 +128,15 @@ def efx_cut(instance: Instance, cutter: int, goods: Bundle) -> tuple[Bundle, Bun
 def _efx_cut_with_moves(
     instance: Instance, cutter: int, goods: Bundle
 ) -> tuple[tuple[Bundle, Bundle], int]:
+    """The cutter's split of ``goods`` and the local-search moves it took.
+
+    An additive (or transformed-additive) cutter's largest-first split is
+    checked in O(k) by :func:`_additive_split_ok` and returned with 0 moves.
+    A split failing that check, which the greedy never produces, and every
+    monotone table take the generic path: local search from the initial
+    split (all goods in the first part, for a table), then the subset-wise
+    post-check :func:`_feasibility_witness`.
+    """
     if not goods <= instance.incident_goods(cutter):
         raise StateError(
             f"cut request for agent {cutter} contains non-incident goods"
@@ -122,6 +149,8 @@ def _efx_cut_with_moves(
         # covers transformed_additive too: the transform preserves order,
         # so greedy placement by raw weight is unchanged
         p1, p2 = _largest_first_split(valuation.weights, goods)
+        if _additive_split_ok(valuation.weights, p1, p2):
+            return (frozenset(p1), frozenset(p2)), 0
     else:
         p1, p2 = set(goods), set()
     cap = len(goods) * (value(goods) + 1) + 1
@@ -166,7 +195,9 @@ class PickOrder:
     The order is built from both ends: a fixed ``front`` (earliest picks), a
     fixed ``back`` (latest picks), and an undetermined middle of unplaced
     agents.  The relative position of two agents is known unless both are
-    still unplaced.
+    still unplaced.  A placed agent is never unplaced again, so the
+    lowest-id unplaced agent only moves up: :meth:`lowest_unplaced` keeps a
+    cursor on it and costs O(n) in total over a whole construction.
     """
 
     def __init__(self, n: int):
@@ -177,6 +208,7 @@ class PickOrder:
         # position in the order as one integer: the k-th front placement
         # ranks k, the k-th back placement 2n - k, unplaced agents rank n
         self._ranks: dict[int, int] = {}
+        self._lowest = 0  # no agent below it is unplaced
 
     @classmethod
     def complete(cls, order: Sequence[int]) -> "PickOrder":
@@ -196,6 +228,16 @@ class PickOrder:
         self.unplaced.remove(i)
         self._ranks[i] = 2 * self.n - len(self._back_rev)
         self._back_rev.append(i)
+
+    def lowest_unplaced(self) -> int:
+        """The lowest-id unplaced agent, in amortised O(1)."""
+        if not self.unplaced:
+            raise StateError("every agent is already placed")
+        low = self._lowest
+        while low not in self.unplaced:
+            low += 1
+        self._lowest = low
+        return low
 
     @property
     def back(self) -> list[int]:

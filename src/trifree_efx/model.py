@@ -22,7 +22,7 @@ Three valuation classes are supported:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import filterfalse, repeat
+from itertools import filterfalse
 from typing import Iterable, Optional, Sequence
 
 from .errors import ValidationError
@@ -69,13 +69,18 @@ class AdditiveValuation(Valuation):
         self.weights = dict(weights)
 
     def _raw(self, goods) -> int:
+        """The weight sum of the incident goods among ``goods``, in
+        O(min(len(goods), degree))."""
         w = self.weights
         if len(w) <= len(goods):
             return sum(x for g, x in w.items() if g in goods)
-        return sum(map(w.get, goods, repeat(0)))
+        total = 0
+        for g in goods:
+            total += w.get(g, 0)
+        return total
 
-    def value(self, goods) -> int:
-        return self._raw(goods)
+    # the hottest call of a solve: one frame, no delegation
+    value = _raw
 
 
 class TransformedAdditiveValuation(AdditiveValuation):

@@ -150,7 +150,7 @@ def augment(
                 }
             )
 
-    i = min(order.unplaced)
+    i = order.lowest_unplaced()
     order.prepend_back(i)
     j = _best_partner(state, i)
     while j in order.unplaced:

@@ -127,7 +127,11 @@ class LiveCheck:
     therefore read only the goods of her own pairs, and those change only
     when ``i`` or one of her neighbours is in ``C``.  Distinct pairs share no
     goods, so an agent's labels and free goods are disjoint unions over her
-    pairs, and a changed pair's old part is swapped for its new one.  The
+    pairs.  The live check owns its label and free-goods sets (it copies the
+    seeding check's once, which is never changed) and updates them in place:
+    a neighbour outside ``C`` has each changed pair's old part swapped for
+    its new one, and each agent of ``C`` is rebuilt once from her pair
+    reads, so a step costs set work linear in the degrees of ``C``.  The
     rules are the from-scratch ones: :func:`.cuts.pair_labels` per pair,
     :func:`.verify.viewer_envy` per viewer and
     :func:`.verify.agent_free_bundle_breaks` per agent.
@@ -139,9 +143,9 @@ class LiveCheck:
         n = state.instance.n
         # (a, b) with a < b -> (free goods, a's labels, b's labels)
         self._pairs = dict(reads.pairs)
-        self._primary = list(check.units.primary)
-        self._secondary = list(check.units.secondary)
-        self._loose = list(reads.loose)
+        self._primary = [set(s) for s in check.units.primary]
+        self._secondary = [set(s) for s in check.units.secondary]
+        self._loose = [set(s) for s in reads.loose]
         self._own = list(reads.own)
         self._out: list[dict[int, EnvyEdge]] = [{} for _ in range(n)]
         self._into: list[set[int]] = [set() for _ in range(n)]
@@ -159,18 +163,42 @@ class LiveCheck:
         pair = pair_state(state.instance, state.alloc, state.order, state.cuts, a, b)
         return (pair[4], *pair_labels(a, b, pair))
 
-    def _refresh_pair(self, a: int, b: int) -> None:
-        key = (a, b) if a < b else (b, a)
+    def _refresh_neighbour(self, k: int, c: int) -> None:
+        """Reread the pair of ``k`` and ``c``, with ``k`` outside C and ``c``
+        in it, and swap its old part of ``k``'s sets for its new one."""
+        key = (k, c) if k < c else (c, k)
         old = self._pairs[key]
         new = self._read_pair(*key)
         if new == old:
             return
         self._pairs[key] = new
-        old_free, new_free = old[0], new[0]
-        for i, (old_1, old_2), (new_1, new_2) in zip(key, old[1:], new[1:]):
-            self._loose[i] = self._loose[i] - old_free | new_free
-            self._primary[i] = self._primary[i] - old_1 | new_1
-            self._secondary[i] = self._secondary[i] - old_2 | new_2
+        side = 1 if k < c else 2
+        for sets, old_part, new_part in (
+            (self._loose, old[0], new[0]),
+            (self._primary, old[side][0], new[side][0]),
+            (self._secondary, old[side][1], new[side][1]),
+        ):
+            part = sets[k]
+            part -= old_part
+            part |= new_part
+
+    def _rebuild(self, c: int) -> None:
+        """Rebuild agent ``c``'s sets from her pair reads."""
+        pairs = self._pairs
+        loose: set[int] = set()
+        primary: set[int] = set()
+        secondary: set[int] = set()
+        for k in self.state.instance.neighbors(c):
+            if c < k:
+                free, (first, second), _ = pairs[c, k]
+            else:
+                free, _, (first, second) = pairs[k, c]
+            loose |= free
+            primary |= first
+            secondary |= second
+        self._loose[c] = loose
+        self._primary[c] = primary
+        self._secondary[c] = secondary
 
     def _set_envy(self, i: int, owners: Iterable[int]) -> None:
         """Recompute agent ``i``'s envy toward ``owners``, all neighbours of hers."""
@@ -218,10 +246,13 @@ class LiveCheck:
         for c in changed:
             self._own[c] = instance.valuations[c].value(alloc.bundle(c))
             for k in instance.neighbors(c):
-                # a pair inside C is refreshed twice, the second time to no effect
-                self._refresh_pair(c, k)
                 if k not in changed:
+                    self._refresh_neighbour(k, c)
                     toward.setdefault(k, []).append(c)
+                elif c < k:  # a pair inside C, read once
+                    self._pairs[c, k] = self._read_pair(c, k)
+        for c in changed:
+            self._rebuild(c)
         for c in changed:
             self._set_envy(c, instance.neighbors(c))
         for k, owners in toward.items():

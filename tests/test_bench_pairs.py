@@ -78,13 +78,27 @@ def test_noise_floor_and_plan():
     runs = canned_runs()
     floor = bench_pairs.noise_floor([runs[0], runs[2]], BENCHMARK)
     assert [row["solve_goods_per_s"] for row in floor["sparse_tree"]] == [100, 110]
-    steps = bench_pairs.plan(40)
-    pairs = [s for s in steps if s["kind"] == "runs" and s["series"] == "sparse1"]
+    steps = bench_pairs.plan(40, bench_pairs.series("dense_bipartite", BENCHMARK))
+    pairs = [s for s in steps if s["kind"] == "runs" and s["series"] == "dense_bipartite_seed1"]
     assert len(pairs) == 20
     # alternating: odd pairs run the parent first, even pairs the change
     assert [s["side"] for s in pairs[:4]] == ["parent", "change", "change", "parent"]
     assert sum(s["kind"] == "floor_runs" for s in steps) == 6
     assert sum(s["kind"] == "traced_runs" for s in steps) == 6
+
+
+def test_the_claimed_workload_gets_the_ten_pairs_and_the_hold_out():
+    names = [w["name"] for w in BENCHMARK["workloads"]]
+    for claimed in names:
+        series = bench_pairs.series(claimed, BENCHMARK)
+        assert series[:2] == [
+            (f"{claimed}_seed1", claimed, 1, 10),
+            (f"{claimed}_holdout", claimed, 90001, 3),
+        ]
+        others = [(w, seed, pairs) for _, w, seed, pairs in series[2:]]
+        assert others == [(w, 1, 5) for w in names if w != claimed]
+    with pytest.raises(ValueError):
+        bench_pairs.series("no_such_workload", BENCHMARK)
 
 
 def test_output_without_two_lines_is_refused():

@@ -1,20 +1,26 @@
+import random
 from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from trifree_efx import (
+    AdditiveValuation,
     Allocation,
     MonotoneTableValuation,
+    TransformedAdditiveValuation,
     StateError,
     check_properties,
     efx_cut,
     pair_state,
 )
+from trifree_efx import cuts
 from trifree_efx.cuts import (
     CutTable,
     PickOrder,
+    _additive_split_ok,
     _efx_cut_with_moves,
+    _feasibility_witness,
     claimable,
     free_units,
     pair_fault,
@@ -104,6 +110,67 @@ def test_transformed_cut_is_feasible_with_zero_moves(weights, data):
     (p1, p2), moves = _efx_cut_with_moves(inst, 0, pair)
     assert moves == 0
     assert is_feasible_split(inst.valuations[0].value, p1, p2)
+
+
+# weights 0..40 with ties and zeros made likely
+split_weights = st.lists(
+    st.one_of(st.integers(0, 40), st.sampled_from((0, 1, 7))), min_size=1, max_size=9
+)
+
+
+@given(split_weights, st.data())
+@settings(max_examples=400)
+def test_additive_split_check_matches_the_witness_search(weights, data):
+    """The O(k) verdict equals the subset-wise witness search on an arbitrary
+    two-part split, feasible or not, for additive and transformed cutters."""
+    w = dict(enumerate(weights))
+    steps = random.Random(data.draw(st.integers(0, 2**32))).choices(range(1, 5), k=sum(weights))
+    transform = [0]
+    for step in steps:
+        transform.append(transform[-1] + step)
+    sides = data.draw(st.lists(st.booleans(), min_size=len(w), max_size=len(w)))
+    p1 = frozenset(g for g in w if sides[g])
+    p2 = frozenset(w) - p1
+    fast = _additive_split_ok(w, p1, p2)
+    for valuation in (AdditiveValuation(0, w), TransformedAdditiveValuation(0, w, transform)):
+        assert fast == (_feasibility_witness(valuation.value, p1, p2) is None)
+
+
+def test_only_monotone_tables_take_the_local_search(monkeypatch):
+    """An additive or transformed cutter's greedy split is decided by the
+    O(k) check alone; a monotone table runs the local search and the
+    subset-wise post-check, and so does an additive split failing the
+    check."""
+    calls = {"_rebalance": 0, "_feasibility_witness": 0}
+    for name in calls:
+        original = getattr(cuts, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(cuts, name, counted)
+    for valuation_class in ("additive", "transformed_additive"):
+        inst = gen_instance(
+            GenSpec(seed=3, n=2, m=9, topology="path", valuation_class=valuation_class,
+                    max_parallel=9)
+        )
+        for cutter in (0, 1):
+            (p1, p2), moves = _efx_cut_with_moves(inst, cutter, inst.pair_goods(0, 1))
+            assert moves == 0 and p1 | p2 == inst.pair_goods(0, 1)
+    assert calls == {"_rebalance": 0, "_feasibility_witness": 0}
+    tables = gen_instance(
+        GenSpec(seed=5, n=2, m=6, topology="path", valuation_class="monotone_table",
+                max_parallel=6)
+    )
+    _efx_cut_with_moves(tables, 0, tables.pair_goods(0, 1))
+    assert calls == {"_rebalance": 1, "_feasibility_witness": 1}
+    # an infeasible initial split of additive weights falls back to the search
+    inst = two_agent_parallel([5, 3, 3])
+    monkeypatch.setattr(cuts, "_largest_first_split", lambda w, goods: (set(goods), set()))
+    (p1, p2), moves = _efx_cut_with_moves(inst, 0, inst.pair_goods(0, 1))
+    assert moves > 0 and is_feasible_split(inst.valuations[0].value, p1, p2)
+    assert calls == {"_rebalance": 2, "_feasibility_witness": 2}
 
 
 @st.composite
@@ -238,6 +305,11 @@ def test_pick_order_precedes_matches_front_unplaced_back(data):
         else:
             order.prepend_back(i)
             back.insert(0, i)
+        if order.unplaced:
+            assert order.lowest_unplaced() == min(order.unplaced)
+        else:
+            with pytest.raises(StateError):
+                order.lowest_unplaced()
         for a in range(n):
             for b in range(n):
                 if slot(a)[0] == slot(b)[0] == 1:

@@ -281,6 +281,26 @@ def test_cancelable_law(val, data):
 
 
 @given(additive_like(), st.data())
+@settings(max_examples=300)
+def test_value_equals_the_naive_incident_sum(val, data):
+    """Both branches of the additive kernel (a bundle smaller than the
+    degree walks the bundle, a larger one walks the weights) equal the sum
+    of the incident goods' weights, with non-incident goods mixed in."""
+    goods = sorted(val.incident)
+    d = len(goods)
+    inside = data.draw(st.lists(st.sampled_from(goods), unique=True, max_size=d - 1))
+    outside = list(range(100, 100 + 2 * d))
+    few = data.draw(st.integers(0, d - 1 - len(inside)))
+    small = frozenset(inside + outside[:few])
+    large = frozenset(inside + outside[: d - len(inside) + data.draw(st.integers(0, d))])
+    assert len(small) < d <= len(large)
+    for bundle in (small, large):
+        raw = sum(val.weights[g] for g in bundle if g in val.incident)
+        naive = raw if type(val) is AdditiveValuation else val.transform[raw]
+        assert val.value(bundle) == naive
+
+
+@given(additive_like(), st.data())
 @settings(max_examples=200)
 def test_value_locality(val, data):
     # evaluating any superset collapses to the incident part

@@ -16,7 +16,7 @@ from trifree_efx.phase1 import (
     check_invariants,
     greedy_replay,
 )
-from trifree_efx.generate import TOPOLOGIES, gen_instance, suite_spec
+from trifree_efx.generate import TOPOLOGIES, GenSpec, gen_instance, suite_spec
 
 from helpers import additive_instance, c4_instance, two_agent_parallel
 
@@ -140,6 +140,26 @@ def test_at_most_n_rounds_and_strict_progress():
             assert check_invariants(state) == []
             rounds += 1
         assert rounds <= inst.n
+
+
+def test_a_round_starts_without_scanning_the_unplaced_set(monkeypatch):
+    """Each round opens with the lowest-id unplaced agent, read from the
+    order's forward-only cursor: ``min`` as stage one sees it is never
+    called over the unplaced set, so the round starts cost O(n) in total."""
+    scans = []
+
+    def counted_min(*args, **kwargs):
+        if args and args[0] is state.order.unplaced:
+            scans.append(1)
+        return min(*args, **kwargs)
+
+    monkeypatch.setattr(phase1, "min", counted_min, raising=False)
+    inst = gen_instance(GenSpec(seed=1, n=300, m=900, topology="tree"))
+    state = SolverState.fresh(inst)
+    metrics = SolveMetrics()
+    run_phase1(inst, state=state, validate=False, metrics=metrics)
+    assert metrics.augment_calls > 10
+    assert scans == []
 
 
 # -- invariant checker ------------------------------------------------------------

@@ -562,3 +562,65 @@ def test_live_check_sorts_only_what_a_step_changed(monkeypatch):
     run_phase2(state, validate=False)
     assert len(dirty) > 100
     assert len(sorts) <= 2 * sum(dirty), (len(sorts), sum(dirty))
+
+
+def test_live_updates_leave_the_seeding_check_as_it_was():
+    """The live check changes its label and free-goods sets in place, so it
+    must own them: the from-scratch check it starts from, which a validated
+    run compares against the first step, keeps its sets through the updates.
+    Repair steps and arbitrary unit-bundle moves both update neighbours'
+    sets in place (a neighbour's primary label changes only under moves)."""
+    inst = gen_instance(GenSpec(seed=1, n=60, m=180, topology="tree"))
+    state = run_phase1(inst, validate=False)
+    seed = _scan(state)
+    units = [[set(s) for s in seed.units.primary], [set(s) for s in seed.units.secondary]]
+    loose = [set(s) for s in seed.reads.loose]
+    live = LiveCheck(state, seed)
+    scan = seed
+    for _ in range(10):
+        record = phase2_step(state, scan=scan)
+        assert record is not None
+        scan = live.update(record.changed())
+    for changed in unit_bundle_moves(state, SplitMix64(7)):
+        scan = live.update(changed)
+    assert scan == _scan(state)
+    assert [seed.units.primary, seed.units.secondary] == units
+    assert seed.reads.loose == loose
+
+
+class SetCounted(list):
+    """A list that records the index of every item assignment."""
+
+    def __init__(self, items, log):
+        super().__init__(items)
+        self.log = log
+
+    def __setitem__(self, i, value):
+        self.log.append(i)
+        super().__setitem__(i, value)
+
+
+def test_a_step_builds_each_changed_agents_sets_once():
+    """A neighbour outside C is updated in place, pair by changed pair, and
+    each agent of C gets new label and free-goods sets once per step, not
+    once per changed pair: on a star, a step that changes the centre's
+    pairs builds her three sets once each and no other agent's."""
+    inst = gen_instance(GenSpec(seed=1, n=25, m=48, topology="star", max_parallel=2))
+    assert len(inst.neighbors(0)) >= 20
+    state = run_phase1(inst, validate=False)
+    scan = _scan(state)
+    live = LiveCheck(state, scan)
+    built = []
+    for name in ("_loose", "_primary", "_secondary"):
+        setattr(live, name, SetCounted(getattr(live, name), built))
+    centre_steps = 0
+    for _ in range(step_cap(inst)):
+        record = phase2_step(state, scan=scan)
+        if record is None:
+            break
+        built.clear()
+        scan = live.update(record.changed())
+        assert scan == _scan(state)
+        assert sorted(built) == sorted(3 * record.changed()), record
+        centre_steps += 0 in record.changed()
+    assert centre_steps > 0

@@ -3,16 +3,18 @@
 
 Run from the repository root, with the change committed:
 
-    python3 tools/bench_pairs.py --parent HEAD~1 --number 9 \\
-        --claim "sparse_tree solve_goods_per_s ..."
+    python3 tools/bench_pairs.py --parent HEAD~1 --number 10 \\
+        --workload dense_bipartite --claim "dense_bipartite solve_goods_per_s ..."
 
 Both commits are cloned from the local repository into ``--work`` (one
 directory per side), so each side runs ``perfbench/run.py`` on its own
 committed files, as a fresh checkout would.  The runs, in order:
 
-* for each series of :data:`SERIES`, ``pairs`` alternating pairs of
+* for each series of :func:`series`, ``pairs`` alternating pairs of
   end-to-end runs (``--trace 0 --seconds <seconds>``); odd pairs run the
-  parent first, even pairs the change;
+  parent first, even pairs the change.  The claimed workload (``--workload``)
+  gets 10 pairs on seed 1 and 3 on the hold-out seed, every other workload
+  of ``BENCHMARK.json`` 5 pairs on seed 1;
 * two parent-only runs per workload on seed 1, the noise floor a change is
   judged against;
 * one traced run (``--trace 1``) per side and workload on seed 1, for the
@@ -40,15 +42,23 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
-# (series, workload, seed, pairs)
-SERIES = (
-    ("sparse1", "sparse_tree", 1, 10),
-    ("sparseholdout", "sparse_tree", 90001, 3),
-    ("dense1", "dense_bipartite", 1, 5),
-    ("small1", "small_mixed_validated", 1, 5),
-)
+HOLDOUT_SEED = 90001  # the seed perfbench/run.py reports as its hold-out
+CLAIM_PAIRS, HOLDOUT_PAIRS, OTHER_PAIRS = 10, 3, 5
 FLOOR_RUNS = 2
 TRACE_SECONDS = 5
+
+
+def series(claimed: str, benchmark: dict) -> list[tuple[str, str, int, int]]:
+    """``(series, workload, seed, pairs)`` of a record claiming a gain on
+    the workload ``claimed``: it first on seed 1 and on the hold-out seed,
+    then every other workload of ``benchmark`` on seed 1."""
+    workloads = [w["name"] for w in benchmark["workloads"]]
+    if claimed not in workloads:
+        raise ValueError(f"unknown workload {claimed!r}; choose from {workloads}")
+    return [
+        (f"{claimed}_seed1", claimed, 1, CLAIM_PAIRS),
+        (f"{claimed}_holdout", claimed, HOLDOUT_SEED, HOLDOUT_PAIRS),
+    ] + [(f"{w}_seed1", w, 1, OTHER_PAIRS) for w in workloads if w != claimed]
 
 
 def end_to_end_metrics(benchmark: dict) -> dict[str, dict]:
@@ -195,10 +205,11 @@ def run_bench(side_dir: Path, step: dict) -> tuple[dict, dict]:
     return parse_output(done.stdout)
 
 
-def plan(seconds: float) -> list[dict]:
-    """Every run of a full record, in the order they are made."""
+def plan(seconds: float, runs: list[tuple[str, str, int, int]]) -> list[dict]:
+    """Every run of a full record over the series ``runs``, in the order
+    they are made."""
     steps = []
-    for series, workload, seed, pairs in SERIES:
+    for series, workload, seed, pairs in runs:
         for pair in range(1, pairs + 1):
             first, second = ("parent", "change") if pair % 2 else ("change", "parent")
             for side in (first, second):
@@ -206,7 +217,7 @@ def plan(seconds: float) -> list[dict]:
                     kind="runs", series=series, pair=pair, side=side, ran_first=first,
                     workload=workload, seed=seed, seconds=seconds, trace=0,
                 ))
-    workloads = sorted({workload for _, workload, _, _ in SERIES})
+    workloads = sorted({workload for _, workload, _, _ in runs})
     for workload in workloads:
         for k in range(1, FLOOR_RUNS + 1):
             steps.append(dict(
@@ -233,10 +244,15 @@ def main(argv=None) -> int:
     p.add_argument("--parent", required=True, help="the parent commit (any git revision)")
     p.add_argument("--change", default="HEAD", help="the change commit (default HEAD)")
     p.add_argument("--number", required=True, help="the record is written to BENCH_<number>.json")
+    p.add_argument("--workload", required=True, help="the workload the claim is about")
     p.add_argument("--claim", default="", help="the gain the change claims, in words")
     p.add_argument("--work", default=None, help="where the two clones go")
     args = p.parse_args(argv)
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
+    try:
+        runs = series(args.workload, benchmark)
+    except ValueError as exc:
+        p.error(str(exc))
     out = ROOT / f"BENCH_{args.number}.json"
     parent, change = git_rev(args.parent), git_rev(args.change)
     seconds = benchmark["run_seconds"]
@@ -255,9 +271,10 @@ def main(argv=None) -> int:
             "nproc": os.cpu_count(),
             "python": platform.python_version(),
             "claim": args.claim,
+            "claimed_workload": args.workload,
             "series": {
                 name: f"{workload}, seed {seed}, {pairs} pairs"
-                for name, workload, seed, pairs in SERIES
+                for name, workload, seed, pairs in runs
             },
         },
         "runs": [],
@@ -269,7 +286,7 @@ def main(argv=None) -> int:
         "parent": checkout(parent, work / f"parent-{parent[:12]}"),
         "change": checkout(change, work / f"change-{change[:12]}"),
     }
-    for step in plan(seconds):
+    for step in plan(seconds, runs):
         info, result = run_bench(sides[step["side"]], step)
         entry = {k: step[k] for k in ("series", "pair", "side", "ran_first") if k in step}
         state[step["kind"]].append({**entry, "info": info, "result": result})
