@@ -379,8 +379,6 @@ def suite_spec(
     v_max: int = 50,
     max_parallel: int = 4,
     valuation_class: str = "additive",
-    n_cap: Optional[int] = None,
-    m_cap: Optional[int] = None,
     max_degree: Optional[int] = None,
 ) -> GenSpec:
     """Derive the ``index``-th spec of a topology's suite, sizes included.
@@ -391,29 +389,27 @@ def suite_spec(
     _check_degree_cap(max_degree)
     seed = (base_seed * 0x100000001B3 + index) & _MASK64
     rng = SplitMix64(seed ^ 0xD6E8FEB86659FD93)
-    n_hi = min(n_max, n_cap) if n_cap else n_max
-    m_hi = min(m_max, m_cap) if m_cap else m_max
     if topology == "cycle_even":
-        choices = [k for k in range(4, n_hi + 1) if k % 2 == 0] or [4]
+        choices = [k for k in range(4, n_max + 1) if k % 2 == 0] or [4]
         n = choices[rng.below(len(choices))]
         capacity = n * max_parallel
     elif topology == "c4_girth":
-        n = 4 + rng.below(max(n_hi - 3, 1))
+        n = 4 + rng.below(max(n_max - 3, 1))
         capacity = 4 * max_parallel  # only the guaranteed base cycle counts
     elif topology == "tree":
-        n = 2 + rng.below(max(n_hi - 1, 1))
+        n = 2 + rng.below(max(n_max - 1, 1))
         capacity = (n - 1) * max_parallel
     elif topology in ("star", "path"):
-        n = 2 + rng.below(max(n_hi - 1, 1))
+        n = 2 + rng.below(max(n_max - 1, 1))
         capacity = (n - 1) * max_parallel
     elif topology == "bipartite":
-        n = 2 + rng.below(max(n_hi - 1, 1))
+        n = 2 + rng.below(max(n_max - 1, 1))
         capacity = (n // 2) * ((n + 1) // 2) * max_parallel
     else:
         raise InconsistentSpecError(f"unknown topology {topology!r}")
     if max_degree is not None:
         capacity = min(capacity, (n * max_degree) // 2)
-    m = rng.below(min(m_hi, capacity) + 1)
+    m = rng.below(min(m_max, capacity) + 1)
     spec = GenSpec(
         seed=seed,
         n=n,

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from itertools import filterfalse
 from typing import Iterable, Optional, Sequence
 
-from .errors import ValidationError
+from .errors import InternalSolverError, ValidationError
 
 Bundle = frozenset[int]
 EMPTY_BUNDLE: Bundle = frozenset()
@@ -289,9 +289,6 @@ class Allocation:
     def bundles(self) -> tuple[Bundle, ...]:
         return tuple(self._bundles)
 
-    def is_allocated(self, g: int) -> bool:
-        return g in self._owner
-
     def allocated_goods(self) -> Bundle:
         return frozenset(self._owner)
 
@@ -299,13 +296,8 @@ class Allocation:
         """The goods of ``goods`` that nobody holds, in O(len(goods))."""
         return frozenset(filterfalse(self._owner.__contains__, goods))
 
-    def unallocated_goods(self, instance: Instance) -> Bundle:
-        return instance.all_goods - self.allocated_goods()
-
     def set_bundle(self, i: int, goods: Iterable[int]) -> None:
         """Replace agent ``i``'s bundle; the new goods must be free or hers."""
-        from .errors import InternalSolverError
-
         new = frozenset(goods)
         old = self._bundles[i]
         for g in new - old:

@@ -196,7 +196,7 @@ def check_invariants(state: SolverState) -> list[InvariantViolation]:
     front = set(order.front)
     back = set(order.back)
     for witness in _efx_witnesses(instance, alloc, graph):
-        if witness[0] in front | back:
+        if witness[0] not in unplaced:
             out.append(InvariantViolation(4, witness))
     for edge in graph.edges:
         if edge.src in front:

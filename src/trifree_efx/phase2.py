@@ -16,12 +16,13 @@ are read off a :class:`.verify.FreeBundleCheck` of the current state:
   bundles of the shared pair, then she absorbs that label's free bundles.
 
 The stage opens with one from-scratch :func:`.verify.check_properties` of
-properties (1)-(7) on its input: (1)-(4) must hold, and the check's
-:class:`.verify.FreeBundleCheck` seeds a live one (:class:`LiveCheck`).  A
-rule changes the bundles of at most two agents ``C``, and only ``C`` and its
-neighbours ``N(C)`` are rechecked.  With ``validate`` set, every step also
-runs one from-scratch check of (1)-(7): (1)-(4) must still hold and its
-free-bundle check must equal the live one field by field.  The stage's
+properties (1)-(7) on its input: (1)-(4) must hold, and a copy of the
+check's :class:`.verify.FreeBundleCheck` becomes the live one
+(:class:`LiveCheck`), updated in place after every step.  A rule changes the
+bundles of at most two agents ``C``, and only ``C`` and its neighbours
+``N(C)`` are rechecked.  With ``validate`` set, every step also runs one
+from-scratch check of (1)-(7): (1)-(4) must still hold and its free-bundle
+check, reads included, must equal the live one field by field.  The stage's
 output is checked by stage three, which opens with the same check.
 
 Each step strictly lowers the triple (number of envied agents, rule-B
@@ -31,22 +32,20 @@ at most ``n**3`` steps, at which point properties (1)-(7) all hold.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, fields
 from operator import attrgetter, itemgetter
 from typing import Iterable, NamedTuple, Optional
 
 # ``free_units`` and ``envy_graph`` are no longer called here, but the
 # benchmark's tracer wraps both by name, so a reintroduced call is counted
-from .cuts import FreeUnits, Labels, free_units, own_labels, pair_labels, pair_state  # noqa: F401
+from .cuts import free_units, own_labels, pair_labels, pair_state  # noqa: F401
 from .errors import InternalSolverError
 from .model import Bundle
 from .phase1 import SolveMetrics, SolverState, TraceFn
 from .verify import (  # noqa: F401
-    FREE_BUNDLE_PROPERTIES,
     STAGE_ONE_PROPERTIES,
     EnvyEdge,
-    EnvyGraph,
     FreeBundleCheck,
     agent_free_bundle_breaks,
     check_properties,
@@ -64,20 +63,12 @@ class Potential(NamedTuple):
 
     @classmethod
     def of(cls, check: FreeBundleCheck) -> "Potential":
-        return cls(len(check.envied), len(check.breaks_6), len(check.breaks_5))
+        return cls(len(check.enviers), len(check.breaks_6), len(check.breaks_5))
 
 
 def unallocated_incident(state: SolverState, i: int) -> Bundle:
     """All free goods incident to agent ``i``, read from her own goods only."""
     return state.alloc.free_among(state.instance.incident_goods(i))
-
-
-def _scan(state: SolverState) -> FreeBundleCheck:
-    """The from-scratch free-bundle check of ``state``."""
-    report = check_properties(
-        state.instance, state.alloc, state.order, state.cuts, FREE_BUNDLE_PROPERTIES
-    )
-    return report.free_bundles
 
 
 def _splice(rows: list, i: int, new: list, key=None) -> None:
@@ -107,19 +98,19 @@ class StepRecord:
 class LiveCheck:
     """Stage two's free-bundle check, kept up to date after every step.
 
-    It starts from a from-scratch :func:`.verify.check_properties` and takes
-    over what that check read (:class:`.verify.StateReads`): each pair's free
-    goods and labels, each agent's free incident goods and the value of her
-    own bundle.  After a rule changes the bundles of the agents ``C``,
-    :meth:`update` recomputes only the pairs touching ``C``, ``C``'s outgoing
-    envy, each neighbour's envy toward ``C``, and properties (5)-(7) for
-    ``C`` and its neighbours ``N(C)``.  It returns a check equal field by
-    field to the from-scratch one: the edges with their strong flags and
-    order, the envied set, the labels and the break lists.  The edge list
-    and the break lists are kept in order as they change, so a step sorts
-    only what it changed and copies nothing of size ``n``: the check that
-    :meth:`check` and :meth:`update` return is a view of the live state,
-    valid until the next update.
+    It copies the seeding from-scratch check once, with
+    :meth:`.verify.FreeBundleCheck.copy` so the seed stays as it was, and
+    owns that copy, ``check``: after a rule changes the bundles of the
+    agents ``C``, :meth:`update` changes it in place and returns it.  Only
+    the pairs touching ``C``, ``C``'s own values and outgoing envy, each
+    neighbour's envy toward ``C``, and properties (5)-(7) of ``C`` and its
+    neighbours ``N(C)`` are recomputed.  Every field then equals the
+    from-scratch check's: the edges with their strong flags and order, the
+    enviers, the labels, the own values, the free goods, the pair reads and
+    the break lists.  The edge list, the envier lists and the break lists
+    are kept in order as they change, so a step sorts only what it changed
+    and copies nothing of size ``n``.  Besides ``check``, the live check
+    keeps only ``_out``, each agent's outgoing envy edges by owner.
 
     This is exact because stage two keeps property (2), so every good is
     free or held by an endpoint of its pair, and valuations are local.
@@ -127,150 +118,104 @@ class LiveCheck:
     therefore read only the goods of her own pairs, and those change only
     when ``i`` or one of her neighbours is in ``C``.  Distinct pairs share no
     goods, so an agent's labels and free goods are disjoint unions over her
-    pairs.  The live check owns its label and free-goods sets (it copies the
-    seeding check's once, which is never changed) and updates them in place:
-    a neighbour outside ``C`` has each changed pair's old part swapped for
-    its new one, and each agent of ``C`` is rebuilt once from her pair
-    reads, so a step costs set work linear in the degrees of ``C``.  The
-    rules are the from-scratch ones: :func:`.cuts.pair_labels` per pair,
+    pairs: each pair touching ``C`` is reread once, and when the read
+    changed its old part of both endpoints' sets is swapped for its new
+    one, so a step costs set work linear in the degrees of ``C``.  The rules
+    are the from-scratch ones: :func:`.cuts.pair_labels` per pair,
     :func:`.verify.viewer_envy` per viewer and
     :func:`.verify.agent_free_bundle_breaks` per agent.
     """
 
     def __init__(self, state: SolverState, check: FreeBundleCheck):
         self.state = state
-        reads = check.reads
-        n = state.instance.n
-        # (a, b) with a < b -> (free goods, a's labels, b's labels)
-        self._pairs = dict(reads.pairs)
-        self._primary = [set(s) for s in check.units.primary]
-        self._secondary = [set(s) for s in check.units.secondary]
-        self._loose = [set(s) for s in reads.loose]
-        self._own = list(reads.own)
-        self._out: list[dict[int, EnvyEdge]] = [{} for _ in range(n)]
-        self._into: list[set[int]] = [set() for _ in range(n)]
+        self.check = check.copy()
+        self._out: list[dict[int, EnvyEdge]] = [{} for _ in range(state.instance.n)]
         for e in check.graph.edges:
             self._out[e.src][e.dst] = e
-            self._into[e.dst].add(e.src)
-        self._edges = list(check.graph.edges)  # in (src, dst) order
-        self._envied = set(check.envied)
-        self._breaks_5 = list(check.breaks_5)
-        self._breaks_6 = list(check.breaks_6)
-        self._breaks_7 = list(check.breaks_7)  # in (envied agent, envier, label) order
 
-    def _read_pair(self, a: int, b: int) -> tuple[Bundle, Labels, Labels]:
-        state = self.state
+    def _refresh_pair(self, a: int, b: int) -> None:
+        """Reread the pair of ``a`` and ``b`` and, when the read changed,
+        swap its old part of both endpoints' sets for its new one."""
+        if a > b:
+            a, b = b, a
+        state, check = self.state, self.check
+        old = check.pairs[a, b]
         pair = pair_state(state.instance, state.alloc, state.order, state.cuts, a, b)
-        return (pair[4], *pair_labels(a, b, pair))
-
-    def _refresh_neighbour(self, k: int, c: int) -> None:
-        """Reread the pair of ``k`` and ``c``, with ``k`` outside C and ``c``
-        in it, and swap its old part of ``k``'s sets for its new one."""
-        key = (k, c) if k < c else (c, k)
-        old = self._pairs[key]
-        new = self._read_pair(*key)
+        new = (pair[4], *pair_labels(a, b, pair))
         if new == old:
             return
-        self._pairs[key] = new
-        side = 1 if k < c else 2
-        for sets, old_part, new_part in (
-            (self._loose, old[0], new[0]),
-            (self._primary, old[side][0], new[side][0]),
-            (self._secondary, old[side][1], new[side][1]),
-        ):
-            part = sets[k]
-            part -= old_part
-            part |= new_part
-
-    def _rebuild(self, c: int) -> None:
-        """Rebuild agent ``c``'s sets from her pair reads."""
-        pairs = self._pairs
-        loose: set[int] = set()
-        primary: set[int] = set()
-        secondary: set[int] = set()
-        for k in self.state.instance.neighbors(c):
-            if c < k:
-                free, (first, second), _ = pairs[c, k]
-            else:
-                free, _, (first, second) = pairs[k, c]
-            loose |= free
-            primary |= first
-            secondary |= second
-        self._loose[c] = loose
-        self._primary[c] = primary
-        self._secondary[c] = secondary
+        check.pairs[a, b] = new
+        units = check.units
+        for agent, side in ((a, 1), (b, 2)):
+            for sets, old_part, new_part in (
+                (check.loose, old[0], new[0]),
+                (units.primary, old[side][0], new[side][0]),
+                (units.secondary, old[side][1], new[side][1]),
+            ):
+                part = sets[agent]
+                part -= old_part
+                part |= new_part
 
     def _set_envy(self, i: int, owners: Iterable[int]) -> None:
         """Recompute agent ``i``'s envy toward ``owners``, all neighbours of hers."""
         instance, alloc = self.state.instance, self.state.alloc
+        enviers = self.check.enviers
         out = self._out[i]
         parts = {}
         for j in owners:
             if out.pop(j, None) is not None:
-                self._into[j].discard(i)
+                row = enviers[j]
+                row.remove(i)
+                if not row:
+                    del enviers[j]
             part = alloc.bundle(j) & instance.pair_goods(i, j)
             if part:
                 parts[j] = part
-        for e in viewer_envy(instance, alloc, i, self._own[i], parts):
+        for e in viewer_envy(instance, alloc, i, self.check.own[i], parts):
             out[e.dst] = e
-            self._into[e.dst].add(i)
-        _splice(self._edges, i, [out[j] for j in sorted(out)], _SRC)
+            insort(enviers.setdefault(e.dst, []), i)
+        _splice(self.check.graph.edges, i, [out[j] for j in sorted(out)], _SRC)
 
     def _decide(self, i: int) -> None:
-        """Recompute agent ``i``'s envied status and properties (5)-(7)."""
-        enviers = sorted(self._into[i])
+        """Recompute agent ``i``'s properties (5)-(7)."""
+        check = self.check
         b5, b6, b7 = agent_free_bundle_breaks(
             self.state.instance,
             self.state.alloc,
             i,
-            self._own[i],
-            enviers,
-            self._primary[i],
-            self._secondary[i],
-            self._loose[i],
+            check.own[i],
+            check.enviers.get(i, []),
+            check.units.primary[i],
+            check.units.secondary[i],
+            check.loose[i],
         )
-        if enviers:
-            self._envied.add(i)
-        else:
-            self._envied.discard(i)
-        _splice(self._breaks_5, i, [i] if b5 else [])
-        _splice(self._breaks_6, i, [i] if b6 else [])
-        _splice(self._breaks_7, i, b7, _AGENT)
+        _splice(check.breaks_5, i, [i] if b5 else [])
+        _splice(check.breaks_6, i, [i] if b6 else [])
+        _splice(check.breaks_7, i, b7, _AGENT)
 
     def update(self, changed: Iterable[int]) -> FreeBundleCheck:
-        """The check after a step that changed the bundles of ``changed``."""
+        """The check after a step that changed the bundles of ``changed``,
+        updated in place."""
         instance, alloc = self.state.instance, self.state.alloc
+        own = self.check.own
         changed = set(changed)
         # each neighbour outside C -> her neighbours in C
         toward: dict[int, list[int]] = {}
         for c in changed:
-            self._own[c] = instance.valuations[c].value(alloc.bundle(c))
+            own[c] = instance.valuations[c].value(alloc.bundle(c))
             for k in instance.neighbors(c):
                 if k not in changed:
-                    self._refresh_neighbour(k, c)
                     toward.setdefault(k, []).append(c)
+                    self._refresh_pair(c, k)
                 elif c < k:  # a pair inside C, read once
-                    self._pairs[c, k] = self._read_pair(c, k)
-        for c in changed:
-            self._rebuild(c)
+                    self._refresh_pair(c, k)
         for c in changed:
             self._set_envy(c, instance.neighbors(c))
         for k, owners in toward.items():
             self._set_envy(k, owners)
         for i in changed.union(toward):
             self._decide(i)
-        return self.check()
-
-    def check(self) -> FreeBundleCheck:
-        """The live check, as a view valid until the next update."""
-        return FreeBundleCheck(
-            EnvyGraph(self.state.instance.n, self._edges),
-            self._envied,
-            FreeUnits(self._primary, self._secondary),
-            self._breaks_5,
-            self._breaks_6,
-            self._breaks_7,
-        )
+        return self.check
 
 
 def _apply_rule_a(state: SolverState, scan: FreeBundleCheck, i: int) -> None:
@@ -317,11 +262,10 @@ def _apply_rule_c(state: SolverState, scan: FreeBundleCheck, i: int, j: int, lab
 
 
 def phase2_step(
-    state: SolverState, *, scan: Optional[FreeBundleCheck] = None, trace: TraceFn = None
+    state: SolverState, *, scan: FreeBundleCheck, trace: TraceFn = None
 ) -> Optional[StepRecord]:
-    """Apply one repair rule; ``None`` when properties (5)-(7) already hold."""
-    if scan is None:
-        scan = _scan(state)
+    """Apply one repair rule, picked from ``scan``, the free-bundle check of
+    ``state``; ``None`` when properties (5)-(7) already hold."""
     if scan.ok:
         return None
     phi = Potential.of(scan)
@@ -423,7 +367,7 @@ def _validate_step(
         differ = [
             f.name
             for f in fields(FreeBundleCheck)
-            if f.compare and getattr(after, f.name) != getattr(reference, f.name)
+            if getattr(after, f.name) != getattr(reference, f.name)
         ]
         raise InternalSolverError(
             f"after rule {record.branch} on agent {record.agent} the live "
@@ -437,7 +381,7 @@ def _validate_step(
             f"{sorted(now_envy - prev_envy)}"
         )
     if record.branch == "C":
-        envied_now = reference.envied
+        envied_now = reference.enviers
         if record.agent in envied_now:
             raise InternalSolverError(
                 f"rule C left agent {record.agent} envied"
@@ -446,7 +390,7 @@ def _validate_step(
             raise InternalSolverError(
                 f"rule C made the envier {record.partner} envied"
             )
-        if not len(envied_now) < len(before.envied):
+        if not len(envied_now) < len(before.enviers):
             raise InternalSolverError(
                 "rule C did not shrink the set of envied agents"
             )

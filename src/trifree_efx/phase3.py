@@ -78,14 +78,11 @@ def run_phase3(
     if not report.ok:
         raise InternalSolverError(f"stage-two output: {report.summary()}")
     check = report.free_bundles
-    envied = sorted(check.envied)
+    envied = sorted(check.enviers)
     metrics.envied_after_phase2 = len(envied)
-    into: dict[int, list[int]] = {}
-    for e in check.graph.edges:
-        into.setdefault(e.dst, []).append(e.src)
     enviers: dict[int, int] = {}
     for i in envied:
-        who = into[i]
+        who = check.enviers[i]
         if len(who) != 1:
             raise InternalSolverError(
                 f"envied agent {i} has {len(who)} enviers at the dump stage"

@@ -199,7 +199,7 @@ def envy_graph_dot(instance: Instance, alloc: Allocation) -> str:
     lines = ["digraph envy {"]
     for i in range(instance.n):
         lines.append(f"  {i};")
-    for edge in sorted(graph.edges, key=lambda e: (e.src, e.dst)):
+    for edge in graph.edges:  # in (src, dst) order
         if edge.strong:
             lines.append(f'  {edge.src} -> {edge.dst} [label="strong"];')
         else:

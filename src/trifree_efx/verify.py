@@ -9,11 +9,13 @@ definition.
 ``check_properties`` checks a state in one pass: each agent's own value is
 computed once, the envy graph is built once and each pair is read once with
 ``pair_state``.  ``free_bundle_check`` is the one place the free-bundle
-properties (5)-(7) are decided from those reads: stage two picks its repair
-rule from it, and ``check_properties`` only formats what it returns.  Its
+properties (5)-(7) are decided from those reads, and the
+:class:`FreeBundleCheck` it returns carries the reads with the verdict:
+stage two picks its repair rule from it, ``check_properties`` only formats
+it, and stage two's live check is a copy of it updated in place.  Its
 per-agent rule (``agent_free_bundle_breaks``) and the envy comparison of one
-viewer (``viewer_envy``) are also what stage two's live check reruns for the
-agents a step touched.  Pair goods held by a third party are reported by
+viewer (``viewer_envy``) are also what the live check reruns for the agents
+a step touched.  Pair goods held by a third party are reported by
 property (2); the free-bundle check never raises on them.
 
 Envy vocabulary: agent ``i`` envies ``j`` when she values ``j``'s bundle
@@ -58,11 +60,12 @@ class EnvyGraph:
     n: int
     edges: list[EnvyEdge]
 
-    def enviers_of(self, i: int) -> list[int]:
-        return [e.src for e in self.edges if e.dst == i]
-
-    def envied_agents(self) -> list[int]:
-        return sorted({e.dst for e in self.edges})
+    def enviers(self) -> dict[int, list[int]]:
+        """Each envied agent's enviers, in ascending order."""
+        out: dict[int, list[int]] = {}
+        for e in self.edges:
+            out.setdefault(e.dst, []).append(e.src)
+        return out
 
 
 def strong_envy_witness(
@@ -212,41 +215,50 @@ PairRead = tuple[Bundle, Labels, Labels]  # (free goods, a's labels, b's labels)
 
 
 @dataclass
-class StateReads:
-    """What a from-scratch check read of one state, beyond the envy graph.
-
-    ``own[i]`` is agent ``i``'s value for her own bundle, ``loose[i]`` the
-    free goods incident to her and ``pairs[a, b]`` (``a < b``) the
-    :func:`.cuts.pair_state` free goods of the pair and the labels that
-    :func:`.cuts.pair_labels` gives ``a`` and ``b``.  Stage two's live check
-    starts from these instead of reading them again.
-    """
-
-    own: list[int]
-    loose: list[set[int]]
-    pairs: dict[tuple[int, int], PairRead]
-
-
-@dataclass
 class FreeBundleCheck:
-    """Which agents break the free-bundle properties (5)-(7) in one state.
+    """Which agents break the free-bundle properties (5)-(7) in one state,
+    and the reads they were decided from.
 
-    Each list is in ascending order; stage two repairs its first entry.
-    ``reads`` is what a from-scratch check decided them from; it is set by
-    :func:`free_bundle_check` only and is not compared.
+    ``enviers[i]`` holds envied agent ``i``'s enviers in ascending order (a
+    non-envied agent has no entry), ``own[i]`` is agent ``i``'s value for her
+    own bundle, ``loose[i]`` the free goods incident to her and ``pairs[a,
+    b]`` (``a < b``) the :func:`.cuts.pair_state` free goods of the pair and
+    the labels that :func:`.cuts.pair_labels` gives ``a`` and ``b``.  Each
+    break list is in ascending order; stage two repairs its first entry.
+    Every field is compared, so a check kept up to date step by step (stage
+    two's live check) equals the from-scratch one only when all its reads do.
     """
 
     graph: EnvyGraph
-    envied: set[int]
+    enviers: dict[int, list[int]]
     units: FreeUnits
+    own: list[int]
+    loose: list[set[int]]
+    pairs: dict[tuple[int, int], PairRead]
     breaks_5: list[int]  # non-envied agents with a primary free bundle
     breaks_6: list[int]  # non-envied agents preferring their free goods
     breaks_7: list[tuple[int, int, str]]  # (envied agent, envier, label)
-    reads: Optional[StateReads] = field(default=None, compare=False, repr=False)
 
     @property
     def ok(self) -> bool:
         return not (self.breaks_5 or self.breaks_6 or self.breaks_7)
+
+    def copy(self) -> "FreeBundleCheck":
+        """A copy that shares no mutable part with this check."""
+        return FreeBundleCheck(
+            EnvyGraph(self.graph.n, list(self.graph.edges)),
+            {i: list(js) for i, js in self.enviers.items()},
+            FreeUnits(
+                [set(s) for s in self.units.primary],
+                [set(s) for s in self.units.secondary],
+            ),
+            list(self.own),
+            [set(s) for s in self.loose],
+            dict(self.pairs),
+            list(self.breaks_5),
+            list(self.breaks_6),
+            list(self.breaks_7),
+        )
 
 
 def free_bundle_check(
@@ -260,14 +272,12 @@ def free_bundle_check(
 
     ``graph`` is the envy graph of ``alloc``, ``own`` each agent's value for
     her own bundle and ``pairs`` every pair's free goods and labels, as
-    :class:`StateReads` holds them; :func:`check_properties` reads them in
-    its one pass.  An agent's labels and free incident goods are the unions
-    over her pairs.
+    :class:`FreeBundleCheck` holds them; :func:`check_properties` reads them
+    in its one pass.  An agent's labels and free incident goods are the
+    unions over her pairs.
     """
     n = instance.n
-    enviers: dict[int, list[int]] = {}
-    for e in graph.edges:
-        enviers.setdefault(e.dst, []).append(e.src)
+    enviers = graph.enviers()
     primary: list[set[int]] = [set() for _ in range(n)]
     secondary: list[set[int]] = [set() for _ in range(n)]
     loose: list[set[int]] = [set() for _ in range(n)]
@@ -299,12 +309,14 @@ def free_bundle_check(
         breaks_7.extend(b7)
     return FreeBundleCheck(
         graph,
-        set(enviers),
+        enviers,
         FreeUnits(primary, secondary),
+        own,
+        loose,
+        pairs,
         breaks_5,
         breaks_6,
         breaks_7,
-        StateReads(own, loose, pairs),
     )
 
 
@@ -399,6 +411,7 @@ def check_properties(
             if free_props:
                 pairs[a, b] = (pair[4], *pair_labels(a, b, pair))
 
+    check = free_bundle_check(instance, alloc, graph, own, pairs) if free_props else None
     if 1 in which:
         report.extend(1, check_orientation(instance, alloc).violations)
         report.extend(1, _efx_witnesses(instance, alloc, graph))
@@ -406,19 +419,18 @@ def check_properties(
     for i in sorted(valued):
         report.extend(3, valued[i])
     if 4 in which:
-        into = {e.dst: e.src for e in graph.edges}
+        enviers = graph.enviers() if check is None else check.enviers
         chains = [
-            (into[e.src], e.src, e.dst) for e in graph.edges if e.src in into
+            (enviers[e.src][-1], e.src, e.dst) for e in graph.edges if e.src in enviers
         ]
         if chains:
             report.extend(4, [chains[0]])
-    if free_props:
-        check = free_bundle_check(instance, alloc, graph, own, pairs)
+    if check is not None:
         report.free_bundles = check
         if 5 in which:
             report.extend(5, [(i, sorted(check.units.primary[i])) for i in check.breaks_5])
         if 6 in which:
-            report.extend(6, [(i, sorted(check.reads.loose[i])) for i in check.breaks_6])
+            report.extend(6, [(i, sorted(check.loose[i])) for i in check.breaks_6])
         if 7 in which:
             report.extend(7, check.breaks_7)
     return report

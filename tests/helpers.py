@@ -1,12 +1,21 @@
 """Small instance builders shared across test modules."""
 
 from trifree_efx.generate import _additive_instance as additive_instance
+from trifree_efx.verify import FREE_BUNDLE_PROPERTIES, check_properties
 
 
 def owner_tuple(alloc, instance):
     """The holder of each good in id order, ``None`` for a free good."""
     owner = {g: i for i, bundle in enumerate(alloc.bundles()) for g in bundle}
     return tuple(owner.get(g) for g in range(instance.m))
+
+
+def scratch_check(state):
+    """The from-scratch free-bundle check of a solver state."""
+    report = check_properties(
+        state.instance, state.alloc, state.order, state.cuts, FREE_BUNDLE_PROPERTIES
+    )
+    return report.free_bundles
 
 
 def two_agent_parallel(weights_0, weights_1=None):

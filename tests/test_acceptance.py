@@ -115,7 +115,7 @@ def drive_solver(inst):
     record["p17_ok"] = check_properties(
         inst, state.alloc, state.order, state.cuts
     ).ok
-    record["envied_after_phase2"] = len(envy_graph(inst, state.alloc).envied_agents())
+    record["envied_after_phase2"] = len(envy_graph(inst, state.alloc).enviers())
 
     alloc = run_phase3(state, validate=True, metrics=metrics)
     record["dumps"] = metrics.phase3_dumps
@@ -207,7 +207,7 @@ def test_criterion_5_oracle_cross_check(main_suite):
     seen = {id(inst) for inst, _ in small}
     for topology in TOPOLOGIES:
         for idx in range(SMALL_PER_TOPOLOGY):
-            inst = gen_instance(suite_spec(topology, idx, n_cap=4, m_cap=7))
+            inst = gen_instance(suite_spec(topology, idx, n_max=4, m_max=7))
             if inst.n > 4 or inst.m > 7:
                 continue
             _, alloc = drive_solver(inst)

@@ -84,7 +84,41 @@ def test_noise_floor_and_plan():
     # alternating: odd pairs run the parent first, even pairs the change
     assert [s["side"] for s in pairs[:4]] == ["parent", "change", "change", "parent"]
     assert sum(s["kind"] == "floor_runs" for s in steps) == 6
-    assert sum(s["kind"] == "traced_runs" for s in steps) == 6
+    traced = [s for s in steps if s["kind"] == "traced_runs"]
+    assert len(traced) == 18
+    # the sides take turns running first
+    sides = ["parent", "change", "change", "parent", "parent", "change"]
+    assert [s["side"] for s in traced[:6]] == sides
+
+
+def traced_run(side, digest, cut_calls, phase2_s):
+    """One side's traced run as the record keeps it."""
+    metrics = {
+        "cuts.cut_calls": {"value": cut_calls, "unit": "count"},
+        "phase2.run_s": {"value": phase2_s, "unit": "s"},
+        "trace.overhead_ratio": {"value": 2 * phase2_s, "unit": "ratio"},
+    }
+    return {
+        "series": "t", "side": side,
+        "info": {"workload": "dense_bipartite", "digest": digest},
+        "result": {"failed": 0, "metrics": metrics},
+    }
+
+
+def test_traced_runs_report_medians_and_whether_they_repeat():
+    runs = [traced_run("parent", "d", 7, t) for t in (0.3, 0.1, 0.2)]
+    runs += [traced_run("change", "d", 7, t) for t in (0.5, 0.4, 0.9)]
+    state = {"header": {}, "runs": [], "floor_runs": [], "traced_runs": runs}
+    traced = bench_pairs.build_record(state, BENCHMARK)["traced_seed1"]["dense_bipartite"]
+    parent, change = traced["parent"], traced["change"]
+    assert parent["runs"] == 3 and parent["repeats"] is True
+    assert parent["counts"] == {"cuts.cut_calls": 7} and parent["digest"] == "d"
+    assert parent["medians"] == {"phase2.run_s": 0.2, "trace.overhead_ratio": 0.4}
+    assert change["medians"]["phase2.run_s"] == 0.5
+    assert parent["failed"] == [0, 0, 0]
+    # a count or a digest that moves between a side's runs is flagged
+    for moved in (traced_run("parent", "d", 8, 0.2), traced_run("parent", "e", 7, 0.2)):
+        assert bench_pairs.traced_summary(runs[:2] + [moved])["repeats"] is False
 
 
 def test_the_claimed_workload_gets_the_ten_pairs_and_the_hold_out():

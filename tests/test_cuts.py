@@ -29,7 +29,7 @@ from trifree_efx.generate import GenSpec, gen_instance, suite_spec
 from trifree_efx.phase1 import run_phase1
 from trifree_efx.phase2 import phase2_step
 
-from helpers import additive_instance, two_agent_parallel
+from helpers import additive_instance, scratch_check, two_agent_parallel
 
 
 def all_two_way_splits(goods):
@@ -493,7 +493,7 @@ def _labels_by_definition(inst, alloc, order, cuts):
     for a, b in inst.skeleton_edges():
         cut = cuts.cut(a, b, order.later(a, b))
         free_parts = [
-            part for part in cut.parts() if not any(alloc.is_allocated(g) for g in part)
+            part for part in cut.parts() if alloc.free_among(part) == part
         ]
         for i, j in ((a, b), (b, a)):
             if alloc.bundle(i) & inst.pair_goods(i, j):
@@ -528,7 +528,7 @@ def test_free_units_unions_follow_the_per_pair_rule_on_many_pairs():
                     for i in range(inst.n)
                     if len(inst.neighbors(i)) > 1 and primary[i] != secondary[i]
                 )
-                if phase2_step(state) is None:
+                if phase2_step(state, scan=scratch_check(state)) is None:
                     break
     assert crossed > 0
 

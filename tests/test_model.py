@@ -203,9 +203,9 @@ def test_allocation_disjointness_enforced_on_parse():
 def test_allocation_set_bundle_moves_ownership():
     alloc = Allocation(2)
     alloc.set_bundle(0, frozenset({0, 1}))
-    assert alloc.is_allocated(1) and 1 in alloc.bundle(0)
+    assert not alloc.free_among([1]) and 1 in alloc.bundle(0)
     alloc.set_bundle(0, frozenset({0}))
-    assert not alloc.is_allocated(1)
+    assert alloc.free_among([1]) == {1}
     alloc.set_bundle(1, frozenset({1}))
     assert alloc.bundle(1) == frozenset({1})
 

@@ -49,7 +49,7 @@ def test_no_goods_has_exactly_the_empty_allocation():
 
 def test_enumeration_matches_test_local_reference():
     for idx in range(40):
-        inst = gen_instance(suite_spec("path", idx, n_cap=3, m_cap=5))
+        inst = gen_instance(suite_spec("path", idx, n_max=3, m_max=5))
         got = [owner_tuple(a, inst) for a in enumerate_efx_allocations(inst)]
         assert got == brute_force_reference(inst)
 
@@ -80,7 +80,7 @@ def test_negative_limit_rejected():
 
 
 def test_guard_rejects_large_spaces():
-    inst = gen_instance(suite_spec("star", 1, n_cap=10))
+    inst = gen_instance(suite_spec("star", 1, n_max=10))
     with pytest.raises(SearchSpaceTooLargeError):
         enumerate_efx_allocations(inst, guard=1)
 
@@ -89,7 +89,7 @@ def test_solver_output_is_enumerated_for_tiny_instances():
     hits = 0
     for topo in ("tree", "star", "c4_girth"):
         for idx in range(30):
-            inst = gen_instance(suite_spec(topo, idx, n_cap=4, m_cap=7))
+            inst = gen_instance(suite_spec(topo, idx, n_max=4, m_max=7))
             if inst.n > 4 or inst.m > 7:
                 continue
             found = enumerate_efx_allocations(inst)
@@ -104,7 +104,7 @@ def test_solver_output_is_enumerated_for_tiny_instances():
 def test_strong_envy_scan_agrees_with_checker():
     rng = SplitMix64(123)
     for idx in range(60):
-        inst = gen_instance(suite_spec("cycle_even", idx, n_cap=4, m_cap=6))
+        inst = gen_instance(suite_spec("cycle_even", idx, n_max=4, m_max=6))
         if inst.m == 0:
             continue
         for _ in range(4):

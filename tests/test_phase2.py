@@ -1,3 +1,5 @@
+from itertools import islice, product
+
 import pytest
 
 from trifree_efx import (
@@ -14,7 +16,7 @@ from trifree_efx import phase2, verify
 from trifree_efx.cuts import CutTable, PickOrder
 from trifree_efx.errors import InternalSolverError
 from trifree_efx.phase1 import SolveMetrics, SolverState
-from trifree_efx.phase2 import LiveCheck, Potential, _scan, phase2_step, unallocated_incident
+from trifree_efx.phase2 import LiveCheck, Potential, phase2_step, unallocated_incident
 from trifree_efx.generate import (
     TOPOLOGIES,
     GenSpec,
@@ -27,7 +29,7 @@ from trifree_efx.generate import (
 from trifree_efx.model import Good, Instance
 from trifree_efx.oracle import scan_strong_envy
 
-from helpers import additive_instance, two_agent_parallel
+from helpers import additive_instance, scratch_check, two_agent_parallel
 
 
 def step_cap(inst):
@@ -74,7 +76,7 @@ def test_fixed_point_returns_done_with_no_mutation():
     state = run_phase1(inst)
     run_phase2(state)
     before = state.alloc.bundles()
-    assert phase2_step(state) is None
+    assert phase2_step(state, scan=scratch_check(state)) is None
     assert state.alloc.bundles() == before
 
 
@@ -83,7 +85,7 @@ def test_rule_a_absorbs_free_sibling():
     # sibling bundle next to an envied neighbour
     inst = adversarial("star_two_leaves")
     state = run_phase1(inst)
-    record = phase2_step(state)
+    record = phase2_step(state, scan=scratch_check(state))
     assert record.branch == "A"
     assert record.agent == 0
     # she now holds a bundle in each of her two pairs
@@ -95,13 +97,13 @@ def test_rule_c_swap_makes_agent_non_envied():
     inst = adversarial("swap_repair")
     state = run_phase1(inst)
     graph = envy_graph(inst, state.alloc)
-    assert graph.enviers_of(1) == [0]
-    record = phase2_step(state)
+    assert graph.enviers()[1] == [0]
+    record = phase2_step(state, scan=scratch_check(state))
     assert record.branch == "C"
     assert (record.agent, record.partner) == (1, 0)
     after = envy_graph(inst, state.alloc)
-    assert 1 not in after.envied_agents()
-    assert 0 not in after.envied_agents()
+    assert 1 not in after.enviers()
+    assert 0 not in after.enviers()
 
 
 def test_rule_b_trades_held_bundles_for_leftovers():
@@ -111,7 +113,7 @@ def test_rule_b_trades_held_bundles_for_leftovers():
     seen_b = False
     for _ in range(step_cap(inst) + 1):
         loose_before = unallocated_incident(state, hub)
-        record = phase2_step(state)
+        record = phase2_step(state, scan=scratch_check(state))
         if record is None:
             break
         if record.branch == "B":
@@ -148,11 +150,11 @@ def test_fixed_point_means_zero_iterations():
 def test_potential_descends_lexicographically():
     inst = adversarial("hub_trade")
     state = run_phase1(inst)
-    trail = [Potential.of(_scan(state))]
+    trail = [Potential.of(scratch_check(state))]
     for _ in range(step_cap(inst) + 1):
-        if phase2_step(state) is None:
+        if phase2_step(state, scan=scratch_check(state)) is None:
             break
-        trail.append(Potential.of(_scan(state)))
+        trail.append(Potential.of(scratch_check(state)))
     else:
         pytest.fail(f"stage two ran past its cap of {step_cap(inst)} steps")
     for before, after in zip(trail, trail[1:]):
@@ -192,8 +194,7 @@ def structure_report(state):
     * two envied agents: the whole pair is free.
     """
     instance, alloc = state.instance, state.alloc
-    graph = envy_graph(instance, alloc)
-    envied = set(graph.envied_agents())
+    envied = envy_graph(instance, alloc).enviers()
     out = []
     for a, b in instance.skeleton_edges():
         cut, goods, _, _, free = pair_state(instance, alloc, state.order, state.cuts, a, b)
@@ -206,7 +207,7 @@ def structure_report(state):
         else:
             i = a if a in envied else b
             j = b if a in envied else a
-            if j in graph.enviers_of(i):
+            if j in envied[i]:
                 case = "envied-with-envier"
                 ok = not free
             else:
@@ -302,7 +303,7 @@ def test_one_failing_free_bundle_property_picks_its_rule(case, prop, branch, age
     report = check_properties(inst, state.alloc, state.order, state.cuts)
     assert report.failed_properties() == [prop]
     assert report.failures[prop][0][0] == agent
-    record = phase2_step(state)
+    record = phase2_step(state, scan=scratch_check(state))
     assert (record.branch, record.agent, record.partner) == (branch, agent, partner)
     run_phase2(state)
     assert check_properties(inst, state.alloc, state.order, state.cuts).ok
@@ -421,16 +422,16 @@ def test_live_check_matches_reference_every_step():
     fired = {"A": 0, "B": 0, "C": 0}
     for name, inst in live_check_instances():
         state = run_phase1(inst)
-        scan = _scan(state)
+        scan = scratch_check(state)
         live = LiveCheck(state, scan)
-        assert live.check() == scan, name
+        assert live.check == scan, name
         for _ in range(step_cap(inst) + 1):
             record = phase2_step(state, scan=scan)
             if record is None:
                 break
             fired[record.branch] += 1
             scan = live.update(record.changed())
-            reference = _scan(state)
+            reference = scratch_check(state)
             assert scan == reference, (name, record)
             assert Potential.of(scan) < record.potential_before, (name, record)
         else:
@@ -444,11 +445,43 @@ def test_live_check_matches_reference_every_step():
     assert all(fired.values()), fired
 
 
+# C5 with the edge (0, 1) doubled and one good on each other edge; with one
+# good per edge rule C never fires on C5
+C5_DOUBLED_EDGE = [(0, 1), (0, 1), (1, 2), (2, 3), (3, 4), (4, 0)]
+
+
+def test_c5_with_a_doubled_edge_bounded_exhaustive_slice():
+    """Every 180th additive valuation with weights 0..2 on C5 with a doubled
+    edge, in lexicographic order of the 12 weights (each good's weight for
+    its lower-listed endpoint, then for the other, goods in the order of
+    ``C5_DOUBLED_EDGE``): 2,953 of the 3**12.  Every solve is validated, so
+    the live check is compared with the from-scratch one at every step;
+    every output is complete with no strong envy by the oracle's scan, and
+    rule A, rule C and a stage-three dump each happen."""
+    fired = {"A": 0, "B": 0, "C": 0}
+    dumps = solved = 0
+    for weights in islice(product(range(3), repeat=12), 0, None, 180):
+        rows = [
+            (u, v, {u: weights[2 * k], v: weights[2 * k + 1]})
+            for k, (u, v) in enumerate(C5_DOUBLED_EDGE)
+        ]
+        inst = additive_instance(5, rows)
+        result = solve(inst)
+        assert result.allocation.is_complete(inst), weights
+        assert scan_strong_envy(inst, result.allocation) == [], weights
+        for branch, count in result.metrics.phase2_branches.items():
+            fired[branch] += count
+        dumps += result.metrics.phase3_dumps
+        solved += 1
+    assert solved == 2953
+    assert fired["A"] > 0 and fired["C"] > 0 and dumps > 0, (fired, dumps)
+
+
 def unit_bundle_moves(state, rng):
     """Random bundle changes that keep every pair whole unit bundles on its
     endpoints: an agent frees her part of a pair, takes a free part of a
-    pair she holds nothing of, or swaps parts with her neighbour.  Yields
-    the agents each move changed."""
+    pair she holds nothing of, swaps parts with her neighbour, or both free
+    their parts.  Yields the agents each move changed."""
     instance, alloc = state.instance, state.alloc
     pairs = instance.skeleton_edges()
     for _ in range(3 * len(pairs)):
@@ -456,7 +489,7 @@ def unit_bundle_moves(state, rng):
         if rng.below(2):
             a, b = b, a
         cut, _, held_a, held_b, free = pair_state(instance, alloc, state.order, state.cuts, a, b)
-        move = rng.below(3)
+        move = rng.below(4)
         if move == 0 and held_a:
             alloc.set_bundle(a, alloc.bundle(a) - held_a)
             yield (a,)
@@ -468,6 +501,10 @@ def unit_bundle_moves(state, rng):
             alloc.set_bundle(a, alloc.bundle(a) - held_a)
             alloc.set_bundle(b, alloc.bundle(b) - held_b | held_a)
             alloc.set_bundle(a, alloc.bundle(a) | held_b)
+            yield (a, b)
+        elif move == 3 and held_a and held_b:
+            alloc.set_bundle(a, alloc.bundle(a) - held_a)
+            alloc.set_bundle(b, alloc.bundle(b) - held_b)
             yield (a, b)
 
 
@@ -481,9 +518,47 @@ def test_live_check_follows_any_unit_bundle_move():
     for name, inst in live_check_instances():
         state = run_phase1(inst)
         run_phase2(state, validate=False)
-        live = LiveCheck(state, _scan(state))
+        live = LiveCheck(state, scratch_check(state))
         for changed in unit_bundle_moves(state, rng):
-            assert live.update(changed) == _scan(state), (name, changed)
+            assert live.update(changed) == scratch_check(state), (name, changed)
+
+
+def corrupt_own(instance, check, c):
+    check.own[c] += 1
+
+
+def corrupt_loose(instance, check, c):
+    check.loose[c] ^= {min(instance.incident_goods(c))}
+
+
+def corrupt_pairs(instance, check, c):
+    k = min(instance.neighbors(c))
+    key = (min(c, k), max(c, k))
+    free, labels_a, labels_b = check.pairs[key]
+    check.pairs[key] = (free ^ {min(instance.pair_goods(c, k))}, labels_a, labels_b)
+
+
+CORRUPTIONS = {"own": corrupt_own, "loose": corrupt_loose, "pairs": corrupt_pairs}
+
+
+@pytest.mark.parametrize("field", sorted(CORRUPTIONS))
+def test_a_validated_step_compares_the_live_reads(monkeypatch, field):
+    """The reads the live check keeps are compared fields: after an update
+    has decided the break lists, corrupting one agent's own value or free
+    goods, or one pair's read, leaves the break lists right, and a validated
+    run still reports the corrupted field."""
+    corrupt = CORRUPTIONS[field]
+    update = LiveCheck.update
+
+    def corrupted(self, changed):
+        check = update(self, changed)
+        corrupt(self.state.instance, check, min(changed))
+        return check
+
+    monkeypatch.setattr(LiveCheck, "update", corrupted)
+    state = run_phase1(adversarial("hub_trade"))
+    with pytest.raises(InternalSolverError, match=rf"reference in \['{field}'\]$"):
+        run_phase2(state, validate=True)
 
 
 def test_stage_two_builds_each_full_check_at_most_once(monkeypatch):
@@ -565,16 +640,16 @@ def test_live_check_sorts_only_what_a_step_changed(monkeypatch):
 
 
 def test_live_updates_leave_the_seeding_check_as_it_was():
-    """The live check changes its label and free-goods sets in place, so it
-    must own them: the from-scratch check it starts from, which a validated
-    run compares against the first step, keeps its sets through the updates.
-    Repair steps and arbitrary unit-bundle moves both update neighbours'
-    sets in place (a neighbour's primary label changes only under moves)."""
+    """The live check changes its copy of the seeding check in place, so
+    the copy must share nothing mutable with the seed: the from-scratch
+    check it starts from, which a validated run compares against the first
+    step, keeps every field through the updates.  Repair steps and
+    arbitrary unit-bundle moves both update neighbours' sets in place (a
+    neighbour's primary label changes only under moves)."""
     inst = gen_instance(GenSpec(seed=1, n=60, m=180, topology="tree"))
     state = run_phase1(inst, validate=False)
-    seed = _scan(state)
-    units = [[set(s) for s in seed.units.primary], [set(s) for s in seed.units.secondary]]
-    loose = [set(s) for s in seed.reads.loose]
+    seed = scratch_check(state)
+    kept = scratch_check(state)
     live = LiveCheck(state, seed)
     scan = seed
     for _ in range(10):
@@ -583,9 +658,9 @@ def test_live_updates_leave_the_seeding_check_as_it_was():
         scan = live.update(record.changed())
     for changed in unit_bundle_moves(state, SplitMix64(7)):
         scan = live.update(changed)
-    assert scan == _scan(state)
-    assert [seed.units.primary, seed.units.secondary] == units
-    assert seed.reads.loose == loose
+    assert scan == scratch_check(state)
+    assert scan is live.check and scan != kept
+    assert seed == kept
 
 
 class SetCounted(list):
@@ -600,27 +675,28 @@ class SetCounted(list):
         super().__setitem__(i, value)
 
 
-def test_a_step_builds_each_changed_agents_sets_once():
-    """A neighbour outside C is updated in place, pair by changed pair, and
-    each agent of C gets new label and free-goods sets once per step, not
-    once per changed pair: on a star, a step that changes the centre's
-    pairs builds her three sets once each and no other agent's."""
+def test_a_step_updates_every_agents_sets_in_place():
+    """Each pair touching C is reread once and, when it changed, its old
+    part of both endpoints' label and free-goods sets is swapped for its
+    new one in place: on a star, where a step changes many of the centre's
+    pairs, no agent's set is ever replaced by a new one."""
     inst = gen_instance(GenSpec(seed=1, n=25, m=48, topology="star", max_parallel=2))
     assert len(inst.neighbors(0)) >= 20
     state = run_phase1(inst, validate=False)
-    scan = _scan(state)
+    scan = scratch_check(state)
     live = LiveCheck(state, scan)
     built = []
-    for name in ("_loose", "_primary", "_secondary"):
-        setattr(live, name, SetCounted(getattr(live, name), built))
+    check = live.check
+    check.loose = SetCounted(check.loose, built)
+    check.units.primary = SetCounted(check.units.primary, built)
+    check.units.secondary = SetCounted(check.units.secondary, built)
     centre_steps = 0
     for _ in range(step_cap(inst)):
         record = phase2_step(state, scan=scan)
         if record is None:
             break
-        built.clear()
         scan = live.update(record.changed())
-        assert scan == _scan(state)
-        assert sorted(built) == sorted(3 * record.changed()), record
+        assert scan == scratch_check(state)
         centre_steps += 0 in record.changed()
     assert centre_steps > 0
+    assert built == []

@@ -135,8 +135,7 @@ def check_envied_by_one(instance, alloc):
     """
     graph = envy_graph(instance, alloc)
     report = CheckReport("envied_by_one")
-    for i in graph.envied_agents():
-        enviers = graph.enviers_of(i)
+    for i, enviers in sorted(graph.enviers().items()):
         if len(enviers) > 1:
             report.violations.append((i, tuple(enviers)))
             continue
@@ -294,7 +293,7 @@ def reference_failures(inst, alloc, order, cuts, which, agents=None):
     """The numbered properties checked one property at a time, as they were
     written before the check became one pass: (2) walks the pairs, (3) walks
     each agent's pairs again, and (5)-(7) take their labels from
-    ``free_units`` and their free goods from ``unallocated_goods``."""
+    ``free_units`` and their free goods from the allocation's complement."""
     failures = {}
 
     def add(prop, rows):
@@ -328,7 +327,7 @@ def reference_failures(inst, alloc, order, cuts, which, agents=None):
         add(4, [(into[e.src], e.src, e.dst) for e in graph.edges if e.src in into][:1])
     if which & {5, 6, 7}:
         units = free_units(inst, alloc, order, cuts)
-        free = alloc.unallocated_goods(inst)
+        free = inst.all_goods - alloc.allocated_goods()
         enviers = {}
         for e in graph.edges:
             enviers.setdefault(e.dst, []).append(e.src)

@@ -17,8 +17,11 @@ committed files, as a fresh checkout would.  The runs, in order:
   of ``BENCHMARK.json`` 5 pairs on seed 1;
 * two parent-only runs per workload on seed 1, the noise floor a change is
   judged against;
-* one traced run (``--trace 1``) per side and workload on seed 1, for the
-  behaviour digest and the per-layer counts.
+* ``TRACED_RUNS`` traced runs (``--trace 1``) per side and workload on
+  seed 1, the two sides taking turns.  The behaviour digest and the
+  per-layer counts must repeat exactly across a side's runs, and the record
+  gives the median of every other per-layer metric: one traced run cannot
+  tell a layer's time from noise.
 
 Each run lasts ``BENCHMARK.json``'s ``run_seconds``.  Every run's
 information and result lines are kept, and the record is rewritten after
@@ -26,7 +29,8 @@ each run, so an interrupted record keeps every finished run on disk.  The
 summary gives, per series and end-to-end metric, each side's median,
 quartiles and range, the change-over-parent median ratio, the pairs the
 change won, and whether the median gap exceeds the parent's quartile
-spread.
+spread.  The script exits with status 1 when a side's traced runs do not
+repeat.
 """
 
 from __future__ import annotations
@@ -45,6 +49,7 @@ ROOT = Path(__file__).resolve().parent.parent
 HOLDOUT_SEED = 90001  # the seed perfbench/run.py reports as its hold-out
 CLAIM_PAIRS, HOLDOUT_PAIRS, OTHER_PAIRS = 10, 3, 5
 FLOOR_RUNS = 2
+TRACED_RUNS = 3
 TRACE_SECONDS = 5
 
 
@@ -146,26 +151,39 @@ def noise_floor(floor_runs: list[dict], benchmark: dict) -> dict:
     return dict(sorted(out.items()))
 
 
-def traced_entry(run: dict) -> dict:
-    """The digest, failures, counts and stage times of one traced run."""
-    metrics = run["result"]["metrics"]
+def traced_summary(runs: list[dict]) -> dict:
+    """One side's traced runs of one workload: the behaviour digest and the
+    per-layer counts, whether both repeat exactly across the runs, the
+    failures of each run, and the median of every other per-layer metric."""
+    metrics = [run["result"]["metrics"] for run in runs]
+    digests = [run["info"].get("digest") for run in runs]
+    counts = [
+        {k: v["value"] for k, v in m.items() if v["unit"] == "count"} for m in metrics
+    ]
     return {
-        "digest": run["info"].get("digest"),
-        "failed": run["result"]["failed"],
-        "counts": {k: v["value"] for k, v in metrics.items() if v["unit"] == "count"},
-        **{
-            k: metrics[k]["value"]
-            for k in ("phase1.run_s", "phase2.run_s", "phase3.run_s")
-            if k in metrics
+        "runs": len(runs),
+        "digest": digests[0],
+        "counts": counts[0],
+        "repeats": digests.count(digests[0]) == len(runs)
+        and counts.count(counts[0]) == len(runs),
+        "failed": [run["result"]["failed"] for run in runs],
+        "medians": {
+            k: statistics.median(m[k]["value"] for m in metrics)
+            for k, v in metrics[0].items()
+            if v["unit"] != "count"
         },
     }
 
 
 def build_record(state: dict, benchmark: dict) -> dict:
     """The whole ``BENCH_<n>.json`` record from the runs made so far."""
-    traced: dict[str, dict] = {}
+    by_side: dict[str, dict[str, list[dict]]] = {}
     for run in state["traced_runs"]:
-        traced.setdefault(run["info"]["workload"], {})[run["side"]] = traced_entry(run)
+        by_side.setdefault(run["info"]["workload"], {}).setdefault(run["side"], []).append(run)
+    traced = {
+        workload: {side: traced_summary(runs) for side, runs in sides.items()}
+        for workload, sides in by_side.items()
+    }
     return {
         **state["header"],
         "summary": summarize(state["runs"], benchmark),
@@ -225,11 +243,12 @@ def plan(seconds: float, runs: list[tuple[str, str, int, int]]) -> list[dict]:
                 workload=workload, seed=1, seconds=seconds, trace=0,
             ))
     for workload in workloads:
-        for side in ("parent", "change"):
-            steps.append(dict(
-                kind="traced_runs", series=f"traced_{workload}_{side}", side=side,
-                workload=workload, seed=1, seconds=TRACE_SECONDS, trace=1,
-            ))
+        for k in range(1, TRACED_RUNS + 1):
+            for side in ("parent", "change") if k % 2 else ("change", "parent"):
+                steps.append(dict(
+                    kind="traced_runs", series=f"traced_{workload}_{k}_{side}", side=side,
+                    workload=workload, seed=1, seconds=TRACE_SECONDS, trace=1,
+                ))
     return steps
 
 
@@ -261,9 +280,9 @@ def main(argv=None) -> int:
             "what": (
                 f"perfbench/run.py end-to-end runs (--seconds {seconds:g} --trace 0) of "
                 "the parent commit and of the change, alternating which side runs "
-                "first, plus parent-only runs as the noise floor and one traced "
-                f"seed-1 run per side and workload (--seconds {TRACE_SECONDS} "
-                "--trace 1); written by tools/bench_pairs.py."
+                "first, plus parent-only runs as the noise floor and "
+                f"{TRACED_RUNS} traced seed-1 runs per side and workload (--seconds "
+                f"{TRACE_SECONDS} --trace 1); written by tools/bench_pairs.py."
             ),
             "parent_commit": parent,
             "change_commit": change,
@@ -295,6 +314,16 @@ def main(argv=None) -> int:
         print(f"{step['kind']} {step['series']} {step.get('pair', '')} {step['side']}: "
               f"{json.dumps({k: v['value'] for k, v in result['metrics'].items()})[:200]}",
               flush=True)
+    unrepeated = [
+        f"{workload} {side}"
+        for workload, sides in build_record(state, benchmark)["traced_seed1"].items()
+        for side, entry in sides.items()
+        if not entry["repeats"]
+    ]
+    if unrepeated:
+        print(f"traced runs did not repeat their digest and counts: {unrepeated}",
+              file=sys.stderr)
+        return 1
     return 0
 
 
