@@ -108,6 +108,17 @@ class TransformedAdditiveValuation(AdditiveValuation):
         return self.transform[self._raw(goods)]
 
 
+def check_agent_count(n, valuations: int) -> None:
+    """Reject a non-positive agent count, or ``valuations`` valuations for
+    other than ``n`` agents, before anything of size ``n`` is built."""
+    if not isinstance(n, int) or n < 1:
+        raise ValidationError(f"agent count must be a positive integer, got {n!r}")
+    if valuations != n:
+        raise ValidationError(
+            f"need one valuation per agent: got {valuations} for {n} agents"
+        )
+
+
 def check_table_degree(owner: int, degree: int) -> None:
     """Reject a monotone table over more goods than the cap allows."""
     if degree > MONOTONE_TABLE_DEGREE_CAP:
@@ -178,8 +189,8 @@ class Instance:
     """
 
     def __init__(self, n: int, goods: Sequence[Good], valuations: Sequence[Valuation]):
-        if not isinstance(n, int) or n < 1:
-            raise ValidationError(f"agent count must be a positive integer, got {n!r}")
+        valuations = tuple(valuations)
+        check_agent_count(n, len(valuations))
         goods = tuple(goods)
         for idx, g in enumerate(goods):
             if g.id != idx:
@@ -209,11 +220,6 @@ class Instance:
         self._pair = {k: frozenset(s) for k, s in pair.items()}
         self._neighbors = tuple(tuple(sorted(ns)) for ns in neighbors)
 
-        valuations = tuple(valuations)
-        if len(valuations) != n:
-            raise ValidationError(
-                f"need one valuation per agent: got {len(valuations)} for {n} agents"
-            )
         for i, val in enumerate(valuations):
             if val.owner != i:
                 raise ValidationError(

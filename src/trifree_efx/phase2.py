@@ -10,7 +10,8 @@ are read off a :class:`.verify.FreeBundleCheck` of the current state:
 * rule B -- a non-envied agent breaks (6), i.e. values the free goods
   incident to her above her own bundle: for every pair with something free
   she trades her held unit bundle for the free one, keeping pairs with
-  nothing free untouched.
+  nothing free untouched.  Her free goods and each pair's are read off the
+  check, as rules A and C read their labels.
 * rule C -- an envied agent breaks (7), i.e. would prefer her envier's
   bundle joined with one of her free-unit labels: the two swap their unit
   bundles of the shared pair, then she absorbs that label's free bundles.
@@ -34,18 +35,16 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, fields
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 from typing import Iterable, NamedTuple, Optional
 
 # ``free_units`` and ``envy_graph`` are no longer called here, but the
 # benchmark's tracer wraps both by name, so a reintroduced call is counted
 from .cuts import free_units, own_labels, pair_labels, pair_state  # noqa: F401
 from .errors import InternalSolverError
-from .model import Bundle
 from .phase1 import SolveMetrics, SolverState, TraceFn
 from .verify import (  # noqa: F401
     STAGE_ONE_PROPERTIES,
-    EnvyEdge,
     FreeBundleCheck,
     agent_free_bundle_breaks,
     check_properties,
@@ -66,11 +65,6 @@ class Potential(NamedTuple):
         return cls(len(check.enviers), len(check.breaks_6), len(check.breaks_5))
 
 
-def unallocated_incident(state: SolverState, i: int) -> Bundle:
-    """All free goods incident to agent ``i``, read from her own goods only."""
-    return state.alloc.free_among(state.instance.incident_goods(i))
-
-
 def _splice(rows: list, i: int, new: list, key=None) -> None:
     """Replace the run of ``rows`` whose ``key`` is ``i`` (the rows equal to
     ``i`` without a key) with ``new``; ``rows`` is in ascending ``key``
@@ -79,7 +73,6 @@ def _splice(rows: list, i: int, new: list, key=None) -> None:
     rows[lo : bisect_right(rows, i, lo, key=key)] = new
 
 
-_SRC = attrgetter("src")
 _AGENT = itemgetter(0)
 
 
@@ -105,12 +98,12 @@ class LiveCheck:
     the pairs touching ``C``, ``C``'s own values and outgoing envy, each
     neighbour's envy toward ``C``, and properties (5)-(7) of ``C`` and its
     neighbours ``N(C)`` are recomputed.  Every field then equals the
-    from-scratch check's: the edges with their strong flags and order, the
-    enviers, the labels, the own values, the free goods, the pair reads and
-    the break lists.  The edge list, the envier lists and the break lists
-    are kept in order as they change, so a step sorts only what it changed
-    and copies nothing of size ``n``.  Besides ``check``, the live check
-    keeps only ``_out``, each agent's outgoing envy edges by owner.
+    from-scratch check's: the enviers, the labels, the own values, the free
+    goods, the pair reads and the break lists.  The envier lists and the
+    break lists are kept in order as they change, so a step sorts only what
+    it changed and copies nothing of size ``n``.  The envy relation is held
+    only as the check's envier index, with no edge list and no strong-envy
+    flags, and the live check keeps nothing beside ``check``.
 
     This is exact because stage two keeps property (2), so every good is
     free or held by an endpoint of its pair, and valuations are local.
@@ -129,9 +122,6 @@ class LiveCheck:
     def __init__(self, state: SolverState, check: FreeBundleCheck):
         self.state = state
         self.check = check.copy()
-        self._out: list[dict[int, EnvyEdge]] = [{} for _ in range(state.instance.n)]
-        for e in check.graph.edges:
-            self._out[e.src][e.dst] = e
 
     def _refresh_pair(self, a: int, b: int) -> None:
         """Reread the pair of ``a`` and ``b`` and, when the read changed,
@@ -160,21 +150,18 @@ class LiveCheck:
         """Recompute agent ``i``'s envy toward ``owners``, all neighbours of hers."""
         instance, alloc = self.state.instance, self.state.alloc
         enviers = self.check.enviers
-        out = self._out[i]
         parts = {}
         for j in owners:
-            if out.pop(j, None) is not None:
-                row = enviers[j]
-                row.remove(i)
+            row = enviers.get(j)
+            if row is not None:
+                _splice(row, i, [])
                 if not row:
                     del enviers[j]
             part = alloc.bundle(j) & instance.pair_goods(i, j)
             if part:
                 parts[j] = part
-        for e in viewer_envy(instance, alloc, i, self.check.own[i], parts):
-            out[e.dst] = e
-            insort(enviers.setdefault(e.dst, []), i)
-        _splice(self.check.graph.edges, i, [out[j] for j in sorted(out)], _SRC)
+        for j in viewer_envy(instance, i, self.check.own[i], parts):
+            insort(enviers.setdefault(j, []), i)
 
     def _decide(self, i: int) -> None:
         """Recompute agent ``i``'s properties (5)-(7)."""
@@ -223,14 +210,13 @@ def _apply_rule_a(state: SolverState, scan: FreeBundleCheck, i: int) -> None:
     alloc.set_bundle(i, alloc.bundle(i) | scan.units.primary[i])
 
 
-def _apply_rule_b(state: SolverState, i: int) -> None:
+def _apply_rule_b(state: SolverState, scan: FreeBundleCheck, i: int) -> None:
     instance, alloc = state.instance, state.alloc
-    loose = unallocated_incident(state, i)
     keep = set()
     for j in instance.neighbors(i):
-        if not instance.pair_goods(i, j) & loose:
+        if not scan.pairs[min(i, j), max(i, j)][0]:  # nothing of the pair is free
             keep |= alloc.bundle(i) & instance.pair_goods(i, j)
-    alloc.set_bundle(i, frozenset(keep) | loose)
+    alloc.set_bundle(i, keep | scan.loose[i])
 
 
 def _apply_rule_c(state: SolverState, scan: FreeBundleCheck, i: int, j: int, label: str) -> None:
@@ -275,7 +261,7 @@ def phase2_step(
         record = StepRecord("A", i, None, phi)
     elif scan.breaks_6:
         i = scan.breaks_6[0]
-        _apply_rule_b(state, i)
+        _apply_rule_b(state, scan, i)
         record = StepRecord("B", i, None, phi)
     else:
         i, j, label = scan.breaks_7[0]
@@ -373,8 +359,8 @@ def _validate_step(
             f"after rule {record.branch} on agent {record.agent} the live "
             f"free-bundle check differs from the reference in {differ}"
         )
-    prev_envy = {(e.src, e.dst) for e in before.graph.edges}
-    now_envy = {(e.src, e.dst) for e in reference.graph.edges}
+    prev_envy = _envy_pairs(before)
+    now_envy = _envy_pairs(reference)
     if record.branch in ("A", "B") and not now_envy <= prev_envy:
         raise InternalSolverError(
             f"rule {record.branch} on agent {record.agent} created envy "
@@ -395,3 +381,8 @@ def _validate_step(
                 "rule C did not shrink the set of envied agents"
             )
     return reference
+
+
+def _envy_pairs(check: FreeBundleCheck) -> set[tuple[int, int]]:
+    """Every ``(envier, envied)`` pair of ``check``."""
+    return {(j, i) for i, js in check.enviers.items() for j in js}

@@ -10,10 +10,11 @@ one stage that needs the triangle-free assumption, and the one stage that
 turns the orientation into a general allocation.
 
 The stage opens with one check of properties (1)-(7) on its input, which
-is the check of stage two's output, and reads the envy graph and the labels
-it dumps from that check.  ``solve`` wires the three stages together behind
-a triangle-freeness guard and re-verifies the final allocation (complete +
-EFX) from first principles.
+is the check of stage two's output, and reads each envied agent's envier
+(the check's envier index, its only form of the envy relation) and the
+labels it dumps from that check.  ``solve`` wires the three stages together
+behind a triangle-freeness guard and re-verifies the final allocation
+(complete + EFX) from first principles.
 """
 
 from __future__ import annotations
@@ -66,10 +67,10 @@ def run_phase3(
     """Dump every envied agent's primary free bundles on her envier.
 
     The stage opens with one check of properties (1)-(7) on the stage-two
-    output; any failure is an internal error.  The envy graph, the enviers
-    and the free-unit labels are read from that check and frozen; with
-    ``validate`` the dumped agent's primary label is also read from her own
-    pairs before each dump, and must agree.  The output must be a complete
+    output; any failure is an internal error.  The enviers and the free-unit
+    labels are read from that check and frozen; with ``validate`` the dumped
+    agent's primary label is also read from her own pairs before each dump,
+    and must agree.  The output must be a complete
     EFX allocation.
     """
     instance, alloc = state.instance, state.alloc

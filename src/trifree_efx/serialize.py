@@ -32,6 +32,7 @@ from .model import (
     Instance,
     MonotoneTableValuation,
     TransformedAdditiveValuation,
+    check_agent_count,
     check_table_degree,
 )
 from .verify import envy_graph
@@ -85,12 +86,13 @@ def instance_from_json(data: dict) -> Instance:
                 _as_int(entry.get("v"), f"good {pos} endpoint v"),
             )
         )
+    _require(isinstance(data["valuations"], list), "valuations must be a list")
+    check_agent_count(n, len(data["valuations"]))  # before the size-n dict
     incident: dict[int, list[int]] = {i: [] for i in range(n)}
     for g in goods:
         if 0 <= g.u < n and 0 <= g.v < n:
             incident[g.u].append(g.id)
             incident[g.v].append(g.id)
-    _require(isinstance(data["valuations"], list), "valuations must be a list")
     valuations = []
     for pos, entry in enumerate(data["valuations"]):
         _require(isinstance(entry, dict), f"valuation {pos} must be an object")
@@ -214,7 +216,7 @@ def load_json(path: str) -> dict:
             return json.load(fh)
     except OSError as exc:
         raise ValidationError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ValidationError(f"{path} is not valid JSON: {exc}") from exc
 
 

@@ -8,15 +8,18 @@ definition.
 
 ``check_properties`` checks a state in one pass: each agent's own value is
 computed once, the envy graph is built once and each pair is read once with
-``pair_state``.  ``free_bundle_check`` is the one place the free-bundle
-properties (5)-(7) are decided from those reads, and the
-:class:`FreeBundleCheck` it returns carries the reads with the verdict:
-stage two picks its repair rule from it, ``check_properties`` only formats
-it, and stage two's live check is a copy of it updated in place.  Its
-per-agent rule (``agent_free_bundle_breaks``) and the envy comparison of one
-viewer (``viewer_envy``) are also what the live check reruns for the agents
-a step touched.  Pair goods held by a third party are reported by
-property (2); the free-bundle check never raises on them.
+``pair_state``; the report carries the graph it built.  ``envy_graph`` is
+the one place strong-envy flags are computed, and property (1),
+``check_efx`` and the DOT export read them there.  ``free_bundle_check`` is
+the one place the free-bundle properties (5)-(7) are decided from those
+reads, and the :class:`FreeBundleCheck` it returns carries the reads with
+the verdict, the envy relation as its envier index only: stage two picks
+its repair rule from it, ``check_properties`` only formats it, and stage
+two's live check is a copy of it updated in place.  Its per-agent rule
+(``agent_free_bundle_breaks``) and the envy comparison of one viewer
+(``viewer_envy``) are also what the live check reruns for the agents a step
+touched.  Pair goods held by a third party are reported by property (2);
+the free-bundle check never raises on them.
 
 Envy vocabulary: agent ``i`` envies ``j`` when she values ``j``'s bundle
 strictly above her own, and *strongly* envies when some single good can be
@@ -57,7 +60,6 @@ class EnvyEdge:
 
 @dataclass
 class EnvyGraph:
-    n: int
     edges: list[EnvyEdge]
 
     def enviers(self) -> dict[int, list[int]]:
@@ -111,37 +113,26 @@ def envy_graph(
     edges = []
     for i, by_owner in enumerate(seen):
         if by_owner:
-            if own is None:
-                own_i = instance.valuations[i].value(alloc.bundle(i))
-            else:
-                own_i = own[i]
-            edges.extend(viewer_envy(instance, alloc, i, own_i, by_owner))
-    return EnvyGraph(instance.n, edges)
+            mine = alloc.bundle(i)
+            own_i = instance.valuations[i].value(mine) if own is None else own[i]
+            for j in viewer_envy(instance, i, own_i, by_owner):
+                witness = strong_envy_witness(instance, i, mine, alloc.bundle(j))
+                edges.append(EnvyEdge(i, j, witness is not None))
+    return EnvyGraph(edges)
 
 
 def viewer_envy(
-    instance: Instance,
-    alloc: Allocation,
-    i: int,
-    own: int,
-    parts: Mapping[int, Iterable[int]],
-) -> list[EnvyEdge]:
-    """Agent ``i``'s envy edges toward the owners in ``parts``, by ascending owner.
+    instance: Instance, i: int, own: int, parts: Mapping[int, Iterable[int]]
+) -> list[int]:
+    """The owners in ``parts`` that agent ``i`` envies, in ascending order.
 
     ``own`` is her value for her own bundle and ``parts[j]`` the part of
     ``j``'s bundle incident to her; she envies ``j`` when that part is worth
-    more than ``own``.  This is the one place the envy comparison and its
-    strong flag are written.
+    more than ``own``.  This is the one place the envy comparison is
+    written; the strong-envy flags are :func:`envy_graph`'s alone.
     """
     v = instance.valuations[i].value
-    own_bundle = alloc.bundle(i)
-    edges = []
-    for j in sorted(parts):
-        if v(parts[j]) > own:
-            other = alloc.bundle(j)
-            strong = strong_envy_witness(instance, i, own_bundle, other) is not None
-            edges.append(EnvyEdge(i, j, strong))
-    return edges
+    return [j for j in sorted(parts) if v(parts[j]) > own]
 
 
 @dataclass
@@ -220,16 +211,17 @@ class FreeBundleCheck:
     and the reads they were decided from.
 
     ``enviers[i]`` holds envied agent ``i``'s enviers in ascending order (a
-    non-envied agent has no entry), ``own[i]`` is agent ``i``'s value for her
-    own bundle, ``loose[i]`` the free goods incident to her and ``pairs[a,
-    b]`` (``a < b``) the :func:`.cuts.pair_state` free goods of the pair and
-    the labels that :func:`.cuts.pair_labels` gives ``a`` and ``b``.  Each
+    non-envied agent has no entry); it is the only form of the envy relation
+    the check holds.  ``units`` are the agents' free-unit labels, ``own[i]``
+    is agent ``i``'s value for her own bundle, ``loose[i]`` the free goods
+    incident to her and ``pairs[a, b]`` (``a < b``) the
+    :func:`.cuts.pair_state` free goods of the pair and the labels that
+    :func:`.cuts.pair_labels` gives ``a`` and ``b``.  Each
     break list is in ascending order; stage two repairs its first entry.
     Every field is compared, so a check kept up to date step by step (stage
     two's live check) equals the from-scratch one only when all its reads do.
     """
 
-    graph: EnvyGraph
     enviers: dict[int, list[int]]
     units: FreeUnits
     own: list[int]
@@ -246,7 +238,6 @@ class FreeBundleCheck:
     def copy(self) -> "FreeBundleCheck":
         """A copy that shares no mutable part with this check."""
         return FreeBundleCheck(
-            EnvyGraph(self.graph.n, list(self.graph.edges)),
             {i: list(js) for i, js in self.enviers.items()},
             FreeUnits(
                 [set(s) for s in self.units.primary],
@@ -264,20 +255,19 @@ class FreeBundleCheck:
 def free_bundle_check(
     instance: Instance,
     alloc: Allocation,
-    graph: EnvyGraph,
+    enviers: dict[int, list[int]],
     own: list[int],
     pairs: dict[tuple[int, int], PairRead],
 ) -> FreeBundleCheck:
     """Decide properties (5)-(7) for every agent.
 
-    ``graph`` is the envy graph of ``alloc``, ``own`` each agent's value for
-    her own bundle and ``pairs`` every pair's free goods and labels, as
-    :class:`FreeBundleCheck` holds them; :func:`check_properties` reads them
-    in its one pass.  An agent's labels and free incident goods are the
-    unions over her pairs.
+    ``enviers``, ``own`` and ``pairs`` are the envier index of ``alloc``,
+    each agent's value for her own bundle and every pair's free goods and
+    labels, as :class:`FreeBundleCheck` holds them; :func:`check_properties`
+    reads them in its one pass.  An agent's labels and free incident goods
+    are the unions over her pairs.
     """
     n = instance.n
-    enviers = graph.enviers()
     primary: list[set[int]] = [set() for _ in range(n)]
     secondary: list[set[int]] = [set() for _ in range(n)]
     loose: list[set[int]] = [set() for _ in range(n)]
@@ -308,7 +298,6 @@ def free_bundle_check(
             breaks_6.append(i)
         breaks_7.extend(b7)
     return FreeBundleCheck(
-        graph,
         enviers,
         FreeUnits(primary, secondary),
         own,
@@ -359,42 +348,42 @@ def check_properties(
     order: PickOrder,
     cuts: CutTable,
     which: Iterable[int] = ALL_PROPERTIES,
-    *,
-    agents: Optional[Sequence[int]] = None,
 ) -> "PropertyReport":
     """Check the requested numbered properties; see the list above.
 
-    ``agents`` restricts properties (2) and (3) to pairs touching the given
-    agents (used while the picking order is still partial).  Properties
-    (5)-(7) are decided by :func:`free_bundle_check`, need a complete order,
-    and the report carries that check as ``free_bundles``.
+    Properties (2) and (3) are checked for the pairs touching the agents
+    that ``order`` has placed, which is every pair once the order is
+    complete.  Properties (5)-(7) are decided by :func:`free_bundle_check`
+    and need a complete order.  The report carries the envy graph, when one
+    was built, as ``graph`` and the free-bundle check, when (5)-(7) were
+    checked, as ``free_bundles``.
 
     The check is one pass over the state.  Each agent's own value is
     computed once and the envy graph is built at most once, for (1), (4)
-    and (5)-(7).  Each determined pair that touches ``agents`` (each pair,
-    when (5)-(7) are checked) is read once with :func:`.cuts.pair_state`,
-    and that read decides (2) for the pair, (3) for each of its endpoints in
-    ``agents``, and the pair's free goods and labels for (5)-(7).
+    and (5)-(7).  Each pair that touches a placed agent (each pair, when
+    (5)-(7) are checked) is read once with :func:`.cuts.pair_state`, and
+    that read decides (2) for the pair, (3) for each of its placed
+    endpoints, and the pair's free goods and labels for (5)-(7).
     """
     which = frozenset(which)
     if not which <= ALL_PROPERTIES:
         raise ValueError(f"unknown property numbers: {sorted(which - ALL_PROPERTIES)}")
-    report = PropertyReport(checked=which)
     n = instance.n
-    scope = set(range(n)) if agents is None else set(agents)
+    unplaced = order.unplaced
     free_props = bool(which & FREE_BUNDLE_PROPERTIES)
     own = None
     if which - {2}:
         own = [instance.valuations[i].value(alloc.bundle(i)) for i in range(n)]
     graph = envy_graph(instance, alloc, own) if which & {1, 4, 5, 6, 7} else None
+    report = PropertyReport(checked=which, graph=graph)
 
     faults: list[tuple] = []  # (2), in pair order
     valued: dict[int, list[tuple]] = {}  # (3) rows of each agent, by partner
     pairs: dict[tuple[int, int], PairRead] = {}
     if which & {2, 3} or free_props:
         for a, b in instance.skeleton_edges():
-            ends = [(i, j) for i, j in ((a, b), (b, a)) if i in scope]
-            if not free_props and not (ends and order.determined(a, b)):
+            ends = [(i, j) for i, j in ((a, b), (b, a)) if i not in unplaced]
+            if not (ends or free_props):
                 continue
             pair = pair_state(instance, alloc, order, cuts, a, b)
             if 2 in which and ends:
@@ -411,7 +400,9 @@ def check_properties(
             if free_props:
                 pairs[a, b] = (pair[4], *pair_labels(a, b, pair))
 
-    check = free_bundle_check(instance, alloc, graph, own, pairs) if free_props else None
+    check = None
+    if free_props:
+        check = free_bundle_check(instance, alloc, graph.enviers(), own, pairs)
     if 1 in which:
         report.extend(1, check_orientation(instance, alloc).violations)
         report.extend(1, _efx_witnesses(instance, alloc, graph))
@@ -440,7 +431,9 @@ def check_properties(
 class PropertyReport:
     checked: frozenset[int]
     failures: dict[int, list[tuple]] = field(default_factory=dict)
-    # the check that decided (5)-(7), when they were checked; not serialised
+    # the envy graph and the check that decided (5)-(7), when they were
+    # built; not serialised
+    graph: Optional[EnvyGraph] = field(default=None, compare=False, repr=False)
     free_bundles: Optional[FreeBundleCheck] = field(default=None, compare=False, repr=False)
 
     def extend(self, prop: int, violations: list[tuple]) -> None:

@@ -73,10 +73,17 @@ def test_solve_rejects_triangle_with_exit_2(tmp_path, capsys):
     assert "triangle" in err and "0" in err and "1" in err and "2" in err
 
 
-def test_malformed_json_exits_1(tmp_path):
+def test_malformed_json_exits_1(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
     assert run(["solve", path]) == 1
+    # a file that is not UTF-8 text is malformed JSON too, not a traceback
+    path.write_bytes(b"\xff{}")
+    capsys.readouterr()
+    assert run(["solve", path]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "not valid JSON" in err
+    assert len(err.strip().splitlines()) == 1
 
 
 def test_invalid_payload_exits_1(tmp_path):

@@ -1,3 +1,6 @@
+import random
+from dataclasses import replace
+
 import pytest
 
 from trifree_efx import (
@@ -16,7 +19,10 @@ from trifree_efx.phase1 import (
     check_invariants,
     greedy_replay,
 )
+from trifree_efx.cuts import pair_fault, pair_state
 from trifree_efx.generate import TOPOLOGIES, GenSpec, gen_instance, suite_spec
+from trifree_efx.model import Allocation
+from trifree_efx.verify import envy_graph
 
 from helpers import additive_instance, c4_instance, two_agent_parallel
 
@@ -209,8 +215,116 @@ def test_strong_envy_is_flagged():
     state.order.append_front(0)
     state.order.prepend_back(1)
     state.alloc.set_bundle(1, frozenset({0, 1, 2}))
-    codes = {v.code for v in check_invariants(state)}
-    assert 4 in codes  # agent 0 strongly envies the full pile
+    rows = [(v.code, v.witness[0]) for v in check_invariants(state)]
+    assert (7, 1) in rows  # property (1): agent 0 strongly envies the full pile
+
+
+def seven_invariants(state):
+    """The between-round invariants as seven separate checks, written out:
+    ``(code, witness)`` rows, where (3) is the orientation, (4) strong envy
+    of a placed agent, and (7) the properties (2) and (3) of the pairs
+    touching placed agents, as ``(property, *row)``."""
+    instance, alloc, order = state.instance, state.alloc, state.order
+    unplaced = order.unplaced
+    placed = [p for p in range(instance.n) if p not in unplaced]
+    rows = []
+    for p in placed:
+        for g in sorted(alloc.bundle(p)):
+            good = instance.goods[g]
+            if good.u in unplaced or good.v in unplaced:
+                rows.append((1, (p, g)))
+    for u in sorted(unplaced):
+        if alloc.bundle(u):
+            rows.append((2, (u, min(alloc.bundle(u)))))
+    for i in range(instance.n):
+        stray = alloc.bundle(i) - instance.incident_goods(i)
+        if stray:
+            rows.append((3, (i, min(stray))))
+    for e in envy_graph(instance, alloc).edges:
+        if e.strong and e.src in placed:
+            rows.append((4, (e.src, e.dst)))
+        if e.src in order.front:
+            rows.append((5, (e.src, e.dst)))
+        if e.src in order.back and e.dst in order.back:
+            rows.append((6, (e.src, e.dst)))
+    for a, b in instance.skeleton_edges():
+        if a in unplaced and b in unplaced:
+            continue
+        pair = pair_state(instance, alloc, order, state.cuts, a, b)
+        fault = pair_fault(a, b, pair)
+        if fault is not None:
+            rows.append((7, (2,) + fault))
+        cut, free = pair[0], pair[4]
+        for i, j in ((a, b), (b, a)):
+            if i in unplaced:
+                continue
+            v = instance.valuations[i].value
+            for part in cut.parts():
+                if part and part <= free and v(part) > v(alloc.bundle(i)):
+                    rows.append((7, (3, i, j, sorted(part))))
+    return rows
+
+
+def perturbed(state, rng):
+    """Copies of ``state`` with one good misplaced: moved to a random agent,
+    given to an unplaced agent, or given to an agent outside its pair."""
+    instance = state.instance
+    n = instance.n
+    if not instance.m:
+        return
+    unplaced = sorted(state.order.unplaced)
+    held = [g for bundle in state.alloc.bundles() for g in sorted(bundle)]
+    for kind in ("random", "unplaced", "outside"):
+        g = rng.randrange(instance.m)
+        good = instance.goods[g]
+        if kind == "random":
+            if not held:
+                continue
+            g = held[rng.randrange(len(held))]
+            to = rng.randrange(n)
+        elif kind == "unplaced":
+            if not unplaced:
+                continue
+            to = unplaced[rng.randrange(len(unplaced))]
+        else:
+            outside = [k for k in range(n) if k not in (good.u, good.v)]
+            if not outside:
+                continue
+            to = outside[rng.randrange(len(outside))]
+        alloc = Allocation.from_bundles(
+            n, [bundle - {g} for bundle in state.alloc.bundles()]
+        )
+        alloc.set_bundle(to, alloc.bundle(to) | {g})
+        yield kind, replace(state, alloc=alloc)
+
+
+def test_check_invariants_matches_the_seven_written_out_invariants():
+    """Folding invariants (3) and (4) into property (1) changes no verdict
+    and no row of invariants (1), (2), (5) and (6), on every stage-one
+    round of suite instances and on states with one misplaced good; a
+    failure of (3) or (4) shows as a property-(1) row under code 7."""
+    rng = random.Random(5)
+    kinds = set()
+    for topology in TOPOLOGIES:
+        for index in range(20):
+            inst = gen_instance(suite_spec(topology, index))
+            state = SolverState.fresh(inst)
+            while state.order.unplaced:
+                augment(state)
+                states = [("round", state), *perturbed(state, rng)]
+                for kind, probe in states:
+                    got = [(v.code, v.witness) for v in check_invariants(probe)]
+                    want = seven_invariants(probe)
+                    assert bool(got) == bool(want), (topology, index, kind)
+                    for code in (1, 2, 5, 6):
+                        assert [r for r in got if r[0] == code] == [
+                            r for r in want if r[0] == code
+                        ], (topology, index, kind, code)
+                    if any(code in (3, 4) for code, _ in want):
+                        assert any(c == 7 and w[0] == 1 for c, w in got)
+                    kinds.add((kind, bool(want)))
+    seen = {("round", False), ("random", True), ("unplaced", True), ("outside", True)}
+    assert seen <= kinds
 
 
 # -- greedy replay ------------------------------------------------------------------

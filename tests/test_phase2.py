@@ -16,7 +16,7 @@ from trifree_efx import phase2, verify
 from trifree_efx.cuts import CutTable, PickOrder
 from trifree_efx.errors import InternalSolverError
 from trifree_efx.phase1 import SolveMetrics, SolverState
-from trifree_efx.phase2 import LiveCheck, Potential, phase2_step, unallocated_incident
+from trifree_efx.phase2 import LiveCheck, Potential, phase2_step
 from trifree_efx.generate import (
     TOPOLOGIES,
     GenSpec,
@@ -42,30 +42,6 @@ def adversarial(name):
         if key == name:
             return inst
     raise KeyError(name)
-
-
-# -- leftover goods per agent -----------------------------------------------------
-
-
-def test_unallocated_incident_cases():
-    inst = two_agent_parallel([5, 3, 3])
-    state = run_phase1(inst)
-    # phase one allocated everything here
-    assert unallocated_incident(state, 0) == frozenset()
-    assert unallocated_incident(state, 1) == frozenset()
-
-
-def test_unallocated_incident_full_and_partial():
-    from trifree_efx.phase1 import SolverState
-
-    inst = two_agent_parallel([5, 3, 3])
-    state = SolverState.fresh(inst)
-    assert unallocated_incident(state, 0) == inst.incident_goods(0)
-    state.order.append_front(0)
-    state.order.prepend_back(1)
-    cut = state.cuts.cut(0, 1, 1)
-    state.alloc.set_bundle(0, cut.first)
-    assert unallocated_incident(state, 0) == cut.second
 
 
 # -- single repair steps ------------------------------------------------------------
@@ -112,7 +88,7 @@ def test_rule_b_trades_held_bundles_for_leftovers():
     hub = 1
     seen_b = False
     for _ in range(step_cap(inst) + 1):
-        loose_before = unallocated_incident(state, hub)
+        loose_before = state.alloc.free_among(inst.incident_goods(hub))
         record = phase2_step(state, scan=scratch_check(state))
         if record is None:
             break
@@ -477,6 +453,29 @@ def test_c5_with_a_doubled_edge_bounded_exhaustive_slice():
     assert fired["A"] > 0 and fired["C"] > 0 and dumps > 0, (fired, dumps)
 
 
+# the odd-cycle solves that fire rule B, found by sweeping seeds 0-199 of
+# every skeleton and valuation class (5 of 2,400 solves fire it)
+RULE_B_ODD_CYCLES = [
+    ("C7", "transformed_additive", 181),
+    ("C7", "monotone_table", 72),
+    ("C7", "monotone_table", 172),
+    ("C7", "monotone_table", 198),
+    ("Petersen", "monotone_table", 94),
+]
+
+
+@pytest.mark.parametrize("skeleton, valuation_class, seed", RULE_B_ODD_CYCLES)
+def test_rule_b_fires_on_odd_cycles(skeleton, valuation_class, seed):
+    """Rule B on the paper's new ground: a validated solve of a triangle-free
+    skeleton with odd cycles fires rule B and ends complete and EFX by the
+    oracle's strong-envy scan."""
+    inst = odd_cycle_instance(skeleton, valuation_class, seed)
+    result = solve(inst)
+    assert result.metrics.phase2_branches["B"] >= 1
+    assert result.allocation.is_complete(inst)
+    assert scan_strong_envy(inst, result.allocation) == []
+
+
 def unit_bundle_moves(state, rng):
     """Random bundle changes that keep every pair whole unit bundles on its
     endpoints: an agent frees her part of a pair, takes a free part of a
@@ -521,6 +520,37 @@ def test_live_check_follows_any_unit_bundle_move():
         live = LiveCheck(state, scratch_check(state))
         for changed in unit_bundle_moves(state, rng):
             assert live.update(changed) == scratch_check(state), (name, changed)
+
+
+def test_live_updates_compute_no_strong_envy(monkeypatch):
+    """The live check holds envy as its envier index only, so an update
+    never asks whether an envy is strong, over repair steps and arbitrary
+    unit-bundle moves that create and remove envy."""
+    witnesses = []
+    original = verify.strong_envy_witness
+
+    def counted(*args, **kwargs):
+        witnesses.append(1)
+        return original(*args, **kwargs)
+
+    rng = SplitMix64(11)
+    envied_after_update = 0
+    for name, inst in islice(live_check_instances(), 0, None, 4):
+        state = run_phase1(inst)
+        scan = scratch_check(state)
+        live = LiveCheck(state, scan)
+        monkeypatch.setattr(verify, "strong_envy_witness", counted)
+        for _ in range(step_cap(inst)):
+            record = phase2_step(state, scan=scan)
+            if record is None:
+                break
+            scan = live.update(record.changed())
+        for changed in unit_bundle_moves(state, rng):
+            envied_after_update += bool(live.update(changed).enviers)
+        monkeypatch.setattr(verify, "strong_envy_witness", original)
+        assert live.check == scratch_check(state), name
+    assert envied_after_update > 0
+    assert witnesses == []
 
 
 def corrupt_own(instance, check, c):

@@ -13,7 +13,7 @@ from trifree_efx import (
 )
 from trifree_efx.generate import GenSpec, gen_instance
 from trifree_efx.serialize import envy_graph_dot
-from trifree_efx.model import Good
+from trifree_efx.model import Good, Instance
 
 from helpers import additive_instance, two_agent_parallel
 
@@ -130,6 +130,27 @@ def test_table_degree_cap_checked_before_the_table_is_built():
     try:
         with pytest.raises(ValidationError, match="degree 21 exceeds the monotone-table cap of 20"):
             instance_from_json(payload)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4_000_000
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda n: instance_from_json({"n": n, "goods": [], "valuations": []}),
+        lambda n: Instance(n, [], []),
+    ],
+    ids=["json", "constructor"],
+)
+def test_valuation_count_checked_before_anything_of_size_n(build):
+    # the incidence structures of 200,000 agents take tens of MB, so a small
+    # allocation peak shows the count was checked first
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValidationError, match="need one valuation per agent: got 0 for 200000"):
+            build(200_000)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

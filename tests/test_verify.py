@@ -289,7 +289,7 @@ def test_envy_graph_matches_definition_on_solver_output(topology, index):
 # -- the one-pass property check against the per-property definitions -----------
 
 
-def reference_failures(inst, alloc, order, cuts, which, agents=None):
+def reference_failures(inst, alloc, order, cuts, which):
     """The numbered properties checked one property at a time, as they were
     written before the check became one pass: (2) walks the pairs, (3) walks
     each agent's pairs again, and (5)-(7) take their labels from
@@ -300,7 +300,7 @@ def reference_failures(inst, alloc, order, cuts, which, agents=None):
         if rows:
             failures.setdefault(prop, []).extend(rows)
 
-    scope = set(range(inst.n)) if agents is None else set(agents)
+    scope = {i for i in range(inst.n) if i not in order.unplaced}
     graph = envy_graph(inst, alloc) if which & {1, 4, 5, 6, 7} else None
     if 1 in which:
         add(1, check_orientation(inst, alloc).violations)
@@ -356,7 +356,8 @@ def reference_failures(inst, alloc, order, cuts, which, agents=None):
 def checked_states(draw):
     """A state to check: complete or partial picking orders, and per pair
     whole unit bundles on its endpoints or goods strewn over any agent
-    (third-party holdings and torn bundles), plus an ``agents=`` scope."""
+    (third-party holdings and torn bundles).  Properties (2) and (3) are
+    scoped by the agents the order has placed."""
     topology = draw(st.sampled_from(TOPOLOGIES))
     valuation_class = draw(st.sampled_from(VALUATION_CLASSES))
     spec = suite_spec(
@@ -395,23 +396,22 @@ def checked_states(draw):
     alloc = Allocation.from_bundles(
         n, [[g for g, o in owners.items() if o == i] for i in range(n)]
     )
-    agents = draw(st.one_of(st.none(), st.lists(st.integers(0, n - 1), unique=True)))
     which = draw(st.sets(st.integers(1, 7), min_size=1))
-    return inst, alloc, order, cuts, frozenset(which), agents
+    return inst, alloc, order, cuts, frozenset(which)
 
 
 @given(checked_states())
 @settings(max_examples=400, deadline=None)
 def test_one_pass_matches_the_per_property_checks(state):
-    inst, alloc, order, cuts, which, agents = state
+    inst, alloc, order, cuts, which = state
     try:
-        expected, units = reference_failures(inst, alloc, order, cuts, which, agents)
+        expected, units = reference_failures(inst, alloc, order, cuts, which)
     except StateError:
         # (5)-(7) need every pair's order; both checks refuse alike
         with pytest.raises(StateError):
-            check_properties(inst, alloc, order, cuts, which, agents=agents)
+            check_properties(inst, alloc, order, cuts, which)
         return
-    report = check_properties(inst, alloc, order, cuts, which, agents=agents)
+    report = check_properties(inst, alloc, order, cuts, which)
     assert report.failures == expected
     if units is not None:
         assert report.free_bundles.units == units
@@ -441,9 +441,8 @@ def test_a_check_reads_each_determined_pair_once(monkeypatch):
     order = PickOrder(inst.n)
     for i in state.sigma()[:300]:
         order.append_front(i)
-    placed = sorted(set(state.sigma()[:300]))
     reads.clear()
-    check_properties(inst, Allocation(inst.n), order, state.cuts, {2, 3}, agents=placed)
+    check_properties(inst, Allocation(inst.n), order, state.cuts, {2, 3})
     determined = [
         (a, b) for a, b in inst.skeleton_edges() if a in order.front or b in order.front
     ]
