@@ -216,7 +216,8 @@ def load_json(path: str) -> dict:
             return json.load(fh)
     except OSError as exc:
         raise ValidationError(f"cannot read {path}: {exc}") from exc
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+        # not UTF-8 text, or nested deeper than the parser's recursion limit
         raise ValidationError(f"{path} is not valid JSON: {exc}") from exc
 
 

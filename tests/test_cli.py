@@ -77,13 +77,15 @@ def test_malformed_json_exits_1(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
     assert run(["solve", path]) == 1
-    # a file that is not UTF-8 text is malformed JSON too, not a traceback
-    path.write_bytes(b"\xff{}")
-    capsys.readouterr()
-    assert run(["solve", path]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and "not valid JSON" in err
-    assert len(err.strip().splitlines()) == 1
+    # a file that is not UTF-8 text, or nests past the parser's recursion
+    # limit, is malformed JSON too, not a traceback
+    for text in (b"\xff{}", b"[" * 100_000):
+        path.write_bytes(text)
+        capsys.readouterr()
+        assert run(["solve", path]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "not valid JSON" in err
+        assert len(err.strip().splitlines()) == 1
 
 
 def test_invalid_payload_exits_1(tmp_path):
