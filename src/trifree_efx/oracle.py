@@ -4,18 +4,21 @@ Everything here is exhaustive and written independently of the solver: the
 no-strong-envy test is re-derived from subset value tables rather than
 calling the solver's checker, so the two code paths can vouch for each
 other.  Sizes are guarded; these routines exist to certify small cases, not
-to scale.
+to scale.  NumPy is imported by the routines that use it, not on import:
+the package and its CLI import this module, and NumPy would double their
+start-up time.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterator, Optional
 
 from . import cuts as _cuts
 from .errors import SearchSpaceTooLargeError, ValidationError
 from .model import Allocation, Bundle, Instance
+
+if TYPE_CHECKING:
+    import numpy as np
 
 ENUMERATION_GUARD = 10_000_000
 _CHUNK = 1 << 15
@@ -26,6 +29,7 @@ class _AgentTable:
     (ascending good id = ascending bit)."""
 
     def __init__(self, instance: Instance, agent: int):
+        import numpy as np
         self.goods = sorted(instance.incident_goods(agent))
         self.bit = {g: k for k, g in enumerate(self.goods)}
         d = len(self.goods)
@@ -80,6 +84,7 @@ def scan_strong_envy(instance: Instance, alloc: Allocation) -> list[tuple[int, i
 
 def _assignment_chunks(n: int, m: int, total: int) -> Iterator[np.ndarray]:
     """Assignments as (chunk, m) digit arrays, good 0 most significant."""
+    import numpy as np
     weights = np.array([n ** (m - 1 - g) for g in range(m)], dtype=np.int64)
     for start in range(0, total, _CHUNK):
         idx = np.arange(start, min(start + _CHUNK, total), dtype=np.int64)
@@ -110,6 +115,7 @@ def enumerate_efx_allocations(
         return []
     if m == 0:
         return [Allocation(n)]
+    import numpy as np
     tables = _tables(instance)
     found: list[Allocation] = []
     for digits in _assignment_chunks(n, m, total):

@@ -17,13 +17,15 @@ are read off a :class:`.verify.FreeBundleCheck` of the current state:
   bundles of the shared pair, then she absorbs that label's free bundles.
 
 The stage opens with one from-scratch :func:`.verify.check_properties` of
-properties (1)-(7) on its input: (1)-(4) must hold, and a copy of the
-check's :class:`.verify.FreeBundleCheck` becomes the live one
-(:class:`LiveCheck`), updated in place after every step.  A rule changes the
-bundles of at most two agents ``C``, and only ``C`` and its neighbours
-``N(C)`` are rechecked.  With ``validate`` set, every step also runs one
-from-scratch check of (1)-(7): (1)-(4) must still hold and its free-bundle
-check, reads included, must equal the live one field by field.  The stage's
+properties (1)-(7) on its input: (1)-(4) must hold, and the check's
+:class:`.verify.FreeBundleCheck` itself becomes the live one
+(:class:`LiveCheck`), updated in place after every step; the stage holds no
+other free-bundle check.  A rule changes the bundles of at most two agents
+``C``, and only ``C`` and its neighbours ``N(C)`` are rechecked.  With
+``validate`` set, every step also runs one from-scratch check of (1)-(7):
+(1)-(4) must still hold, its free-bundle check, reads included, must equal
+the live one field by field, and the rule's postconditions must hold
+against the envy pairs the live check had before the step.  The stage's
 output is checked by stage three, which opens with the same check.
 
 Each step strictly lowers the triple (number of envied agents, rule-B
@@ -91,10 +93,9 @@ class StepRecord:
 class LiveCheck:
     """Stage two's free-bundle check, kept up to date after every step.
 
-    It copies the seeding from-scratch check once, with
-    :meth:`.verify.FreeBundleCheck.copy` so the seed stays as it was, and
-    owns that copy, ``check``: after a rule changes the bundles of the
-    agents ``C``, :meth:`update` changes it in place and returns it.  Only
+    It takes over the seeding from-scratch check, ``check``, without a
+    copy: after a rule changes the bundles of the agents ``C``,
+    :meth:`update` changes it in place and returns it.  Only
     the pairs touching ``C``, ``C``'s own values and outgoing envy, each
     neighbour's envy toward ``C``, and properties (5)-(7) of ``C`` and its
     neighbours ``N(C)`` are recomputed.  Every field then equals the
@@ -121,7 +122,7 @@ class LiveCheck:
 
     def __init__(self, state: SolverState, check: FreeBundleCheck):
         self.state = state
-        self.check = check.copy()
+        self.check = check
 
     def _refresh_pair(self, a: int, b: int) -> None:
         """Reread the pair of ``a`` and ``b`` and, when the read changed,
@@ -292,12 +293,13 @@ def run_phase2(
 
     The stage opens with one check of properties (1)-(7) on the stage-one
     output: a failure of (1)-(4) is an internal error, and the check's
-    free-bundle part seeds the :class:`LiveCheck` that gives every step's
+    free-bundle part becomes the :class:`LiveCheck` that gives every step's
     check.  The potential must drop strictly on every step and the loop must
     finish within ``n**3`` steps; either failure is an internal error.  With
     ``validate`` set, each step runs one from-scratch check of (1)-(7):
     (1)-(4) must still hold, its free-bundle check must equal the live one,
-    and rule-specific postconditions are asserted.  The output is checked by
+    and rule-specific postconditions are asserted against the live check's
+    envy pairs from before the step.  The output is checked by
     :func:`.phase3.run_phase3`.
     """
     instance = state.instance
@@ -307,12 +309,10 @@ def run_phase2(
     broken = report.only(STAGE_ONE_PROPERTIES)
     if not broken.ok:
         raise InternalSolverError(f"stage-one output: {broken.summary()}")
-    # the from-scratch check of the state before the next step
-    reference = report.free_bundles
-    scan = reference
-    # a state that needs no repair needs no live check
-    live = None if scan.ok else LiveCheck(state, scan)
+    live = LiveCheck(state, report.free_bundles)
+    scan = live.check
     while True:
+        envy_before = _envy_pairs(scan) if validate else None
         record = phase2_step(state, scan=scan, trace=trace)
         if record is None:
             break
@@ -324,7 +324,7 @@ def run_phase2(
             )
         scan = live.update(record.changed())
         if validate:
-            reference = _validate_step(state, record, reference, scan)
+            _validate_step(state, record, envy_before, scan)
         phi = Potential.of(scan)
         if phi >= record.potential_before:
             raise InternalSolverError(
@@ -334,13 +334,14 @@ def run_phase2(
 
 
 def _validate_step(
-    state: SolverState, record: StepRecord, before: FreeBundleCheck, after: FreeBundleCheck
-) -> FreeBundleCheck:
-    """Check one step from scratch and return that check.
+    state: SolverState, record: StepRecord, envy_before: set[tuple[int, int]], live: FreeBundleCheck
+) -> None:
+    """Check one step from scratch.
 
-    Properties (1)-(4) must still hold, the live check ``after`` must equal
+    Properties (1)-(4) must still hold, the live check ``live`` must equal
     the from-scratch one, and the rule's postconditions must hold against
-    ``before``, the from-scratch check of the state before the step.
+    ``envy_before``, the ``(envier, envied)`` pairs of the state before the
+    step.
     """
     report = check_properties(state.instance, state.alloc, state.order, state.cuts)
     broken = report.only(STAGE_ONE_PROPERTIES)
@@ -349,22 +350,21 @@ def _validate_step(
             f"rule {record.branch} on agent {record.agent} broke {broken.summary()}"
         )
     reference = report.free_bundles
-    if after != reference:
+    if live != reference:
         differ = [
             f.name
             for f in fields(FreeBundleCheck)
-            if getattr(after, f.name) != getattr(reference, f.name)
+            if getattr(live, f.name) != getattr(reference, f.name)
         ]
         raise InternalSolverError(
             f"after rule {record.branch} on agent {record.agent} the live "
             f"free-bundle check differs from the reference in {differ}"
         )
-    prev_envy = _envy_pairs(before)
     now_envy = _envy_pairs(reference)
-    if record.branch in ("A", "B") and not now_envy <= prev_envy:
+    if record.branch in ("A", "B") and not now_envy <= envy_before:
         raise InternalSolverError(
             f"rule {record.branch} on agent {record.agent} created envy "
-            f"{sorted(now_envy - prev_envy)}"
+            f"{sorted(now_envy - envy_before)}"
         )
     if record.branch == "C":
         envied_now = reference.enviers
@@ -376,11 +376,10 @@ def _validate_step(
             raise InternalSolverError(
                 f"rule C made the envier {record.partner} envied"
             )
-        if not len(envied_now) < len(before.enviers):
+        if not len(envied_now) < len({i for _, i in envy_before}):
             raise InternalSolverError(
                 "rule C did not shrink the set of envied agents"
             )
-    return reference
 
 
 def _envy_pairs(check: FreeBundleCheck) -> set[tuple[int, int]]:

@@ -67,11 +67,11 @@ def run_phase3(
     """Dump every envied agent's primary free bundles on her envier.
 
     The stage opens with one check of properties (1)-(7) on the stage-two
-    output; any failure is an internal error.  The enviers and the free-unit
-    labels are read from that check and frozen; with ``validate`` the dumped
+    output; any failure is an internal error.  Each envied agent's one
+    envier (her row of the check's envier index) and the free-unit labels
+    are read from that check and frozen; with ``validate`` the dumped
     agent's primary label is also read from her own pairs before each dump,
-    and must agree.  The output must be a complete
-    EFX allocation.
+    and must agree.  The output must be a complete EFX allocation.
     """
     instance, alloc = state.instance, state.alloc
     metrics = metrics if metrics is not None else SolveMetrics()
@@ -79,25 +79,23 @@ def run_phase3(
     if not report.ok:
         raise InternalSolverError(f"stage-two output: {report.summary()}")
     check = report.free_bundles
-    envied = sorted(check.enviers)
+    enviers = check.enviers
+    envied = sorted(enviers)
     metrics.envied_after_phase2 = len(envied)
-    enviers: dict[int, int] = {}
     for i in envied:
-        who = check.enviers[i]
-        if len(who) != 1:
+        if len(enviers[i]) != 1:
             raise InternalSolverError(
-                f"envied agent {i} has {len(who)} enviers at the dump stage"
+                f"envied agent {i} has {len(enviers[i])} enviers at the dump stage"
             )
-        enviers[i] = who[0]
     for a, b in instance.skeleton_edges():
-        if a in enviers and b in enviers and enviers[a] == enviers[b]:
+        if a in enviers and b in enviers and enviers[a][0] == enviers[b][0]:
             raise InternalSolverError(
-                f"adjacent envied agents {a} and {b} share the envier {enviers[a]}; "
+                f"adjacent envied agents {a} and {b} share the envier {enviers[a][0]}; "
                 "the skeleton cannot be triangle-free"
             )
     units = check.units
     for i in envied:
-        j = enviers[i]
+        j = enviers[i][0]
         dumped = units.primary[i]
         if validate:
             live, _ = own_labels(instance, alloc, state.order, state.cuts, i)

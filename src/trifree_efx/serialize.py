@@ -100,6 +100,7 @@ def instance_from_json(data: dict) -> Instance:
         _require(0 <= agent < n, f"valuation {pos}: agent {agent} out of range")
         cls = entry.get("class")
         mine = sorted(incident.get(agent, []))
+        incident_to_agent = set(mine)
         if cls in ("additive", "transformed_additive"):
             raw = entry.get("weights", {})
             _require(isinstance(raw, dict), f"agent {agent}: weights must be an object")
@@ -110,7 +111,7 @@ def instance_from_json(data: dict) -> Instance:
                 except (TypeError, ValueError):
                     raise ValidationError(f"agent {agent}: bad weight key {key!r}")
                 _require(
-                    gid in mine,
+                    gid in incident_to_agent,
                     f"agent {agent}: weight for non-incident good {gid}",
                 )
                 weights[gid] = _as_int(w, f"agent {agent} weight of good {gid}")

@@ -15,10 +15,10 @@ the one place the free-bundle properties (5)-(7) are decided from those
 reads, and the :class:`FreeBundleCheck` it returns carries the reads with
 the verdict, the envy relation as its envier index only: stage two picks
 its repair rule from it, ``check_properties`` only formats it, and stage
-two's live check is a copy of it updated in place.  Its per-agent rule
-(``agent_free_bundle_breaks``) and the envy comparison of one viewer
-(``viewer_envy``) are also what the live check reruns for the agents a step
-touched.  Pair goods held by a third party are reported by property (2);
+two's live check is the check stage two opens with, updated in place.  Its
+per-agent rule (``agent_free_bundle_breaks``) and the envy comparison of one
+viewer (``viewer_envy``) are also what the live check reruns for the agents
+a step touched.  Pair goods held by a third party are reported by property (2);
 the free-bundle check never raises on them.
 
 Envy vocabulary: agent ``i`` envies ``j`` when she values ``j``'s bundle
@@ -234,22 +234,6 @@ class FreeBundleCheck:
     @property
     def ok(self) -> bool:
         return not (self.breaks_5 or self.breaks_6 or self.breaks_7)
-
-    def copy(self) -> "FreeBundleCheck":
-        """A copy that shares no mutable part with this check."""
-        return FreeBundleCheck(
-            {i: list(js) for i, js in self.enviers.items()},
-            FreeUnits(
-                [set(s) for s in self.units.primary],
-                [set(s) for s in self.units.secondary],
-            ),
-            list(self.own),
-            [set(s) for s in self.loose],
-            dict(self.pairs),
-            list(self.breaks_5),
-            list(self.breaks_6),
-            list(self.breaks_7),
-        )
 
 
 def free_bundle_check(

@@ -1,8 +1,13 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import trifree_efx
 from trifree_efx import cli
 from trifree_efx.cli import main
 from trifree_efx.errors import InternalSolverError, StateError
@@ -23,6 +28,17 @@ def instance_file(tmp_path):
 
 def run(args):
     return main([str(a) for a in args])
+
+
+def test_importing_the_package_and_cli_loads_no_numpy():
+    # only the oracle's routines use NumPy, and it alone costs more start-up
+    # time than the rest of the package
+    env = dict(os.environ, PYTHONPATH=str(Path(trifree_efx.__file__).parents[1]))
+    code = "import sys, trifree_efx, trifree_efx.cli; print('numpy' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"
 
 
 def test_solve_then_verify_round(tmp_path, instance_file):

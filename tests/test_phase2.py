@@ -591,6 +591,36 @@ def test_a_validated_step_compares_the_live_reads(monkeypatch, field):
         run_phase2(state, validate=True)
 
 
+@pytest.mark.parametrize(
+    "branch, agent, partner, envy_before, error",
+    [
+        ("A", 0, None, {(3, 4)}, r"rule A on agent 0 created envy \[\(5, 6\)\]"),
+        ("C", 4, 3, {(3, 4), (5, 6), (0, 2)}, "rule C left agent 4 envied"),
+        ("C", 0, 6, {(3, 4), (5, 6), (0, 2)}, "rule C made the envier 6 envied"),
+        # three pairs but two envied agents, as many as after the step
+        ("C", 0, 1, {(3, 4), (5, 6), (0, 6)}, "rule C did not shrink"),
+        ("C", 0, 1, {(3, 4), (5, 6), (0, 2)}, None),
+    ],
+)
+def test_rule_postconditions_read_the_envy_pairs_from_before_the_step(
+    branch, agent, partner, envy_before, error
+):
+    """A validated step checks its rule against the ``(envier, envied)``
+    pairs the live check had before it; the envied agents are the distinct
+    second elements.  Here the state after the step has the envy pairs
+    (3, 4) and (5, 6)."""
+    state = run_phase1(adversarial("hub_trade"))
+    run_phase2(state)
+    live = scratch_check(state)
+    assert phase2._envy_pairs(live) == {(3, 4), (5, 6)}
+    record = phase2.StepRecord(branch, agent, partner, Potential(0, 0, 0))
+    if error is None:
+        phase2._validate_step(state, record, envy_before, live)
+    else:
+        with pytest.raises(InternalSolverError, match=error):
+            phase2._validate_step(state, record, envy_before, live)
+
+
 def test_stage_two_builds_each_full_check_at_most_once(monkeypatch):
     # the live check replaces the per-step envy graph and free-unit labels,
     # whatever the number of steps
@@ -642,55 +672,40 @@ def test_a_validated_step_builds_one_envy_graph(monkeypatch):
 
 
 def test_live_check_sorts_only_what_a_step_changed(monkeypatch):
-    """A step re-sorts the out-edges and the enviers of the agents it
-    rechecks, C and N(C), and nothing else: ``sorted`` as stage two's module
-    sees it is called at most twice per rechecked agent."""
-    sorts = []
-    dirty = []
+    """A step rereads only the pairs touching C and decides (5)-(7) only for
+    C and N(C): each update calls ``pair_state`` as stage two's module sees
+    it at most once per pair of C, the sum of C's degrees, and
+    ``agent_free_bundle_breaks`` at most once per agent of C ∪ N(C)."""
+    calls = {"pair_state": 0, "agent_free_bundle_breaks": 0}
+    for name in calls:
+        original = getattr(phase2, name)
 
-    def counted_sorted(*args, **kwargs):
-        sorts.append(1)
-        return sorted(*args, **kwargs)
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
 
+        monkeypatch.setattr(phase2, name, counted)
     original_update = LiveCheck.update
+    steps = []
 
     def update(self, changed):
         changed = set(changed)
-        rechecked = changed.union(*(self.state.instance.neighbors(c) for c in changed))
-        dirty.append(len(rechecked))
-        return original_update(self, changed)
+        neighbors = self.state.instance.neighbors
+        pairs = sum(len(neighbors(c)) for c in changed)
+        rechecked = len(changed.union(*(neighbors(c) for c in changed)))
+        for name in calls:
+            calls[name] = 0
+        check = original_update(self, changed)
+        assert calls["pair_state"] <= pairs, (changed, calls)
+        assert calls["agent_free_bundle_breaks"] <= rechecked, (changed, calls)
+        steps.append(calls["agent_free_bundle_breaks"])
+        return check
 
     inst = gen_instance(GenSpec(seed=1, n=1000, m=3000, topology="tree"))
     state = run_phase1(inst, validate=False)
-    monkeypatch.setattr(phase2, "sorted", counted_sorted, raising=False)
     monkeypatch.setattr(LiveCheck, "update", update)
     run_phase2(state, validate=False)
-    assert len(dirty) > 100
-    assert len(sorts) <= 2 * sum(dirty), (len(sorts), sum(dirty))
-
-
-def test_live_updates_leave_the_seeding_check_as_it_was():
-    """The live check changes its copy of the seeding check in place, so
-    the copy must share nothing mutable with the seed: the from-scratch
-    check it starts from, which a validated run compares against the first
-    step, keeps every field through the updates.  Repair steps and
-    arbitrary unit-bundle moves both update neighbours' sets in place (a
-    neighbour's primary label changes only under moves)."""
-    inst = gen_instance(GenSpec(seed=1, n=60, m=180, topology="tree"))
-    state = run_phase1(inst, validate=False)
-    seed = scratch_check(state)
-    kept = scratch_check(state)
-    live = LiveCheck(state, seed)
-    scan = seed
-    for _ in range(10):
-        record = phase2_step(state, scan=scan)
-        assert record is not None
-        scan = live.update(record.changed())
-    for changed in unit_bundle_moves(state, SplitMix64(7)):
-        scan = live.update(changed)
-    assert scan == scratch_check(state)
-    assert scan is live.check and scan != kept
-    assert seed == kept
+    assert len(steps) > 100 and all(steps)
 
 
 class SetCounted(list):
