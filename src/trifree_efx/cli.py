@@ -156,7 +156,7 @@ def cmd_verify(args) -> int:
             )
             return EXIT_INVALID
         order = PickOrder.complete(sigma)
-        props = check_properties(instance, alloc, order, CutTable(instance), chosen)
+        props = check_properties(instance, alloc, order, CutTable(instance)).only(chosen)
         report["checks"].append(props.to_dict())
         failed |= not props.ok
 

@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING, Iterator, Optional
 
 from . import cuts as _cuts
 from .errors import SearchSpaceTooLargeError, ValidationError
-from .model import Allocation, Bundle, Instance
+from .model import MONOTONE_TABLE_DEGREE_CAP, Allocation, Bundle, Instance
 
 if TYPE_CHECKING:
     import numpy as np
@@ -26,13 +26,19 @@ _CHUNK = 1 << 15
 
 class _AgentTable:
     """Subset values of one agent's incident goods, indexed by bitmask
-    (ascending good id = ascending bit)."""
+    (ascending good id = ascending bit).  An agent of degree above
+    ``MONOTONE_TABLE_DEGREE_CAP`` is refused before anything is tabulated."""
 
     def __init__(self, instance: Instance, agent: int):
-        import numpy as np
         self.goods = sorted(instance.incident_goods(agent))
-        self.bit = {g: k for k, g in enumerate(self.goods)}
         d = len(self.goods)
+        if d > MONOTONE_TABLE_DEGREE_CAP:
+            raise SearchSpaceTooLargeError(
+                f"agent {agent} has degree {d}: its 2^{d} subset table exceeds "
+                f"the cap of 2^{MONOTONE_TABLE_DEGREE_CAP}"
+            )
+        import numpy as np
+        self.bit = {g: k for k, g in enumerate(self.goods)}
         value = instance.valuations[agent].value
         vals = np.empty(1 << d, dtype=np.int64)
         for mask in range(1 << d):

@@ -11,11 +11,13 @@ newly placed agent her claimable bundle from exactly one pair.
 Between rounds the state keeps five invariants (checked by
 ``check_invariants``): placed agents hold goods only among themselves (1),
 unplaced agents hold nothing (2), front agents envy nobody (5), back agents
-do not envy each other (6), and the numbered properties (1)-(3) of
+do not envy each other (6), and the numbered properties (1)-(4) of
 :mod:`.verify` hold, (2) and (3) for the placed agents (7).  Invariant (7)
-is one :func:`.verify.check_properties` call, and (5) and (6) read the envy
-graph it built; (1) and (2) read only the picking order and the bundles.
-Codes (3) and (4) are unused: property (1), checked under (7), covers the
+is one :func:`.verify.check_properties` call narrowed to (1)-(4), and (5)
+and (6) read the envy graph it built; (1) and (2) read only the picking
+order and the bundles.  Property (4), no envy chain, follows from
+invariants (1), (2), (5) and (6), so a correct run never trips it.  Codes
+(3) and (4) are unused: property (1), checked under (7), covers the
 orientation and the absence of strong envy.
 
 When no agents remain unplaced, the allocation satisfies the numbered
@@ -33,7 +35,12 @@ from .errors import InternalSolverError, StateError
 from .model import Allocation, Instance
 # ``envy_graph`` is no longer called here, but the benchmark's tracer wraps
 # it by name, so a reintroduced call is counted
-from .verify import check_properties, envy_graph  # noqa: F401
+from .verify import (  # noqa: F401
+    STAGE_ONE_PROPERTIES,
+    check_properties,
+    envy_graph,
+    envy_pairs,
+)
 
 TraceFn = Optional[Callable[[dict], None]]
 
@@ -42,8 +49,8 @@ INVARIANT_NAMES = {
     2: "unplaced agents hold nothing",
     5: "front agents envy nobody",
     6: "back agents do not envy each other",
-    7: "EFX orientation, and pair structure and free-bundle preference for "
-    "placed agents",
+    7: "EFX orientation without envy chains, and pair structure and "
+    "free-bundle preference for placed agents",
 }
 
 
@@ -125,7 +132,12 @@ def _best_partner(state: SolverState, i: int) -> int:
 def augment(
     state: SolverState, *, metrics: Optional[SolveMetrics] = None, trace: TraceFn = None
 ) -> None:
-    """Place at least one unplaced agent and hand new agents their bundles."""
+    """Place at least one unplaced agent and hand new agents their bundles.
+
+    Each bundle handed out is traced as a ``pick`` event; the closing
+    ``round`` event lists only the agents this round placed at the front
+    and at the back, each in placement order.
+    """
     order, alloc = state.order, state.alloc
     if not order.unplaced:
         raise StateError("augment called with every agent already placed")
@@ -139,22 +151,8 @@ def augment(
         if trace is not None:
             trace({"phase": 1, "event": "pick", "agent": agent, "goods": sorted(goods)})
 
-    def round_snapshot() -> None:
-        if trace is not None:
-            trace(
-                {
-                    "phase": 1,
-                    "event": "round",
-                    "front": list(order.front),
-                    "back": order.back,
-                    "unplaced": sorted(order.unplaced),
-                    "bundles": [
-                        sorted(alloc.bundle(p)) for p in range(state.instance.n)
-                    ],
-                }
-            )
-
     i = order.lowest_unplaced()
+    front0, back = len(order.front), [i]
     order.prepend_back(i)
     j = _best_partner(state, i)
     while j in order.unplaced:
@@ -171,21 +169,24 @@ def augment(
             give(i, state.claimable(i, j))
             i = k
             order.prepend_back(i)
+            back.append(i)
             j = _best_partner(state, i)
     give(i, state.claimable(i, j))
-    round_snapshot()
+    if trace is not None:
+        trace({"phase": 1, "event": "round", "front": order.front[front0:], "back": back})
 
 
 def check_invariants(state: SolverState) -> list[InvariantViolation]:
     """Check the between-round invariants; empty list means all hold.
 
-    Invariant (7) is one :func:`.verify.check_properties` of properties
-    (1)-(3), and each of its failures is a code-7 row ``(property, *row)``;
-    the order-only invariants (5) and (6) read the envy graph it built.
+    Invariant (7) is one :func:`.verify.check_properties`, narrowed to
+    properties (1)-(4), and each of its failures is a code-7 row
+    ``(property, *row)``; the order-only invariants (5) and (6) read the
+    envy graph it built.
     """
     instance, alloc, order = state.instance, state.alloc, state.order
     unplaced = order.unplaced
-    report = check_properties(instance, alloc, order, state.cuts, which={1, 2, 3})
+    report = check_properties(instance, alloc, order, state.cuts)
     out: list[InvariantViolation] = []
 
     for p in range(instance.n):
@@ -201,13 +202,13 @@ def check_invariants(state: SolverState) -> list[InvariantViolation]:
 
     front = set(order.front)
     back = set(order.back)
-    for edge in report.graph.edges:
-        if edge.src in front:
-            out.append(InvariantViolation(5, (edge.src, edge.dst)))
-        if edge.src in back and edge.dst in back:
-            out.append(InvariantViolation(6, (edge.src, edge.dst)))
+    for i, j in envy_pairs(report.graph.enviers):
+        if i in front:
+            out.append(InvariantViolation(5, (i, j)))
+        if i in back and j in back:
+            out.append(InvariantViolation(6, (i, j)))
 
-    for prop, violations in report.failures.items():
+    for prop, violations in report.only(STAGE_ONE_PROPERTIES).failures.items():
         for v in violations:
             out.append(InvariantViolation(7, (prop,) + tuple(v)))
     return out

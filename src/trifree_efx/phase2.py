@@ -51,6 +51,7 @@ from .verify import (  # noqa: F401
     agent_free_bundle_breaks,
     check_properties,
     envy_graph,
+    envy_pairs,
     viewer_envy,
 )
 
@@ -95,7 +96,9 @@ class LiveCheck:
 
     It takes over the seeding from-scratch check, ``check``, without a
     copy: after a rule changes the bundles of the agents ``C``,
-    :meth:`update` changes it in place and returns it.  Only
+    :meth:`update` changes it in place and returns it.  Its envier index is
+    the very dict of the opening report's envy graph, which therefore
+    changes with it; nothing reads that graph after the stage opens.  Only
     the pairs touching ``C``, ``C``'s own values and outgoing envy, each
     neighbour's envy toward ``C``, and properties (5)-(7) of ``C`` and its
     neighbours ``N(C)`` are recomputed.  Every field then equals the
@@ -312,7 +315,7 @@ def run_phase2(
     live = LiveCheck(state, report.free_bundles)
     scan = live.check
     while True:
-        envy_before = _envy_pairs(scan) if validate else None
+        envy_before = envy_pairs(scan.enviers) if validate else None
         record = phase2_step(state, scan=scan, trace=trace)
         if record is None:
             break
@@ -334,7 +337,10 @@ def run_phase2(
 
 
 def _validate_step(
-    state: SolverState, record: StepRecord, envy_before: set[tuple[int, int]], live: FreeBundleCheck
+    state: SolverState,
+    record: StepRecord,
+    envy_before: Iterable[tuple[int, int]],
+    live: FreeBundleCheck,
 ) -> None:
     """Check one step from scratch.
 
@@ -360,11 +366,11 @@ def _validate_step(
             f"after rule {record.branch} on agent {record.agent} the live "
             f"free-bundle check differs from the reference in {differ}"
         )
-    now_envy = _envy_pairs(reference)
-    if record.branch in ("A", "B") and not now_envy <= envy_before:
+    created = set(envy_pairs(reference.enviers)).difference(envy_before)
+    if record.branch in ("A", "B") and created:
         raise InternalSolverError(
             f"rule {record.branch} on agent {record.agent} created envy "
-            f"{sorted(now_envy - envy_before)}"
+            f"{sorted(created)}"
         )
     if record.branch == "C":
         envied_now = reference.enviers
@@ -380,8 +386,3 @@ def _validate_step(
             raise InternalSolverError(
                 "rule C did not shrink the set of envied agents"
             )
-
-
-def _envy_pairs(check: FreeBundleCheck) -> set[tuple[int, int]]:
-    """Every ``(envier, envied)`` pair of ``check``."""
-    return {(j, i) for i, js in check.enviers.items() for j in js}

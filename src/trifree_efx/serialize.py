@@ -35,7 +35,7 @@ from .model import (
     check_agent_count,
     check_table_degree,
 )
-from .verify import envy_graph
+from .verify import envy_graph, envy_pairs
 
 
 def _require(cond: bool, message: str) -> None:
@@ -199,14 +199,13 @@ def allocation_from_json(data: dict, instance: Instance) -> tuple[Allocation, Op
 def envy_graph_dot(instance: Instance, alloc: Allocation) -> str:
     """DOT digraph of the envy relation, nodes and edges in ascending order."""
     graph = envy_graph(instance, alloc)
+    strong = {(i, j) for i, j, _ in graph.strong}
     lines = ["digraph envy {"]
     for i in range(instance.n):
         lines.append(f"  {i};")
-    for edge in graph.edges:  # in (src, dst) order
-        if edge.strong:
-            lines.append(f'  {edge.src} -> {edge.dst} [label="strong"];')
-        else:
-            lines.append(f"  {edge.src} -> {edge.dst};")
+    for i, j in envy_pairs(graph.enviers):
+        label = ' [label="strong"]' if (i, j) in strong else ""
+        lines.append(f"  {i} -> {j}{label};")
     lines.append("}")
     return "\n".join(lines) + "\n"
 

@@ -8,18 +8,22 @@ definition.
 
 ``check_properties`` checks a state in one pass: each agent's own value is
 computed once, the envy graph is built once and each pair is read once with
-``pair_state``; the report carries the graph it built.  ``envy_graph`` is
-the one place strong-envy flags are computed, and property (1),
-``check_efx`` and the DOT export read them there.  ``free_bundle_check`` is
-the one place the free-bundle properties (5)-(7) are decided from those
-reads, and the :class:`FreeBundleCheck` it returns carries the reads with
-the verdict, the envy relation as its envier index only: stage two picks
-its repair rule from it, ``check_properties`` only formats it, and stage
-two's live check is the check stage two opens with, updated in place.  Its
-per-agent rule (``agent_free_bundle_breaks``) and the envy comparison of one
-viewer (``viewer_envy``) are also what the live check reruns for the agents
-a step touched.  Pair goods held by a third party are reported by property (2);
-the free-bundle check never raises on them.
+``pair_state``; the report carries the graph it built.  Which properties it
+checks is decided by the picking order: (1)-(4) always, (5)-(7) once the
+order is complete; callers narrow a report with ``PropertyReport.only``.
+``envy_graph`` returns the envy relation as its envier index together with
+the strong-envy witnesses, the one place strong envy is decided; property
+(1), ``check_efx`` and the DOT export read the witnesses there, and
+``envy_pairs`` lists the index as ``(envier, envied)`` pairs.
+``free_bundle_check`` is the one place the free-bundle properties (5)-(7)
+are decided, and the :class:`FreeBundleCheck` it returns carries the reads
+with the verdict, the envy relation as the graph's envier index: stage two
+picks its repair rule from it, ``check_properties`` only formats it, and
+stage two's live check is the check stage two opens with, updated in place.
+Its per-agent rule (``agent_free_bundle_breaks``) and the envy comparison of
+one viewer (``viewer_envy``) are also what the live check reruns for the
+agents a step touched.  Pair goods held by a third party are reported by
+property (2); the free-bundle check never raises on them.
 
 Envy vocabulary: agent ``i`` envies ``j`` when she values ``j``'s bundle
 strictly above her own, and *strongly* envies when some single good can be
@@ -48,26 +52,25 @@ from .model import Allocation, Bundle, Instance
 
 ALL_PROPERTIES = frozenset(range(1, 8))
 STAGE_ONE_PROPERTIES = frozenset(range(1, 5))
-FREE_BUNDLE_PROPERTIES = frozenset(range(5, 8))
-
-
-@dataclass(frozen=True)
-class EnvyEdge:
-    src: int
-    dst: int
-    strong: bool
 
 
 @dataclass
 class EnvyGraph:
-    edges: list[EnvyEdge]
+    """The envy relation of an allocation.
 
-    def enviers(self) -> dict[int, list[int]]:
-        """Each envied agent's enviers, in ascending order."""
-        out: dict[int, list[int]] = {}
-        for e in self.edges:
-            out.setdefault(e.dst, []).append(e.src)
-        return out
+    ``enviers[j]`` holds envied agent ``j``'s enviers in ascending order (a
+    non-envied agent has no entry).  ``strong`` holds ``(i, j, good)`` for
+    every pair where ``i`` strongly envies ``j``, in ``(i, j)`` order, with
+    ``good`` the :func:`strong_envy_witness`.
+    """
+
+    enviers: dict[int, list[int]]
+    strong: list[tuple[int, int, int]]
+
+
+def envy_pairs(enviers: Mapping[int, Iterable[int]]) -> list[tuple[int, int]]:
+    """Every ``(envier, envied)`` pair of an envier index, in ascending order."""
+    return sorted((i, j) for j, row in enviers.items() for i in row)
 
 
 def strong_envy_witness(
@@ -85,7 +88,7 @@ def strong_envy_witness(
 def envy_graph(
     instance: Instance, alloc: Allocation, own: Optional[Sequence[int]] = None
 ) -> EnvyGraph:
-    """The directed envy relation of an allocation, with strong-envy flags.
+    """The directed envy relation of an allocation, with strong-envy witnesses.
 
     One scan over the owners' bundles, resting on two model facts:
 
@@ -99,8 +102,9 @@ def envy_graph(
 
     Each good of ``j``'s bundle is recorded under ``seen[i][j]`` for each of
     its endpoints ``i != j``; ``i`` envies ``j`` when that part is worth more
-    to her than her own bundle.  Edges come out in ``(src, dst)`` order.
-    ``own``, when given, holds each agent's value for her own bundle.
+    to her than her own bundle, and each such pair is asked once for a
+    strong-envy witness.  ``own``, when given, holds each agent's value for
+    her own bundle.
     """
     goods = instance.goods
     seen: list[dict[int, list[int]]] = [{} for _ in range(instance.n)]
@@ -110,15 +114,18 @@ def envy_graph(
             for i in (good.u, good.v):
                 if i != j:
                     seen[i].setdefault(j, []).append(g)
-    edges = []
+    enviers: dict[int, list[int]] = {}
+    strong: list[tuple[int, int, int]] = []
     for i, by_owner in enumerate(seen):
         if by_owner:
             mine = alloc.bundle(i)
             own_i = instance.valuations[i].value(mine) if own is None else own[i]
             for j in viewer_envy(instance, i, own_i, by_owner):
+                enviers.setdefault(j, []).append(i)
                 witness = strong_envy_witness(instance, i, mine, alloc.bundle(j))
-                edges.append(EnvyEdge(i, j, witness is not None))
-    return EnvyGraph(edges)
+                if witness is not None:
+                    strong.append((i, j, witness))
+    return EnvyGraph(enviers, strong)
 
 
 def viewer_envy(
@@ -129,7 +136,7 @@ def viewer_envy(
     ``own`` is her value for her own bundle and ``parts[j]`` the part of
     ``j``'s bundle incident to her; she envies ``j`` when that part is worth
     more than ``own``.  This is the one place the envy comparison is
-    written; the strong-envy flags are :func:`envy_graph`'s alone.
+    written; the strong-envy witnesses are :func:`envy_graph`'s alone.
     """
     v = instance.valuations[i].value
     return [j for j in sorted(parts) if v(parts[j]) > own]
@@ -154,22 +161,9 @@ class CheckReport:
         }
 
 
-def _efx_witnesses(
-    instance: Instance, alloc: Allocation, graph: EnvyGraph
-) -> list[tuple[int, int, int]]:
-    """``(i, j, good)`` for every strong-envy edge of ``graph``, in edge order."""
-    bundle = alloc.bundle
-    return [
-        (e.src, e.dst, strong_envy_witness(instance, e.src, bundle(e.src), bundle(e.dst)))
-        for e in graph.edges
-        if e.strong
-    ]
-
-
 def check_efx(instance: Instance, alloc: Allocation) -> CheckReport:
     """No ordered pair may exhibit strong envy; witnesses are (i, j, good)."""
-    graph = envy_graph(instance, alloc)
-    return CheckReport("efx", _efx_witnesses(instance, alloc, graph))
+    return CheckReport("efx", envy_graph(instance, alloc).strong)
 
 
 def check_orientation(instance: Instance, alloc: Allocation) -> CheckReport:
@@ -327,87 +321,65 @@ def agent_free_bundle_breaks(
 
 
 def check_properties(
-    instance: Instance,
-    alloc: Allocation,
-    order: PickOrder,
-    cuts: CutTable,
-    which: Iterable[int] = ALL_PROPERTIES,
+    instance: Instance, alloc: Allocation, order: PickOrder, cuts: CutTable
 ) -> "PropertyReport":
-    """Check the requested numbered properties; see the list above.
+    """Check every numbered property that applies; see the list above.
 
-    Properties (2) and (3) are checked for the pairs touching the agents
-    that ``order`` has placed, which is every pair once the order is
-    complete.  Properties (5)-(7) are decided by :func:`free_bundle_check`
-    and need a complete order.  The report carries the envy graph, when one
-    was built, as ``graph`` and the free-bundle check, when (5)-(7) were
-    checked, as ``free_bundles``.
+    Properties (1)-(4) are always checked, (2) and (3) for the pairs
+    touching the agents that ``order`` has placed.  Properties (5)-(7) are
+    checked exactly when ``order`` is complete, and are decided by
+    :func:`free_bundle_check`.  The report carries the envy graph as
+    ``graph`` and the free-bundle check, when (5)-(7) were checked, as
+    ``free_bundles``; callers narrow it with :meth:`PropertyReport.only`.
 
     The check is one pass over the state.  Each agent's own value is
-    computed once and the envy graph is built at most once, for (1), (4)
-    and (5)-(7).  Each pair that touches a placed agent (each pair, when
-    (5)-(7) are checked) is read once with :func:`.cuts.pair_state`, and
-    that read decides (2) for the pair, (3) for each of its placed
-    endpoints, and the pair's free goods and labels for (5)-(7).
+    computed once and the envy graph is built once.  Each pair that touches
+    a placed agent (each pair, once the order is complete) is read once with
+    :func:`.cuts.pair_state`, and that read decides (2) for the pair, (3)
+    for each of its placed endpoints, and the pair's free goods and labels
+    for (5)-(7).
     """
-    which = frozenset(which)
-    if not which <= ALL_PROPERTIES:
-        raise ValueError(f"unknown property numbers: {sorted(which - ALL_PROPERTIES)}")
-    n = instance.n
     unplaced = order.unplaced
-    free_props = bool(which & FREE_BUNDLE_PROPERTIES)
-    own = None
-    if which - {2}:
-        own = [instance.valuations[i].value(alloc.bundle(i)) for i in range(n)]
-    graph = envy_graph(instance, alloc, own) if which & {1, 4, 5, 6, 7} else None
-    report = PropertyReport(checked=which, graph=graph)
+    complete = not unplaced
+    own = [instance.valuations[i].value(alloc.bundle(i)) for i in range(instance.n)]
+    graph = envy_graph(instance, alloc, own)
+    checked = ALL_PROPERTIES if complete else STAGE_ONE_PROPERTIES
+    report = PropertyReport(checked=checked, graph=graph)
 
     faults: list[tuple] = []  # (2), in pair order
     valued: dict[int, list[tuple]] = {}  # (3) rows of each agent, by partner
     pairs: dict[tuple[int, int], PairRead] = {}
-    if which & {2, 3} or free_props:
-        for a, b in instance.skeleton_edges():
-            ends = [(i, j) for i, j in ((a, b), (b, a)) if i not in unplaced]
-            if not (ends or free_props):
-                continue
-            pair = pair_state(instance, alloc, order, cuts, a, b)
-            if 2 in which and ends:
-                fault = pair_fault(a, b, pair)
-                if fault is not None:
-                    faults.append(fault)
-            if 3 in which:
-                cut, free = pair[0], pair[4]
-                for i, j in ends:
-                    v = instance.valuations[i].value
-                    for part in cut.parts():
-                        if part and part <= free and v(part) > own[i]:
-                            valued.setdefault(i, []).append((i, j, sorted(part)))
-            if free_props:
-                pairs[a, b] = (pair[4], *pair_labels(a, b, pair))
+    for a, b in instance.skeleton_edges():
+        ends = [(i, j) for i, j in ((a, b), (b, a)) if i not in unplaced]
+        if not ends:
+            continue
+        pair = pair_state(instance, alloc, order, cuts, a, b)
+        fault = pair_fault(a, b, pair)
+        if fault is not None:
+            faults.append(fault)
+        cut, free = pair[0], pair[4]
+        for i, j in ends:
+            v = instance.valuations[i].value
+            for part in cut.parts():
+                if part and part <= free and v(part) > own[i]:
+                    valued.setdefault(i, []).append((i, j, sorted(part)))
+        if complete:
+            pairs[a, b] = (free, *pair_labels(a, b, pair))
 
-    check = None
-    if free_props:
-        check = free_bundle_check(instance, alloc, graph.enviers(), own, pairs)
-    if 1 in which:
-        report.extend(1, check_orientation(instance, alloc).violations)
-        report.extend(1, _efx_witnesses(instance, alloc, graph))
+    report.extend(1, check_orientation(instance, alloc).violations)
+    report.extend(1, graph.strong)
     report.extend(2, faults)
     for i in sorted(valued):
         report.extend(3, valued[i])
-    if 4 in which:
-        enviers = graph.enviers() if check is None else check.enviers
-        chains = [
-            (enviers[e.src][-1], e.src, e.dst) for e in graph.edges if e.src in enviers
-        ]
-        if chains:
-            report.extend(4, [chains[0]])
-    if check is not None:
+    enviers = graph.enviers
+    chains = [(enviers[i][-1], i, j) for i, j in envy_pairs(enviers) if i in enviers]
+    report.extend(4, chains[:1])
+    if complete:
+        check = free_bundle_check(instance, alloc, enviers, own, pairs)
         report.free_bundles = check
-        if 5 in which:
-            report.extend(5, [(i, sorted(check.units.primary[i])) for i in check.breaks_5])
-        if 6 in which:
-            report.extend(6, [(i, sorted(check.loose[i])) for i in check.breaks_6])
-        if 7 in which:
-            report.extend(7, check.breaks_7)
+        report.extend(5, [(i, sorted(check.units.primary[i])) for i in check.breaks_5])
+        report.extend(6, [(i, sorted(check.loose[i])) for i in check.breaks_6])
+        report.extend(7, check.breaks_7)
     return report
 
 
@@ -415,8 +387,8 @@ def check_properties(
 class PropertyReport:
     checked: frozenset[int]
     failures: dict[int, list[tuple]] = field(default_factory=dict)
-    # the envy graph and the check that decided (5)-(7), when they were
-    # built; not serialised
+    # the envy graph, and the check that decided (5)-(7) when they were
+    # checked; not serialised
     graph: Optional[EnvyGraph] = field(default=None, compare=False, repr=False)
     free_bundles: Optional[FreeBundleCheck] = field(default=None, compare=False, repr=False)
 

@@ -1,7 +1,7 @@
 """Small instance builders shared across test modules."""
 
 from trifree_efx.generate import _additive_instance as additive_instance
-from trifree_efx.verify import FREE_BUNDLE_PROPERTIES, check_properties
+from trifree_efx.verify import check_properties
 
 
 def owner_tuple(alloc, instance):
@@ -12,9 +12,7 @@ def owner_tuple(alloc, instance):
 
 def scratch_check(state):
     """The from-scratch free-bundle check of a solver state."""
-    report = check_properties(
-        state.instance, state.alloc, state.order, state.cuts, FREE_BUNDLE_PROPERTIES
-    )
+    report = check_properties(state.instance, state.alloc, state.order, state.cuts)
     return report.free_bundles
 
 

@@ -98,8 +98,8 @@ def drive_solver(inst):
             record["invariants_ok"] = False
         record["rounds"] += 1
     record["p14_ok"] = check_properties(
-        inst, state.alloc, state.order, state.cuts, {1, 2, 3, 4}
-    ).ok
+        inst, state.alloc, state.order, state.cuts
+    ).only({1, 2, 3, 4}).ok
 
     potentials = []
     run_phase2(
@@ -115,7 +115,7 @@ def drive_solver(inst):
     record["p17_ok"] = check_properties(
         inst, state.alloc, state.order, state.cuts
     ).ok
-    record["envied_after_phase2"] = len(envy_graph(inst, state.alloc).enviers())
+    record["envied_after_phase2"] = len(envy_graph(inst, state.alloc).enviers)
 
     alloc = run_phase3(state, validate=True, metrics=metrics)
     record["dumps"] = metrics.phase3_dumps

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import os
 import subprocess
@@ -11,8 +12,15 @@ import trifree_efx
 from trifree_efx import cli
 from trifree_efx.cli import main
 from trifree_efx.errors import InternalSolverError, StateError
-from trifree_efx.generate import GenSpec, gen_instance, gen_triangle_instance, suite_spec
-from trifree_efx.phase3 import solve_state
+from trifree_efx.generate import (
+    GenSpec,
+    gen_adversarial_suite,
+    gen_instance,
+    gen_triangle_instance,
+    suite_spec,
+)
+from trifree_efx.phase1 import run_phase1
+from trifree_efx.phase3 import solve, solve_state
 from trifree_efx.serialize import dump_json, instance_from_json, instance_to_json, load_json
 
 from helpers import two_agent_parallel
@@ -450,3 +458,48 @@ def test_other_library_errors_keep_exit_1(monkeypatch, capsys, instance_file):
     monkeypatch.setattr(cli, "solve_state", caller_error)
     assert run(["solve", instance_file]) == 1
     assert capsys.readouterr().err.startswith("error: relative order")
+
+
+# sha256 of the texts ``verify_and_envy_graph_texts`` collects, as the CLI
+# printed them when ``check_properties`` still took a property selector and
+# ``envy_graph`` still returned an edge list
+PINNED_REPORTS_DIGEST = "caf7bf25795cc186ec675de3dbd4ee3892c93735e0a70d02009725ab7b267d3e"
+
+
+def verify_and_envy_graph_texts(tmp_path, capsys):
+    """The exit codes and printed texts of ``verify --properties`` and
+    ``envy-graph`` on three allocations of each adversarial instance: its
+    stage-one output, its solved output, and every good given to its lower
+    endpoint (strong envy and broken properties), each with the solved
+    picking order."""
+    texts = []
+    for name, inst in gen_adversarial_suite():
+        ipath = tmp_path / f"{name}.json"
+        dump_json(instance_to_json(inst), str(ipath))
+        result = solve(inst)
+        lower = [[g.id for g in inst.goods if g.u == i] for i in range(inst.n)]
+        allocations = [
+            run_phase1(inst).alloc.bundles(),
+            result.allocation.bundles(),
+            lower,
+        ]
+        for k, bundles in enumerate(allocations):
+            apath = tmp_path / f"{name}-{k}.json"
+            payload = {"bundles": [sorted(b) for b in bundles], "sigma": result.sigma}
+            dump_json(payload, str(apath))
+            for properties in ("1-7", "4", "2,3,5-7"):
+                code = run(["verify", ipath, apath, "--properties", properties])
+                texts.append(f"{code}\n{capsys.readouterr().out}")
+            code = run(["envy-graph", ipath, apath])
+            texts.append(f"{code}\n{capsys.readouterr().out}")
+    return texts
+
+
+def test_verify_and_envy_graph_texts_are_pinned_on_the_adversarial_suite(
+    tmp_path, capsys
+):
+    texts = verify_and_envy_graph_texts(tmp_path, capsys)
+    assert any('"ok": false' in t for t in texts)
+    assert any('[label="strong"]' in t for t in texts)
+    digest = hashlib.sha256("".join(texts).encode()).hexdigest()
+    assert digest == PINNED_REPORTS_DIGEST

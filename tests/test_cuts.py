@@ -426,7 +426,7 @@ def test_claimable_and_property_2_report_the_same_pair_fault(make, bundles, faul
     order, cuts = PickOrder.complete(list(range(inst.n))), CutTable(inst)
     for a, b in ((0, 1), (1, 0)):
         assert pair_fault(a, b, pair_state(inst, alloc, order, cuts, a, b)) == fault
-    report = check_properties(inst, alloc, order, cuts, which={2})
+    report = check_properties(inst, alloc, order, cuts).only({2})
     assert report.failures == ({} if fault is None else {2: [fault]})
     for i, j in ((0, 1), (1, 0)):
         if fault is None:

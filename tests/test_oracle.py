@@ -1,3 +1,4 @@
+import tracemalloc
 from itertools import product
 
 import pytest
@@ -152,3 +153,26 @@ def test_cut_verification_guard():
     inst = two_agent_parallel([1] * 23)
     with pytest.raises(SearchSpaceTooLargeError):
         verify_cut_exhaustive(inst, 0, inst.pair_goods(0, 1))
+
+
+@pytest.mark.parametrize(
+    "check",
+    [
+        lambda inst: scan_strong_envy(inst, Allocation(inst.n)),
+        lambda inst: enumerate_efx_allocations(inst, limit=1),
+    ],
+    ids=["scan", "enumerate"],
+)
+def test_table_degree_guard_comes_before_the_table(check):
+    # degree 21 is one past the cap: the agent's two 2^21-entry int64 tables
+    # would take 32 MB, so a small allocation peak shows the guard came
+    # first; 2^21 assignments pass the enumeration guard
+    inst = two_agent_parallel([1] * 21)
+    tracemalloc.start()
+    try:
+        with pytest.raises(SearchSpaceTooLargeError, match="agent 0 has degree 21"):
+            check(inst)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4_000_000

@@ -1,3 +1,4 @@
+import json
 import random
 from dataclasses import replace
 
@@ -6,9 +7,11 @@ import pytest
 from trifree_efx import (
     AdditiveValuation,
     Instance,
+    SolveConfig,
     StateError,
     check_properties,
     run_phase1,
+    solve,
 )
 from trifree_efx import phase1
 from trifree_efx.phase1 import (
@@ -22,7 +25,7 @@ from trifree_efx.phase1 import (
 from trifree_efx.cuts import pair_fault, pair_state
 from trifree_efx.generate import TOPOLOGIES, GenSpec, gen_instance, suite_spec
 from trifree_efx.model import Allocation
-from trifree_efx.verify import envy_graph
+from trifree_efx.verify import envy_graph, envy_pairs
 
 from helpers import additive_instance, c4_instance, two_agent_parallel
 
@@ -115,14 +118,14 @@ def test_no_goods_properties_hold_vacuously():
     inst = Instance(3, [], [AdditiveValuation(i, {}) for i in range(3)])
     state = run_phase1(inst)
     assert sorted(state.sigma()) == [0, 1, 2]
-    report = check_properties(inst, state.alloc, state.order, state.cuts, {1, 2, 3, 4})
+    report = check_properties(inst, state.alloc, state.order, state.cuts).only({1, 2, 3, 4})
     assert report.ok
 
 
 def test_c4_output_satisfies_properties():
     inst = c4_instance({0: [5, 2], 1: [4, 4], 2: [(3, 7), (1, 1)], 3: [6]})
     state = run_phase1(inst)
-    report = check_properties(inst, state.alloc, state.order, state.cuts, {1, 2, 3, 4})
+    report = check_properties(inst, state.alloc, state.order, state.cuts).only({1, 2, 3, 4})
     assert report.ok, report.summary()
 
 
@@ -240,13 +243,15 @@ def seven_invariants(state):
         stray = alloc.bundle(i) - instance.incident_goods(i)
         if stray:
             rows.append((3, (i, min(stray))))
-    for e in envy_graph(instance, alloc).edges:
-        if e.strong and e.src in placed:
-            rows.append((4, (e.src, e.dst)))
-        if e.src in order.front:
-            rows.append((5, (e.src, e.dst)))
-        if e.src in order.back and e.dst in order.back:
-            rows.append((6, (e.src, e.dst)))
+    graph = envy_graph(instance, alloc)
+    for i, j, _ in graph.strong:
+        if i in placed:
+            rows.append((4, (i, j)))
+    for i, j in envy_pairs(graph.enviers):
+        if i in order.front:
+            rows.append((5, (i, j)))
+        if i in order.back and j in order.back:
+            rows.append((6, (i, j)))
     for a, b in instance.skeleton_edges():
         if a in unplaced and b in unplaced:
             continue
@@ -325,6 +330,61 @@ def test_check_invariants_matches_the_seven_written_out_invariants():
                     kinds.add((kind, bool(want)))
     seen = {("round", False), ("random", True), ("unplaced", True), ("outside", True)}
     assert seen <= kinds
+
+
+def test_an_envy_chain_is_a_code_7_row():
+    # 0 envies 1 (good 0 is worth 5 to her), 1 envies 2 (good 1 is worth 9 to
+    # her, good 0 only 1); the front agent 1 envying 2 also breaks (5)
+    inst = additive_instance(3, [(0, 1, {0: 5, 1: 1}), (1, 2, {1: 9, 2: 9})])
+    state = SolverState.fresh(inst)
+    state.order.append_front(2)
+    state.order.append_front(1)
+    state.order.prepend_back(0)
+    state.alloc.set_bundle(1, frozenset({0}))
+    state.alloc.set_bundle(2, frozenset({1}))
+    rows = [(v.code, v.witness) for v in check_invariants(state)]
+    assert (7, (4, 0, 1, 2)) in rows
+    assert (5, (1, 2)) in rows
+
+
+# -- the trace ----------------------------------------------------------------------
+
+
+def replay_stage_one(n, rows):
+    """The order's front and back and the allocation that stage one's
+    ``pick`` and ``round`` events describe."""
+    front, back, bundles = [], [], [()] * n
+    for row in rows:
+        if row["event"] == "pick":
+            bundles[row["agent"]] = row["goods"]
+        else:
+            front += row["front"]
+            back[:0] = row["back"][::-1]  # each back placement goes before the last
+    return front, back, Allocation.from_bundles(n, bundles)
+
+
+def test_pick_and_round_events_replay_stage_one():
+    for topology in TOPOLOGIES:
+        for index in range(20):
+            inst = gen_instance(suite_spec(topology, index))
+            rows = []
+            state = run_phase1(inst, trace=rows.append)
+            assert {row["event"] for row in rows} <= {"pick", "round"}
+            assert replay_stage_one(inst.n, rows) == (
+                state.order.front,
+                state.order.back,
+                state.alloc,
+            ), (topology, index)
+
+
+def test_a_large_trace_stays_small():
+    # a round event carries no bundles, so the trace grows with the picks
+    # and steps, not with rounds times agents (41 MB when rounds carried
+    # every bundle)
+    inst = gen_instance(GenSpec(seed=1, n=2000, m=6000, topology="tree"))
+    rows = []
+    solve(inst, SolveConfig(validate_steps=False, trace=rows.append))
+    assert sum(len(json.dumps(row)) + 1 for row in rows) < 2_000_000
 
 
 # -- greedy replay ------------------------------------------------------------------

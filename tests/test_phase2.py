@@ -17,6 +17,7 @@ from trifree_efx.cuts import CutTable, PickOrder
 from trifree_efx.errors import InternalSolverError
 from trifree_efx.phase1 import SolveMetrics, SolverState
 from trifree_efx.phase2 import LiveCheck, Potential, phase2_step
+from trifree_efx.verify import envy_pairs
 from trifree_efx.generate import (
     TOPOLOGIES,
     GenSpec,
@@ -73,13 +74,13 @@ def test_rule_c_swap_makes_agent_non_envied():
     inst = adversarial("swap_repair")
     state = run_phase1(inst)
     graph = envy_graph(inst, state.alloc)
-    assert graph.enviers()[1] == [0]
+    assert graph.enviers[1] == [0]
     record = phase2_step(state, scan=scratch_check(state))
     assert record.branch == "C"
     assert (record.agent, record.partner) == (1, 0)
     after = envy_graph(inst, state.alloc)
-    assert 1 not in after.enviers()
-    assert 0 not in after.enviers()
+    assert 1 not in after.enviers
+    assert 0 not in after.enviers
 
 
 def test_rule_b_trades_held_bundles_for_leftovers():
@@ -170,7 +171,7 @@ def structure_report(state):
     * two envied agents: the whole pair is free.
     """
     instance, alloc = state.instance, state.alloc
-    envied = envy_graph(instance, alloc).enviers()
+    envied = envy_graph(instance, alloc).enviers
     out = []
     for a, b in instance.skeleton_edges():
         cut, goods, _, _, free = pair_state(instance, alloc, state.order, state.cuts, a, b)
@@ -454,8 +455,12 @@ def test_c5_with_a_doubled_edge_bounded_exhaustive_slice():
 
 
 # the odd-cycle solves that fire rule B, found by sweeping seeds 0-199 of
-# every skeleton and valuation class (5 of 2,400 solves fire it)
+# every skeleton and valuation class (5 of 2,400 solves fire it), and two
+# 9-good C5 solves: additive 465 fires rules A and B and dumps twice,
+# transformed additive 457 fires rules B and C and dumps once
 RULE_B_ODD_CYCLES = [
+    ("C5", "additive", 465),
+    ("C5", "transformed_additive", 457),
     ("C7", "transformed_additive", 181),
     ("C7", "monotone_table", 72),
     ("C7", "monotone_table", 172),
@@ -612,7 +617,7 @@ def test_rule_postconditions_read_the_envy_pairs_from_before_the_step(
     state = run_phase1(adversarial("hub_trade"))
     run_phase2(state)
     live = scratch_check(state)
-    assert phase2._envy_pairs(live) == {(3, 4), (5, 6)}
+    assert envy_pairs(live.enviers) == [(3, 4), (5, 6)]
     record = phase2.StepRecord(branch, agent, partner, Potential(0, 0, 0))
     if error is None:
         phase2._validate_step(state, record, envy_before, live)

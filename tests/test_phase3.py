@@ -37,7 +37,7 @@ def test_single_envied_bundle_goes_to_the_envier():
     inst = adversarial("swap_repair")
     state = run_phase1(inst)
     run_phase2(state)
-    ((envied, (envier,)),) = envy_graph(inst, state.alloc).enviers().items()
+    ((envied, (envier,)),) = envy_graph(inst, state.alloc).enviers.items()
     free_before = inst.all_goods - state.alloc.allocated_goods()
     assert free_before
     alloc = run_phase3(state)
@@ -49,7 +49,7 @@ def test_adjacent_envied_agents_split_their_pair_between_enviers():
     inst = adversarial("adjacent_envied_dump")
     state = run_phase1(inst)
     run_phase2(state)
-    envied = envy_graph(inst, state.alloc).enviers()
+    envied = envy_graph(inst, state.alloc).enviers
     assert sorted(envied) == [1, 3]
     enviers = {i: envied[i][0] for i in envied}
     assert enviers[1] != enviers[3]

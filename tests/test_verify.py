@@ -5,7 +5,6 @@ from trifree_efx import (
     Allocation,
     GenSpec,
     SolveConfig,
-    StateError,
     check_efx,
     check_completeness,
     check_properties,
@@ -21,10 +20,12 @@ from trifree_efx.generate import TOPOLOGIES, gen_instance, suite_spec
 from trifree_efx.model import VALUATION_CLASSES
 from trifree_efx.oracle import scan_strong_envy
 from trifree_efx.verify import (
+    STAGE_ONE_PROPERTIES,
     CheckReport,
-    _efx_witnesses,
     agent_free_bundle_breaks,
     check_orientation,
+    envy_pairs,
+    strong_envy_witness,
 )
 
 from helpers import additive_instance, two_agent_parallel
@@ -57,7 +58,9 @@ def test_envy_graph_strong_flags():
     inst = two_agent_parallel([5, 3, 3])
     alloc = Allocation.from_bundles(2, [{1}, {0, 2}])
     graph = envy_graph(inst, alloc)
-    assert [(e.src, e.dst, e.strong) for e in graph.edges] == [(0, 1, True)]
+    assert graph.enviers == {1: [0]}
+    # dropping good 0 leaves 3, no more than agent 0's own 3; dropping 2 leaves 5
+    assert graph.strong == [(0, 1, 2)]
 
 
 # -- orientation / completeness ---------------------------------------------------
@@ -84,7 +87,7 @@ def test_completeness_reports_missing_goods():
 
 def property4(inst, alloc):
     order = PickOrder.complete(range(inst.n))
-    return check_properties(inst, alloc, order, CutTable(inst), which={4})
+    return check_properties(inst, alloc, order, CutTable(inst)).only({4})
 
 
 def test_envy_path_lengths():
@@ -135,7 +138,7 @@ def check_envied_by_one(instance, alloc):
     """
     graph = envy_graph(instance, alloc)
     report = CheckReport("envied_by_one")
-    for i, enviers in sorted(graph.enviers().items()):
+    for i, enviers in sorted(graph.enviers.items()):
         if len(enviers) > 1:
             report.violations.append((i, tuple(enviers)))
             continue
@@ -195,7 +198,8 @@ def test_properties_after_each_phase():
     for idx in range(40):
         inst = gen_instance(suite_spec("c4_girth", idx))
         state = run_phase1(inst)
-        rep1 = check_properties(inst, state.alloc, state.order, state.cuts, {1, 2, 3, 4})
+        rep1 = check_properties(inst, state.alloc, state.order, state.cuts)
+        rep1 = rep1.only(STAGE_ONE_PROPERTIES)
         assert rep1.ok, rep1.summary()
         run_phase2(state)
         rep2 = check_properties(inst, state.alloc, state.order, state.cuts)
@@ -207,7 +211,7 @@ def test_property2_flags_torn_unit_bundle():
     order = PickOrder.complete([0, 1])
     cuts = CutTable(inst)
     alloc = Allocation.from_bundles(2, [set(), {1}])  # half of the {3,3} part
-    report = check_properties(inst, alloc, order, cuts, {2})
+    report = check_properties(inst, alloc, order, cuts).only({2})
     assert not report.ok and 2 in report.failures
 
 
@@ -216,14 +220,14 @@ def test_property3_flags_valuable_free_bundle():
     order = PickOrder.complete([0, 1])
     cuts = CutTable(inst)
     alloc = Allocation(2)  # nothing allocated but both parts are worth > 0
-    report = check_properties(inst, alloc, order, cuts, {3})
+    report = check_properties(inst, alloc, order, cuts).only({3})
     assert not report.ok and 3 in report.failures
 
 
 def test_property_report_serialisation():
     inst = two_agent_parallel([1])
     order = PickOrder.complete([0, 1])
-    report = check_properties(inst, Allocation(2), order, CutTable(inst), {1, 4})
+    report = check_properties(inst, Allocation(2), order, CutTable(inst)).only({1, 4})
     data = report.to_dict()
     assert data["ok"] is True
     assert data["checked"] == [1, 4]
@@ -247,7 +251,9 @@ def envy_definition(inst, alloc):
 
 
 def edge_list(graph):
-    return [(e.src, e.dst, e.strong) for e in graph.edges]
+    """``(i, j, strong)`` for every envy pair of ``graph``, in ``(i, j)`` order."""
+    strong = {(i, j) for i, j, _ in graph.strong}
+    return [(i, j, (i, j) in strong) for i, j in envy_pairs(graph.enviers)]
 
 
 @given(
@@ -272,9 +278,16 @@ def test_envy_graph_matches_definition_on_random_allocations(
     alloc = Allocation.from_bundles(
         inst.n, [[g for g, o in enumerate(owners) if o == i] for i in range(inst.n)]
     )
-    edges = edge_list(envy_graph(inst, alloc))
+    graph = envy_graph(inst, alloc)
+    edges = edge_list(graph)
     assert edges == envy_definition(inst, alloc)
     assert [(i, j) for i, j, strong in edges if strong] == scan_strong_envy(inst, alloc)
+    bundle = alloc.bundle
+    assert graph.strong == [
+        (i, j, strong_envy_witness(inst, i, bundle(i), bundle(j)))
+        for i, j, strong in edges
+        if strong
+    ]
 
 
 @pytest.mark.parametrize("topology, index", [("bipartite", 7), ("cycle_even", 4)])
@@ -289,11 +302,13 @@ def test_envy_graph_matches_definition_on_solver_output(topology, index):
 # -- the one-pass property check against the per-property definitions -----------
 
 
-def reference_failures(inst, alloc, order, cuts, which):
+def reference_failures(inst, alloc, order, cuts):
     """The numbered properties checked one property at a time, as they were
-    written before the check became one pass: (2) walks the pairs, (3) walks
-    each agent's pairs again, and (5)-(7) take their labels from
-    ``free_units`` and their free goods from the allocation's complement."""
+    written before the check became one pass: the envy relation is written
+    out over every ordered pair, (2) walks the pairs, (3) walks each agent's
+    pairs again, and (5)-(7), decided exactly when the order is complete,
+    take their labels from ``free_units`` and their free goods from the
+    allocation's complement."""
     failures = {}
 
     def add(prop, rows):
@@ -301,55 +316,56 @@ def reference_failures(inst, alloc, order, cuts, which):
             failures.setdefault(prop, []).extend(rows)
 
     scope = {i for i in range(inst.n) if i not in order.unplaced}
-    graph = envy_graph(inst, alloc) if which & {1, 4, 5, 6, 7} else None
-    if 1 in which:
-        add(1, check_orientation(inst, alloc).violations)
-        add(1, _efx_witnesses(inst, alloc, graph))
-    if 2 in which:
-        for a, b in inst.skeleton_edges():
-            if (a in scope or b in scope) and order.determined(a, b):
-                fault = pair_fault(a, b, pair_state(inst, alloc, order, cuts, a, b))
-                add(2, [fault] if fault else [])
-    if 3 in which:
-        for i in sorted(scope):
-            v = inst.valuations[i].value
-            own = v(alloc.bundle(i))
-            for j in inst.neighbors(i):
-                if order.determined(i, j):
-                    cut, _, _, _, free = pair_state(inst, alloc, order, cuts, i, j)
-                    add(3, [
-                        (i, j, sorted(part))
-                        for part in cut.parts()
-                        if part and part <= free and v(part) > own
-                    ])
-    if 4 in which:
-        into = {e.dst: e.src for e in graph.edges}
-        add(4, [(into[e.src], e.src, e.dst) for e in graph.edges if e.src in into][:1])
-    if which & {5, 6, 7}:
-        units = free_units(inst, alloc, order, cuts)
-        free = inst.all_goods - alloc.allocated_goods()
-        enviers = {}
-        for e in graph.edges:
-            enviers.setdefault(e.dst, []).append(e.src)
-        for i in range(inst.n):
-            loose = free & inst.incident_goods(i)
-            b5, b6, b7 = agent_free_bundle_breaks(
-                inst,
-                alloc,
-                i,
-                inst.valuations[i].value(alloc.bundle(i)),
-                enviers.get(i, []),
-                units.primary[i],
-                units.secondary[i],
-                loose,
-            )
-            if 5 in which and b5:
-                add(5, [(i, sorted(units.primary[i]))])
-            if 6 in which and b6:
-                add(6, [(i, sorted(loose))])
-            if 7 in which:
-                add(7, b7)
-    return failures, (units if which & {5, 6, 7} else None)
+    edges = envy_definition(inst, alloc)
+    bundle = alloc.bundle
+    add(1, check_orientation(inst, alloc).violations)
+    add(1, [
+        (i, j, strong_envy_witness(inst, i, bundle(i), bundle(j)))
+        for i, j, strong in edges
+        if strong
+    ])
+    for a, b in inst.skeleton_edges():
+        if (a in scope or b in scope) and order.determined(a, b):
+            fault = pair_fault(a, b, pair_state(inst, alloc, order, cuts, a, b))
+            add(2, [fault] if fault else [])
+    for i in sorted(scope):
+        v = inst.valuations[i].value
+        own = v(alloc.bundle(i))
+        for j in inst.neighbors(i):
+            if order.determined(i, j):
+                cut, _, _, _, free = pair_state(inst, alloc, order, cuts, i, j)
+                add(3, [
+                    (i, j, sorted(part))
+                    for part in cut.parts()
+                    if part and part <= free and v(part) > own
+                ])
+    into = {j: i for i, j, _ in edges}
+    add(4, [(into[i], i, j) for i, j, _ in edges if i in into][:1])
+    if order.unplaced:
+        return failures, None
+    units = free_units(inst, alloc, order, cuts)
+    free = inst.all_goods - alloc.allocated_goods()
+    enviers = {}
+    for i, j, _ in edges:
+        enviers.setdefault(j, []).append(i)
+    for i in range(inst.n):
+        loose = free & inst.incident_goods(i)
+        b5, b6, b7 = agent_free_bundle_breaks(
+            inst,
+            alloc,
+            i,
+            inst.valuations[i].value(alloc.bundle(i)),
+            enviers.get(i, []),
+            units.primary[i],
+            units.secondary[i],
+            loose,
+        )
+        if b5:
+            add(5, [(i, sorted(units.primary[i]))])
+        if b6:
+            add(6, [(i, sorted(loose))])
+        add(7, b7)
+    return failures, units
 
 
 @st.composite
@@ -396,24 +412,22 @@ def checked_states(draw):
     alloc = Allocation.from_bundles(
         n, [[g for g, o in owners.items() if o == i] for i in range(n)]
     )
-    which = draw(st.sets(st.integers(1, 7), min_size=1))
-    return inst, alloc, order, cuts, frozenset(which)
+    return inst, alloc, order, cuts
 
 
 @given(checked_states())
 @settings(max_examples=400, deadline=None)
 def test_one_pass_matches_the_per_property_checks(state):
-    inst, alloc, order, cuts, which = state
-    try:
-        expected, units = reference_failures(inst, alloc, order, cuts, which)
-    except StateError:
-        # (5)-(7) need every pair's order; both checks refuse alike
-        with pytest.raises(StateError):
-            check_properties(inst, alloc, order, cuts, which)
-        return
-    report = check_properties(inst, alloc, order, cuts, which)
+    inst, alloc, order, cuts = state
+    expected, units = reference_failures(inst, alloc, order, cuts)
+    report = check_properties(inst, alloc, order, cuts)
     assert report.failures == expected
-    if units is not None:
+    if units is None:
+        # (5)-(7) apply only once the order is complete
+        assert report.checked == {1, 2, 3, 4}
+        assert report.free_bundles is None
+    else:
+        assert report.checked == set(range(1, 8))
         assert report.free_bundles.units == units
 
 
@@ -442,7 +456,7 @@ def test_a_check_reads_each_determined_pair_once(monkeypatch):
     for i in state.sigma()[:300]:
         order.append_front(i)
     reads.clear()
-    check_properties(inst, Allocation(inst.n), order, state.cuts, {2, 3})
+    check_properties(inst, Allocation(inst.n), order, state.cuts)
     determined = [
         (a, b) for a, b in inst.skeleton_edges() if a in order.front or b in order.front
     ]
