@@ -264,13 +264,18 @@ class Allocation:
     """A partial allocation: one bundle per agent, pairwise disjoint.
 
     Disjointness is enforced structurally through an owner map, so every
-    mutation either keeps the invariant or raises.
+    mutation either keeps the invariant or raises.  Every mutation is a
+    :meth:`set_bundle` call, and the allocation records the agent of each
+    one: :attr:`changes` counts them, and :meth:`set_since` names the agents
+    set after a given count, so a caller can tell whether, and for whom,
+    the allocation changed since it last looked.
     """
 
     def __init__(self, n: int):
         self.n = n
         self._bundles: list[Bundle] = [EMPTY_BUNDLE] * n
         self._owner: dict[int, int] = {}
+        self._set_log: list[int] = []  # the agent of every set_bundle call
 
     @classmethod
     def from_bundles(cls, n: int, bundles: Sequence[Iterable[int]]) -> "Allocation":
@@ -302,8 +307,21 @@ class Allocation:
         """The goods of ``goods`` that nobody holds, in O(len(goods))."""
         return frozenset(filterfalse(self._owner.__contains__, goods))
 
+    @property
+    def changes(self) -> int:
+        """How many :meth:`set_bundle` calls this allocation has had."""
+        return len(self._set_log)
+
+    def set_since(self, changes: int) -> set[int]:
+        """The agents of the :meth:`set_bundle` calls after the first
+        ``changes``, in O(calls since then)."""
+        return set(self._set_log[changes:])
+
     def set_bundle(self, i: int, goods: Iterable[int]) -> None:
-        """Replace agent ``i``'s bundle; the new goods must be free or hers."""
+        """Replace agent ``i``'s bundle; the new goods must be free or hers.
+
+        The call counts as a change even when the bundle stays the same.
+        """
         new = frozenset(goods)
         old = self._bundles[i]
         for g in new - old:
@@ -318,6 +336,7 @@ class Allocation:
         for g in new - old:
             self._owner[g] = i
         self._bundles[i] = new
+        self._set_log.append(i)
 
     def is_complete(self, instance: Instance) -> bool:
         return len(self._owner) == instance.m

@@ -22,7 +22,10 @@ orientation and the absence of strong envy.
 
 When no agents remain unplaced, the allocation satisfies the numbered
 properties (1)-(4) of :mod:`.verify`.  Stage two asserts them in the check
-it opens with, so this stage does not check its own output again.
+it opens with, so this stage does not check its own output again: a
+validated run's last round check, which runs on the complete order and so
+decides (5)-(7) too, stays on the state for stage two to open with.  Each
+round also checks that it set only the bundles of the agents it placed.
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ from .model import Allocation, Instance
 # it by name, so a reintroduced call is counted
 from .verify import (  # noqa: F401
     STAGE_ONE_PROPERTIES,
+    PropertyReport,
     check_properties,
     envy_graph,
     envy_pairs,
@@ -78,12 +82,21 @@ class SolveMetrics:
 @dataclass
 class SolverState:
     """Allocation, picking order and memoised pair splits, threaded through
-    all three stages."""
+    all three stages.
+
+    The state also holds the last from-scratch property report computed on
+    it (:meth:`keep_report`), stamped with the allocation and order objects,
+    the allocation's change count and the order's placed count.  The report
+    is handed back (:meth:`kept_report`) only while all four still match, so
+    after any ``set_bundle`` or placement it is never reused, and a copy
+    made with ``dataclasses.replace`` starts without one.
+    """
 
     instance: Instance
     alloc: Allocation
     order: PickOrder
     cuts: CutTable
+    _kept: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     @classmethod
     def fresh(cls, instance: Instance) -> "SolverState":
@@ -99,6 +112,28 @@ class SolverState:
 
     def claimable(self, i: int, j: int):
         return claimable(self.instance, self.alloc, self.order, self.cuts, i, j)
+
+    def _counts(self) -> tuple[int, int]:
+        """The allocation's change count and the order's placed count."""
+        return self.alloc.changes, self.order.n - len(self.order.unplaced)
+
+    def keep_report(self, report: PropertyReport) -> PropertyReport:
+        """Keep ``report``, a from-scratch check of this state as it is now,
+        and return it."""
+        self._kept = (report, self.alloc, self.order, self._counts())
+        return report
+
+    def kept_report(self) -> Optional[PropertyReport]:
+        """The kept report if the state has not changed since it was
+        computed, else ``None``; a stale report is dropped, so it is not
+        held while the next check is built."""
+        if self._kept is None:
+            return None
+        report, alloc, order, counts = self._kept
+        if alloc is self.alloc and order is self.order and counts == self._counts():
+            return report
+        self._kept = None
+        return None
 
 
 @dataclass
@@ -136,7 +171,8 @@ def augment(
 
     Each bundle handed out is traced as a ``pick`` event; the closing
     ``round`` event lists only the agents this round placed at the front
-    and at the back, each in placement order.
+    and at the back, each in placement order.  A round that set the bundle
+    of an agent it did not place is an internal error.
     """
     order, alloc = state.order, state.alloc
     if not order.unplaced:
@@ -152,7 +188,7 @@ def augment(
             trace({"phase": 1, "event": "pick", "agent": agent, "goods": sorted(goods)})
 
     i = order.lowest_unplaced()
-    front0, back = len(order.front), [i]
+    front0, back, changes0 = len(order.front), [i], alloc.changes
     order.prepend_back(i)
     j = _best_partner(state, i)
     while j in order.unplaced:
@@ -172,8 +208,14 @@ def augment(
             back.append(i)
             j = _best_partner(state, i)
     give(i, state.claimable(i, j))
+    front = order.front[front0:]
+    stray = alloc.set_since(changes0).difference(front, back)
+    if stray:
+        raise InternalSolverError(
+            f"a stage-one round set the bundles of agents {sorted(stray)} it did not place"
+        )
     if trace is not None:
-        trace({"phase": 1, "event": "round", "front": order.front[front0:], "back": back})
+        trace({"phase": 1, "event": "round", "front": front, "back": back})
 
 
 def check_invariants(state: SolverState) -> list[InvariantViolation]:
@@ -182,11 +224,12 @@ def check_invariants(state: SolverState) -> list[InvariantViolation]:
     Invariant (7) is one :func:`.verify.check_properties`, narrowed to
     properties (1)-(4), and each of its failures is a code-7 row
     ``(property, *row)``; the order-only invariants (5) and (6) read the
-    envy graph it built.
+    envy graph it built.  The whole report stays on the state
+    (:meth:`SolverState.keep_report`).
     """
     instance, alloc, order = state.instance, state.alloc, state.order
     unplaced = order.unplaced
-    report = check_properties(instance, alloc, order, state.cuts)
+    report = state.keep_report(check_properties(instance, alloc, order, state.cuts))
     out: list[InvariantViolation] = []
 
     for p in range(instance.n):

@@ -17,16 +17,22 @@ are read off a :class:`.verify.FreeBundleCheck` of the current state:
   bundles of the shared pair, then she absorbs that label's free bundles.
 
 The stage opens with one from-scratch :func:`.verify.check_properties` of
-properties (1)-(7) on its input: (1)-(4) must hold, and the check's
-:class:`.verify.FreeBundleCheck` itself becomes the live one
-(:class:`LiveCheck`), updated in place after every step; the stage holds no
-other free-bundle check.  A rule changes the bundles of at most two agents
-``C``, and only ``C`` and its neighbours ``N(C)`` are rechecked.  With
-``validate`` set, every step also runs one from-scratch check of (1)-(7):
-(1)-(4) must still hold, its free-bundle check, reads included, must equal
-the live one field by field, and the rule's postconditions must hold
-against the envy pairs the live check had before the step.  The stage's
-output is checked by stage three, which opens with the same check.
+properties (1)-(7) on its input: the report stage one left on the state
+(:meth:`.phase1.SolverState.kept_report`) when nothing changed since, which
+a validated stage one's last round check is, else a new check.  (1)-(4)
+must hold, and the check's :class:`.verify.FreeBundleCheck` itself becomes
+the live one (:class:`LiveCheck`), updated in place after every step; the
+stage holds no other free-bundle check.  A rule changes the bundles of at
+most two agents ``C``, each step checks that no other agent's bundle was
+set, and only ``C`` and its neighbours ``N(C)`` are rechecked.  With
+``validate`` set, every step also runs one from-scratch check of (1)-(7),
+kept on the state: (1)-(4) must still hold, its free-bundle check, reads
+included, must equal the live one field by field, and the rule's
+postconditions must hold against the envy pairs the live check had before
+the step.  The stage's output is checked by stage three, which opens with
+the last report kept on the state when the state has not changed since:
+the last validated step's, or this stage's opening one when it took no
+step.
 
 Each step strictly lowers the triple (number of envied agents, rule-B
 violators, rule-A violators) in lexicographic order, so the loop ends after
@@ -76,6 +82,12 @@ def _splice(rows: list, i: int, new: list, key=None) -> None:
     rows[lo : bisect_right(rows, i, lo, key=key)] = new
 
 
+def _has(rows: list[int], i: int) -> bool:
+    """Whether ascending ``rows`` holds ``i``."""
+    lo = bisect_left(rows, i)
+    return lo < len(rows) and rows[lo] == i
+
+
 _AGENT = itemgetter(0)
 
 
@@ -98,8 +110,11 @@ class LiveCheck:
     copy: after a rule changes the bundles of the agents ``C``,
     :meth:`update` changes it in place and returns it.  Its envier index is
     the very dict of the opening report's envy graph, which therefore
-    changes with it; nothing reads that graph after the stage opens.  Only
-    the pairs touching ``C``, ``C``'s own values and outgoing envy, each
+    changes with it; nothing reads that graph after the stage opens.  The
+    opening report may be kept on the state for reuse, but :meth:`update`
+    runs only after a step's ``set_bundle`` calls, which make the kept
+    report stale, so a report it has changed is never reused.  Only the
+    pairs touching ``C``, ``C``'s own values and outgoing envy, each
     neighbour's envy toward ``C``, and properties (5)-(7) of ``C`` and its
     neighbours ``N(C)`` are recomputed.  Every field then equals the
     from-scratch check's: the enviers, the labels, the own values, the free
@@ -121,15 +136,22 @@ class LiveCheck:
     are the from-scratch ones: :func:`.cuts.pair_labels` per pair,
     :func:`.verify.viewer_envy` per viewer and
     :func:`.verify.agent_free_bundle_breaks` per agent.
+
+    A neighbour ``k`` outside ``C`` keeps her own bundle, so her value for
+    it is unchanged.  When she was non-envied and kept (6) before the step,
+    and no pair of hers that was reread gained a free good, her free goods
+    only shrank, and by monotonicity she still keeps (6) if she is still
+    non-envied; her (6) valuation is then skipped.
     """
 
     def __init__(self, state: SolverState, check: FreeBundleCheck):
         self.state = state
         self.check = check
 
-    def _refresh_pair(self, a: int, b: int) -> None:
+    def _refresh_pair(self, a: int, b: int) -> bool:
         """Reread the pair of ``a`` and ``b`` and, when the read changed,
-        swap its old part of both endpoints' sets for its new one."""
+        swap its old part of both endpoints' sets for its new one; whether
+        the pair gained a free good."""
         if a > b:
             a, b = b, a
         state, check = self.state, self.check
@@ -137,7 +159,7 @@ class LiveCheck:
         pair = pair_state(state.instance, state.alloc, state.order, state.cuts, a, b)
         new = (pair[4], *pair_labels(a, b, pair))
         if new == old:
-            return
+            return False
         check.pairs[a, b] = new
         units = check.units
         for agent, side in ((a, 1), (b, 2)):
@@ -149,6 +171,7 @@ class LiveCheck:
                 part = sets[agent]
                 part -= old_part
                 part |= new_part
+        return not new[0] <= old[0]
 
     def _set_envy(self, i: int, owners: Iterable[int]) -> None:
         """Recompute agent ``i``'s envy toward ``owners``, all neighbours of hers."""
@@ -167,8 +190,9 @@ class LiveCheck:
         for j in viewer_envy(instance, i, self.check.own[i], parts):
             insort(enviers.setdefault(j, []), i)
 
-    def _decide(self, i: int) -> None:
-        """Recompute agent ``i``'s properties (5)-(7)."""
+    def _decide(self, i: int, holds_6: bool) -> None:
+        """Recompute agent ``i``'s properties (5)-(7); ``holds_6`` as for
+        :func:`.verify.agent_free_bundle_breaks`."""
         check = self.check
         b5, b6, b7 = agent_free_bundle_breaks(
             self.state.instance,
@@ -179,6 +203,7 @@ class LiveCheck:
             check.units.primary[i],
             check.units.secondary[i],
             check.loose[i],
+            holds_6=holds_6,
         )
         _splice(check.breaks_5, i, [i] if b5 else [])
         _splice(check.breaks_6, i, [i] if b6 else [])
@@ -188,25 +213,35 @@ class LiveCheck:
         """The check after a step that changed the bundles of ``changed``,
         updated in place."""
         instance, alloc = self.state.instance, self.state.alloc
-        own = self.check.own
+        check = self.check
+        own = check.own
         changed = set(changed)
         # each neighbour outside C -> her neighbours in C
         toward: dict[int, list[int]] = {}
+        gained: set[int] = set()  # neighbours with a pair that gained a free good
         for c in changed:
             own[c] = instance.valuations[c].value(alloc.bundle(c))
             for k in instance.neighbors(c):
                 if k not in changed:
                     toward.setdefault(k, []).append(c)
-                    self._refresh_pair(c, k)
+                    if self._refresh_pair(c, k):
+                        gained.add(k)
                 elif c < k:  # a pair inside C, read once
                     self._refresh_pair(c, k)
+        # neighbours that kept (6) without envy before the step and whose
+        # free goods only shrank
+        holds_6 = {
+            k
+            for k in toward
+            if k not in gained and k not in check.enviers and not _has(check.breaks_6, k)
+        }
         for c in changed:
             self._set_envy(c, instance.neighbors(c))
         for k, owners in toward.items():
             self._set_envy(k, owners)
         for i in changed.union(toward):
-            self._decide(i)
-        return self.check
+            self._decide(i, i in holds_6)
+        return check
 
 
 def _apply_rule_a(state: SolverState, scan: FreeBundleCheck, i: int) -> None:
@@ -255,10 +290,15 @@ def phase2_step(
     state: SolverState, *, scan: FreeBundleCheck, trace: TraceFn = None
 ) -> Optional[StepRecord]:
     """Apply one repair rule, picked from ``scan``, the free-bundle check of
-    ``state``; ``None`` when properties (5)-(7) already hold."""
+    ``state``; ``None`` when properties (5)-(7) already hold.
+
+    The live check rechecks only around the agents the record names, so a
+    rule that set the bundle of any other agent is an internal error.
+    """
     if scan.ok:
         return None
     phi = Potential.of(scan)
+    changes0 = state.alloc.changes
     if scan.breaks_5:
         i = scan.breaks_5[0]
         _apply_rule_a(state, scan, i)
@@ -271,6 +311,12 @@ def phase2_step(
         i, j, label = scan.breaks_7[0]
         _apply_rule_c(state, scan, i, j, label)
         record = StepRecord("C", i, j, phi)
+    stray = state.alloc.set_since(changes0).difference(record.changed())
+    if stray:
+        raise InternalSolverError(
+            f"rule {record.branch} on agent {record.agent} set the bundles of "
+            f"agents {sorted(stray)} outside the step"
+        )
     if trace is not None:
         trace(
             {
@@ -295,20 +341,25 @@ def run_phase2(
     """Iterate repair steps until properties (5)-(7) hold as well.
 
     The stage opens with one check of properties (1)-(7) on the stage-one
-    output: a failure of (1)-(4) is an internal error, and the check's
-    free-bundle part becomes the :class:`LiveCheck` that gives every step's
-    check.  The potential must drop strictly on every step and the loop must
-    finish within ``n**3`` steps; either failure is an internal error.  With
+    output, the report kept on the state when it is still current: a
+    failure of (1)-(4) is an internal error, and the check's free-bundle
+    part becomes the :class:`LiveCheck` that gives every step's check.  The
+    potential must drop strictly on every step and the loop must finish
+    within ``n**3`` steps; either failure is an internal error.  With
     ``validate`` set, each step runs one from-scratch check of (1)-(7):
     (1)-(4) must still hold, its free-bundle check must equal the live one,
     and rule-specific postconditions are asserted against the live check's
-    envy pairs from before the step.  The output is checked by
-    :func:`.phase3.run_phase3`.
+    envy pairs from before the step; that check is kept on the state.  The
+    output is checked by :func:`.phase3.run_phase3`.
     """
     instance = state.instance
     metrics = metrics if metrics is not None else SolveMetrics()
     cap = max(1, instance.n**3)
-    report = check_properties(instance, state.alloc, state.order, state.cuts)
+    report = state.kept_report()
+    if report is None:
+        report = state.keep_report(
+            check_properties(instance, state.alloc, state.order, state.cuts)
+        )
     broken = report.only(STAGE_ONE_PROPERTIES)
     if not broken.ok:
         raise InternalSolverError(f"stage-one output: {broken.summary()}")
@@ -347,9 +398,11 @@ def _validate_step(
     Properties (1)-(4) must still hold, the live check ``live`` must equal
     the from-scratch one, and the rule's postconditions must hold against
     ``envy_before``, the ``(envier, envied)`` pairs of the state before the
-    step.
+    step.  The from-scratch report is kept on the state.
     """
-    report = check_properties(state.instance, state.alloc, state.order, state.cuts)
+    report = state.keep_report(
+        check_properties(state.instance, state.alloc, state.order, state.cuts)
+    )
     broken = report.only(STAGE_ONE_PROPERTIES)
     if not broken.ok:
         raise InternalSolverError(

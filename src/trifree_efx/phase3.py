@@ -12,9 +12,13 @@ turns the orientation into a general allocation.
 The stage opens with one check of properties (1)-(7) on its input, which
 is the check of stage two's output, and reads each envied agent's envier
 (the check's envier index, its only form of the envy relation) and the
-labels it dumps from that check.  ``solve`` wires the three stages together
-behind a triangle-freeness guard and re-verifies the final allocation
-(complete + EFX) from first principles.
+labels it dumps from that check.  That check is computed from scratch once
+per state: when the report kept on the state is still current (the last
+validated step's, or stage two's opening one when stage two took no step)
+the stage opens with it.  ``solve`` wires the three stages together behind
+a triangle-freeness guard and re-verifies the final allocation (complete +
+EFX) from first principles; when nothing was dumped, the allocation is the
+one the opening check saw, and its property (1) is the EFX verdict.
 """
 
 from __future__ import annotations
@@ -30,7 +34,13 @@ from .errors import InternalSolverError, NotTriangleFreeError
 from .model import Allocation, Instance
 from .phase1 import SolveMetrics, SolverState, TraceFn, run_phase1
 from .phase2 import run_phase2
-from .verify import check_completeness, check_efx, check_properties, envy_graph  # noqa: F401
+from .verify import (  # noqa: F401
+    CheckReport,
+    check_completeness,
+    check_efx,
+    check_properties,
+    envy_graph,
+)
 
 
 @dataclass
@@ -42,8 +52,12 @@ class SolveConfig:
     and final checks but skips the per-step ones (useful for large benchmark
     instances).  The stage-boundary checks are the ones stages two and three
     open with, each one check of properties (1)-(7) on its input, and the
-    final one is the complete-and-EFX check; an unvalidated solve therefore
-    builds the envy graph three times.
+    final one is the complete-and-EFX check.  Each state is checked from
+    scratch once: a stage opens with the last report computed on the very
+    state it is handed when there is one, so a validated solve runs one
+    check per round and per step, and an unvalidated solve builds the envy
+    graph once when stage two takes no step, one more when it does, and one
+    more when stage three dumps.
     """
 
     validate_steps: bool = True
@@ -67,15 +81,21 @@ def run_phase3(
     """Dump every envied agent's primary free bundles on her envier.
 
     The stage opens with one check of properties (1)-(7) on the stage-two
-    output; any failure is an internal error.  Each envied agent's one
-    envier (her row of the check's envier index) and the free-unit labels
-    are read from that check and frozen; with ``validate`` the dumped
-    agent's primary label is also read from her own pairs before each dump,
-    and must agree.  The output must be a complete EFX allocation.
+    output, the report kept on the state when it is still current; any
+    failure is an internal error.  Each envied agent's one envier (her row
+    of the check's envier index) and the free-unit labels are read from
+    that check and frozen; with ``validate`` the dumped agent's primary
+    label is also read from her own pairs before each dump, and must agree.
+    The output must be a complete EFX allocation; with no dump the opening
+    report, still current, gives the EFX verdict.
     """
     instance, alloc = state.instance, state.alloc
     metrics = metrics if metrics is not None else SolveMetrics()
-    report = check_properties(instance, alloc, state.order, state.cuts)
+    report = state.kept_report()
+    if report is None:
+        report = state.keep_report(
+            check_properties(instance, alloc, state.order, state.cuts)
+        )
     if not report.ok:
         raise InternalSolverError(f"stage-two output: {report.summary()}")
     check = report.free_bundles
@@ -120,7 +140,11 @@ def run_phase3(
         raise InternalSolverError(
             f"dump stage left goods unallocated: {missing.violations[:5]}"
         )
-    efx = check_efx(instance, alloc)
+    kept = state.kept_report()
+    if kept is None:
+        efx = check_efx(instance, alloc)
+    else:
+        efx = CheckReport("efx", kept.graph.strong)
     if not efx.ok:
         raise InternalSolverError(
             f"dump stage broke the no-strong-envy guarantee: {efx.violations[:5]}"

@@ -296,18 +296,23 @@ def agent_free_bundle_breaks(
     primary: Bundle,
     secondary: Bundle,
     loose: Bundle,
+    *,
+    holds_6: bool = False,
 ) -> tuple[bool, bool, list[tuple[int, int, str]]]:
     """Whether agent ``i`` breaks (5) and (6), and her (7) rows.
 
     ``own`` is her value for her own bundle, ``enviers`` her enviers in
     ascending order, ``primary`` and ``secondary`` her free-unit labels and
     ``loose`` the free goods incident to her.  A non-envied agent can break
-    only (5) and (6), an envied one only (7).  This is the one place the
-    per-agent rule is written.
+    only (5) and (6), an envied one only (7).  ``holds_6`` says that
+    ``v(loose) <= own`` is already known, so (6) is not valued again: the
+    caller sets it for an agent that was non-envied and kept (6) in a state
+    with the same own bundle and a superset of ``loose``.  This is the one
+    place the per-agent rule is written.
     """
     v = instance.valuations[i].value
     if not enviers:
-        return bool(primary), v(loose) > own, []
+        return bool(primary), not holds_6 and v(loose) > own, []
     return (
         False,
         False,

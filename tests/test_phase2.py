@@ -293,7 +293,8 @@ def test_one_failing_free_bundle_property_picks_its_rule(case, prop, branch, age
 def test_rule_giving_a_third_party_pair_goods_is_an_internal_error(monkeypatch, validate):
     # rule A hands the absorbed free bundle to an agent outside its pair;
     # the stage-two checks must report that as a broken guarantee, not as a
-    # caller error
+    # caller error.  The step's premise check names the outsider before
+    # the live check reads the state.
     def misplace(state, scan, i):
         goods = scan.units.primary[i]
         ends = {end for g in goods for end in (inst.goods[g].u, inst.goods[g].v)}
@@ -302,10 +303,48 @@ def test_rule_giving_a_third_party_pair_goods_is_an_internal_error(monkeypatch, 
 
     inst = adversarial("star_two_leaves")
     monkeypatch.setattr(phase2, "_apply_rule_a", misplace)
+    with pytest.raises(InternalSolverError, match=r"agents \[1\] outside the step"):
+        solve(inst, SolveConfig(validate_steps=validate))
+
+
+@pytest.mark.parametrize("validate", [True, False])
+def test_rule_taking_a_third_party_pair_good_is_an_internal_error(monkeypatch, validate):
+    # rule A's agent also takes a free good of a pair she is not on: only
+    # her bundle is set, so the premise holds, and the from-scratch checks
+    # report the torn pair, the validated step's at once, unvalidated
+    # stage three's opening one
+    absorb = phase2._apply_rule_a
+
+    def overreach(state, scan, i):
+        absorb(state, scan, i)
+        strays = state.alloc.free_among(range(inst.m)) - inst.incident_goods(i)
+        if strays:
+            state.alloc.set_bundle(i, state.alloc.bundle(i) | {min(strays)})
+
+    inst = adversarial("star_two_leaves")
+    monkeypatch.setattr(phase2, "_apply_rule_a", overreach)
     with pytest.raises(InternalSolverError) as err:
         solve(inst, SolveConfig(validate_steps=validate))
-    if validate:
-        assert "(2) x1" in str(err.value)
+    assert "(2) x1" in str(err.value)
+    assert str(err.value).startswith("rule A" if validate else "stage-two output")
+
+
+def test_a_rule_setting_a_bystanders_bundle_is_an_internal_error(monkeypatch):
+    # re-setting a bystander's bundle to itself changes no good, but the
+    # live check would not recheck around her: the step's premise check,
+    # which runs in both modes, refuses it
+    absorb = phase2._apply_rule_a
+
+    def with_bystander(state, scan, i):
+        absorb(state, scan, i)
+        bystander = max(k for k in range(inst.n) if k != i)
+        state.alloc.set_bundle(bystander, state.alloc.bundle(bystander))
+
+    inst = adversarial("star_two_leaves")
+    assert solve(inst, SolveConfig(validate_steps=False)).metrics.phase2_branches["A"]
+    monkeypatch.setattr(phase2, "_apply_rule_a", with_bystander)
+    with pytest.raises(InternalSolverError, match=r"agents \[3\] outside the step"):
+        solve(inst, SolveConfig(validate_steps=False))
 
 
 # -- the live free-bundle check ----------------------------------------------------

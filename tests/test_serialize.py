@@ -3,6 +3,7 @@ import time
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from trifree_efx import (
     Allocation,
@@ -13,6 +14,7 @@ from trifree_efx import (
     instance_to_json,
 )
 from trifree_efx.generate import GenSpec, gen_instance
+from trifree_efx.phase3 import solve
 from trifree_efx.serialize import envy_graph_dot
 from trifree_efx.model import Good, Instance
 
@@ -241,3 +243,91 @@ def test_dot_marks_strong_envy():
     alloc = Allocation.from_bundles(2, [{1}, {0, 2}])
     dot = envy_graph_dot(inst, alloc)
     assert '  0 -> 1 [label="strong"];' in dot
+
+
+# -- fuzzed loaders ---------------------------------------------------------------------
+
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(min_value=-(2**70), max_value=2**70)
+    | st.floats()
+    | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=8,
+)
+
+
+def fields(payload, path=()):
+    """The path of every field below ``payload``: dict keys and list indices."""
+    items = payload.items() if isinstance(payload, dict) else enumerate(payload)
+    for key, value in items:
+        yield path + (key,)
+        if isinstance(value, (dict, list)):
+            yield from fields(value, path + (key,))
+
+
+def mutated(payload, path, value):
+    """A copy of ``payload`` with the field at ``path`` set to ``value``, or
+    removed when ``value`` is the string ``"<delete>"`` and the field is a
+    dict key."""
+    copy = json.loads(json.dumps(payload))
+    *parents, last = path
+    target = copy
+    for key in parents:
+        target = target[key]
+    if value == "<delete>" and isinstance(target, dict):
+        del target[last]
+    else:
+        target[last] = value
+    return copy
+
+
+def fuzz_instance(valuation_class):
+    spec = GenSpec(
+        seed=11,
+        n=4,
+        m=5,
+        topology="tree",
+        valuation_class=valuation_class,
+        v_max=6,
+        max_parallel=2,
+        max_degree=3,
+    )
+    return instance_to_json(gen_instance(spec))
+
+
+FUZZ_INSTANCES = {c: fuzz_instance(c) for c in ("additive", "transformed_additive", "monotone_table")}
+FUZZ_FIELDS = {c: list(fields(payload)) for c, payload in FUZZ_INSTANCES.items()}
+
+
+@pytest.mark.parametrize("valuation_class", sorted(FUZZ_INSTANCES))
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_a_mutated_instance_field_raises_only_validation_errors(valuation_class, data):
+    path = data.draw(st.sampled_from(FUZZ_FIELDS[valuation_class]))
+    value = data.draw(JSON_VALUES | st.just("<delete>"))
+    payload = mutated(FUZZ_INSTANCES[valuation_class], path, value)
+    try:
+        instance_from_json(payload)
+    except ValidationError:
+        pass
+
+
+FUZZ_SOLVED = gen_instance(GenSpec(seed=12, n=6, m=9, topology="cycle_even"))
+FUZZ_ALLOCATION = dict(
+    allocation_to_json(solve(FUZZ_SOLVED).allocation),
+    sigma=list(range(FUZZ_SOLVED.n)),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_a_mutated_allocation_field_raises_only_validation_errors(data):
+    path = data.draw(st.sampled_from(list(fields(FUZZ_ALLOCATION))))
+    value = data.draw(JSON_VALUES | st.just("<delete>"))
+    try:
+        allocation_from_json(mutated(FUZZ_ALLOCATION, path, value), FUZZ_SOLVED)
+    except ValidationError:
+        pass
