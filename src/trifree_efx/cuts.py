@@ -243,6 +243,12 @@ class PickOrder:
     def back(self) -> list[int]:
         return list(reversed(self._back_rev))
 
+    def in_front(self, i: int) -> bool:
+        return self._ranks.get(i, self.n) < self.n
+
+    def in_back(self, i: int) -> bool:
+        return self._ranks.get(i, self.n) > self.n
+
     def determined(self, a: int, b: int) -> bool:
         return not (a in self.unplaced and b in self.unplaced)
 

@@ -25,17 +25,23 @@ properties (1)-(4) of :mod:`.verify`.  Stage two asserts them in the check
 it opens with, so this stage does not check its own output again: a
 validated run's last round check, which runs on the complete order and so
 decides (5)-(7) too, stays on the state for stage two to open with.  Each
-round also checks that it set only the bundles of the agents it placed.
+round also checks that it set only the bundles of the agents it placed, in
+both modes.  That premise is what lets a validated run check every other
+round from scratch over the agents it placed only (``check_invariants``
+with ``scope``): the state before the round passed its check, and nothing
+outside those agents and their neighbours can have changed.  The last
+round, and the first one of a run handed a state it did not start, are
+checked whole.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, replace
-from typing import Callable, Optional
+from dataclasses import dataclass, field, replace
+from typing import Callable, Iterable, Optional
 
 from .cuts import CutTable, PickOrder, claimable
 from .errors import InternalSolverError, StateError
-from .model import Allocation, Instance
+from .model import EMPTY_BUNDLE, Allocation, Bundle, Instance
 # ``envy_graph`` is no longer called here, but the benchmark's tracer wraps
 # it by name, so a reintroduced call is counted
 from .verify import (  # noqa: F401
@@ -76,7 +82,10 @@ class SolveMetrics:
     wall_time_s: float = 0.0
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        """The counters as a flat dict; ``phase2_branches`` is a copy."""
+        out = dict(self.__dict__)
+        out["phase2_branches"] = dict(self.phase2_branches)
+        return out
 
 
 @dataclass
@@ -118,8 +127,10 @@ class SolverState:
         return self.alloc.changes, self.order.n - len(self.order.unplaced)
 
     def keep_report(self, report: PropertyReport) -> PropertyReport:
-        """Keep ``report``, a from-scratch check of this state as it is now,
-        and return it."""
+        """Keep ``report``, a whole from-scratch check of this state as it is
+        now, and return it; a scoped report is refused."""
+        if report.scope is not None:
+            raise StateError("a scoped property report cannot be kept for reuse")
         self._kept = (report, self.alloc, self.order, self._counts())
         return report
 
@@ -145,8 +156,9 @@ class InvariantViolation:
         return f"invariant ({self.code}) broken: {INVARIANT_NAMES[self.code]} at {self.witness}"
 
 
-def _best_partner(state: SolverState, i: int) -> int:
-    """The partner whose claimable bundle agent ``i`` values most.
+def _best_partner(state: SolverState, i: int) -> tuple[int, Bundle]:
+    """The partner whose claimable bundle agent ``i`` values most, and that
+    bundle.
 
     Agent ``i`` values only goods on her own edges, so only her neighbours
     are visited.  The search starts from agent 0 at value 0 and moves only
@@ -154,20 +166,26 @@ def _best_partner(state: SolverState, i: int) -> int:
     with nothing of value to take resolves to agent 0, neighbour or not.
     If agent 0 is her neighbour she then takes her zero-valued unit bundle
     from pair ``(i, 0)``; otherwise that pair is empty and she takes nothing.
+    The bundle stays hers to claim while the pair's goods stay where they
+    are, and while its later picker does: :func:`augment` places the
+    partner, or hands her goods of another pair, before it hands ``i`` the
+    bundle, and neither changes the pair.
     """
     value = state.instance.valuations[i].value
-    best_j, best_val = 0, 0
+    best_j, best_val, best = 0, 0, EMPTY_BUNDLE
     for j in state.instance.neighbors(i):
-        val = value(state.claimable(i, j))
-        if val > best_val:
-            best_j, best_val = j, val
-    return best_j
+        bundle = state.claimable(i, j)
+        val = value(bundle)
+        if val > best_val or j == best_j:
+            best_j, best_val, best = j, val, bundle
+    return best_j, best
 
 
 def augment(
     state: SolverState, *, metrics: Optional[SolveMetrics] = None, trace: TraceFn = None
-) -> None:
-    """Place at least one unplaced agent and hand new agents their bundles.
+) -> list[int]:
+    """Place at least one unplaced agent and hand new agents their bundles;
+    the agents placed, front ones first.
 
     Each bundle handed out is traced as a ``pick`` event; the closing
     ``round`` event lists only the agents this round placed at the front
@@ -190,24 +208,24 @@ def augment(
     i = order.lowest_unplaced()
     front0, back, changes0 = len(order.front), [i], alloc.changes
     order.prepend_back(i)
-    j = _best_partner(state, i)
+    j, claim = _best_partner(state, i)
     while j in order.unplaced:
         order.append_front(j)
-        k = _best_partner(state, j)
+        k, taken = _best_partner(state, j)
         if k == i:
-            give(j, state.claimable(j, i))
-            j = _best_partner(state, i)
+            give(j, taken)
+            j, claim = _best_partner(state, i)
         elif k not in order.unplaced:
-            give(j, state.claimable(j, k))
+            give(j, taken)
             break
         else:
-            give(j, state.claimable(j, k))
-            give(i, state.claimable(i, j))
+            give(j, taken)
+            give(i, claim)
             i = k
             order.prepend_back(i)
             back.append(i)
-            j = _best_partner(state, i)
-    give(i, state.claimable(i, j))
+            j, claim = _best_partner(state, i)
+    give(i, claim)
     front = order.front[front0:]
     stray = alloc.set_since(changes0).difference(front, back)
     if stray:
@@ -216,9 +234,12 @@ def augment(
         )
     if trace is not None:
         trace({"phase": 1, "event": "round", "front": front, "back": back})
+    return front + back
 
 
-def check_invariants(state: SolverState) -> list[InvariantViolation]:
+def check_invariants(
+    state: SolverState, scope: Optional[Iterable[int]] = None
+) -> list[InvariantViolation]:
     """Check the between-round invariants; empty list means all hold.
 
     Invariant (7) is one :func:`.verify.check_properties`, narrowed to
@@ -226,34 +247,46 @@ def check_invariants(state: SolverState) -> list[InvariantViolation]:
     ``(property, *row)``; the order-only invariants (5) and (6) read the
     envy graph it built.  The whole report stays on the state
     (:meth:`SolverState.keep_report`).
+
+    With ``scope``, the agents a round placed, the check is scoped to them:
+    (7) is the scoped :func:`.verify.check_properties`, (1) and (2) read
+    their bundles only, and (5) and (6) the envy toward them and their
+    neighbours, which holds every envy pair touching them.  Only
+    their bundles were set and only they were placed since the state passed
+    the check before, so the other agents' rows are unchanged (see the
+    scoped check); the report is not kept.
     """
     instance, alloc, order = state.instance, state.alloc, state.order
     unplaced = order.unplaced
-    report = state.keep_report(check_properties(instance, alloc, order, state.cuts))
+    report = check_properties(instance, alloc, order, state.cuts, scope=scope)
+    if scope is None:
+        state.keep_report(report)
+        agents = range(instance.n)
+    else:
+        agents = sorted(scope)
     out: list[InvariantViolation] = []
 
-    for p in range(instance.n):
+    for p in agents:
         if p in unplaced:
             continue
         for g in sorted(alloc.bundle(p)):
             good = instance.goods[g]
             if good.u in unplaced or good.v in unplaced:
                 out.append(InvariantViolation(1, (p, g)))
-    for u in sorted(unplaced):
-        if alloc.bundle(u):
+    for u in agents:
+        if u in unplaced and alloc.bundle(u):
             out.append(InvariantViolation(2, (u, min(alloc.bundle(u)))))
 
-    front = set(order.front)
-    back = set(order.back)
     for i, j in envy_pairs(report.graph.enviers):
-        if i in front:
+        if order.in_front(i):
             out.append(InvariantViolation(5, (i, j)))
-        if i in back and j in back:
+        if order.in_back(i) and order.in_back(j):
             out.append(InvariantViolation(6, (i, j)))
 
-    for prop, violations in report.only(STAGE_ONE_PROPERTIES).failures.items():
-        for v in violations:
-            out.append(InvariantViolation(7, (prop,) + tuple(v)))
+    for prop, violations in report.failures.items():
+        if prop in STAGE_ONE_PROPERTIES:
+            for v in violations:
+                out.append(InvariantViolation(7, (prop,) + tuple(v)))
     return out
 
 
@@ -269,24 +302,35 @@ def run_phase1(
 
     With ``validate`` set, the invariants are re-checked after every round,
     and the final allocation is replayed greedily along the finished order,
-    which must reproduce it exactly.  The numbered properties (1)-(4)
-    of the result are asserted by :func:`.phase2.run_phase2`, which opens
-    with one check of (1)-(7) on its input.
+    which must reproduce it exactly.  A round's check is scoped to the
+    agents it placed (:func:`check_invariants`) once the state before it
+    passed a check: a fresh state passes vacuously, a state handed in is
+    checked whole after the first round.  The last round's check, on the
+    complete order, is whole; it decides (1)-(7) and stays on the state for
+    stage two to open with.  A scoped check that fails is rerun whole, so
+    the error names what the whole check finds.  The numbered properties
+    (1)-(4) of the result are asserted by :func:`.phase2.run_phase2`, which
+    opens with one check of (1)-(7) on its input.
     """
+    checked = state is None  # a fresh state passes every invariant vacuously
     if state is None:
         state = SolverState.fresh(instance)
     metrics = metrics if metrics is not None else SolveMetrics()
     while state.order.unplaced:
         before = len(state.order.unplaced)
-        augment(state, metrics=metrics, trace=trace)
+        placed = augment(state, metrics=metrics, trace=trace)
         if len(state.order.unplaced) >= before:
             raise InternalSolverError("a round failed to place any agent")
         if validate:
-            bad = check_invariants(state)
+            scoped = checked and bool(state.order.unplaced)
+            bad = check_invariants(state, placed if scoped else None)
+            if bad and scoped:
+                bad = check_invariants(state) or bad
             if bad:
                 raise InternalSolverError(
                     "; ".join(str(v) for v in bad)
                 )
+            checked = True
     if metrics.augment_calls > instance.n:
         raise InternalSolverError(
             f"{metrics.augment_calls} rounds for {instance.n} agents"
@@ -308,5 +352,5 @@ def greedy_replay(state: SolverState) -> Allocation:
     """
     replay = replace(state, alloc=Allocation(state.instance.n))
     for i in state.sigma():
-        replay.alloc.set_bundle(i, replay.claimable(i, _best_partner(replay, i)))
+        replay.alloc.set_bundle(i, _best_partner(replay, i)[1])
     return replay.alloc

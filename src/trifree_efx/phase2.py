@@ -25,14 +25,20 @@ the live one (:class:`LiveCheck`), updated in place after every step; the
 stage holds no other free-bundle check.  A rule changes the bundles of at
 most two agents ``C``, each step checks that no other agent's bundle was
 set, and only ``C`` and its neighbours ``N(C)`` are rechecked.  With
-``validate`` set, every step also runs one from-scratch check of (1)-(7),
-kept on the state: (1)-(4) must still hold, its free-bundle check, reads
-included, must equal the live one field by field, and the rule's
+``validate`` set, every step is also checked from scratch: (1)-(4) must
+still hold, the live check must equal the from-scratch one, and the rule's
 postconditions must hold against the envy pairs the live check had before
-the step.  The stage's output is checked by stage three, which opens with
-the last report kept on the state when the state has not changed since:
-the last validated step's, or this stage's opening one when it took no
-step.
+the step.  That check is scoped to ``C`` (the scoped
+:func:`.verify.check_properties`), so it compares the live check over
+``C ∪ N(C)`` only, except at the stage's last step, the one after which
+the live check has no break left: that check is whole, compares the live
+check field by field and is kept on the state.  Since a live row outside
+the last scope is compared only then, the agent each rule fires on first
+has her rows decided from scratch, unless the check of that very state
+already compared them.  The stage's output is checked by stage three,
+which opens with the last report kept on the state when the state has not
+changed since: the last validated step's, or this stage's opening one when
+it took no step.
 
 Each step strictly lowers the triple (number of envied agents, rule-B
 violators, rule-A violators) in lexicographic order, so the loop ends after
@@ -48,7 +54,7 @@ from typing import Iterable, NamedTuple, Optional
 
 # ``free_units`` and ``envy_graph`` are no longer called here, but the
 # benchmark's tracer wraps both by name, so a reintroduced call is counted
-from .cuts import free_units, own_labels, pair_labels, pair_state  # noqa: F401
+from .cuts import FreeUnits, free_units, own_labels, pair_labels, pair_state  # noqa: F401
 from .errors import InternalSolverError
 from .phase1 import SolveMetrics, SolverState, TraceFn
 from .verify import (  # noqa: F401
@@ -57,8 +63,9 @@ from .verify import (  # noqa: F401
     agent_free_bundle_breaks,
     check_properties,
     envy_graph,
-    envy_pairs,
+    local_free_bundle_check,
     viewer_envy,
+    with_neighbours,
 )
 
 
@@ -286,6 +293,19 @@ def _apply_rule_c(state: SolverState, scan: FreeBundleCheck, i: int, j: int, lab
     alloc.set_bundle(i, alloc.bundle(i) | after)
 
 
+def _pick(scan: FreeBundleCheck) -> Optional[tuple[str, int, Optional[int], Optional[str]]]:
+    """The rule ``scan`` fires next, as ``(branch, agent, partner, label)``;
+    ``None`` when properties (5)-(7) hold."""
+    if scan.breaks_5:
+        return "A", scan.breaks_5[0], None, None
+    if scan.breaks_6:
+        return "B", scan.breaks_6[0], None, None
+    if scan.breaks_7:
+        i, j, label = scan.breaks_7[0]
+        return "C", i, j, label
+    return None
+
+
 def phase2_step(
     state: SolverState, *, scan: FreeBundleCheck, trace: TraceFn = None
 ) -> Optional[StepRecord]:
@@ -295,22 +315,19 @@ def phase2_step(
     The live check rechecks only around the agents the record names, so a
     rule that set the bundle of any other agent is an internal error.
     """
-    if scan.ok:
+    pick = _pick(scan)
+    if pick is None:
         return None
+    branch, i, j, label = pick
     phi = Potential.of(scan)
     changes0 = state.alloc.changes
-    if scan.breaks_5:
-        i = scan.breaks_5[0]
+    if branch == "A":
         _apply_rule_a(state, scan, i)
-        record = StepRecord("A", i, None, phi)
-    elif scan.breaks_6:
-        i = scan.breaks_6[0]
+    elif branch == "B":
         _apply_rule_b(state, scan, i)
-        record = StepRecord("B", i, None, phi)
     else:
-        i, j, label = scan.breaks_7[0]
         _apply_rule_c(state, scan, i, j, label)
-        record = StepRecord("C", i, j, phi)
+    record = StepRecord(branch, i, j, phi)
     stray = state.alloc.set_since(changes0).difference(record.changed())
     if stray:
         raise InternalSolverError(
@@ -346,11 +363,12 @@ def run_phase2(
     part becomes the :class:`LiveCheck` that gives every step's check.  The
     potential must drop strictly on every step and the loop must finish
     within ``n**3`` steps; either failure is an internal error.  With
-    ``validate`` set, each step runs one from-scratch check of (1)-(7):
-    (1)-(4) must still hold, its free-bundle check must equal the live one,
-    and rule-specific postconditions are asserted against the live check's
-    envy pairs from before the step; that check is kept on the state.  The
-    output is checked by :func:`.phase3.run_phase3`.
+    ``validate`` set, the agent each rule fires on has her (5)-(7) rows
+    decided from scratch before the step (:func:`_check_rule_agent`), and
+    each step is checked from scratch after it (:func:`_validate_step`):
+    scoped to the agents it changed, and whole at the stage's last step,
+    whose report is kept on the state.  The output is checked by
+    :func:`.phase3.run_phase3`.
     """
     instance = state.instance
     metrics = metrics if metrics is not None else SolveMetrics()
@@ -365,8 +383,9 @@ def run_phase2(
         raise InternalSolverError(f"stage-one output: {broken.summary()}")
     live = LiveCheck(state, report.free_bundles)
     scan = live.check
+    compared = None  # the agents whose live rows equal a from-scratch check; None: all
     while True:
-        envy_before = envy_pairs(scan.enviers) if validate else None
+        envy_before = _check_rule_agent(state, scan, compared) if validate else None
         record = phase2_step(state, scan=scan, trace=trace)
         if record is None:
             break
@@ -378,7 +397,7 @@ def run_phase2(
             )
         scan = live.update(record.changed())
         if validate:
-            _validate_step(state, record, envy_before, scan)
+            compared = _validate_step(state, record, envy_before, scan)
         phi = Potential.of(scan)
         if phi >= record.potential_before:
             raise InternalSolverError(
@@ -387,46 +406,142 @@ def run_phase2(
     return state
 
 
+def _breaks_7_of(rows: list[tuple[int, int, str]], i: int) -> list[tuple[int, int, str]]:
+    """The rows of agent ``i`` in the ascending (7) break list ``rows``."""
+    lo = bisect_left(rows, i, key=_AGENT)
+    return rows[lo : bisect_right(rows, i, lo, key=_AGENT)]
+
+
+def _near_view(live: FreeBundleCheck, near: FreeBundleCheck) -> FreeBundleCheck:
+    """``live`` cut down to the agents and pairs of ``near``, a check of
+    some agents only (a scoped :func:`.verify.check_properties` or
+    :func:`.verify.local_free_bundle_check`), in the same form."""
+    agents = near.loose  # a dict over the agents, in ascending order
+    enviers, units = live.enviers, live.units
+    return FreeBundleCheck(
+        {i: enviers[i] for i in agents if i in enviers},
+        FreeUnits(
+            {i: units.primary[i] for i in agents}, {i: units.secondary[i] for i in agents}
+        ),
+        {i: live.own[i] for i in agents},
+        {i: live.loose[i] for i in agents},
+        {p: live.pairs[p] for p in near.pairs},
+        [i for i in agents if _has(live.breaks_5, i)],
+        [i for i in agents if _has(live.breaks_6, i)],
+        [row for i in agents for row in _breaks_7_of(live.breaks_7, i)],
+    )
+
+
+def _differ(live: FreeBundleCheck, reference: FreeBundleCheck) -> list[str]:
+    """The fields in which ``live`` differs from ``reference``."""
+    return [
+        f.name
+        for f in fields(FreeBundleCheck)
+        if getattr(live, f.name) != getattr(reference, f.name)
+    ]
+
+
+def _check_rule_agent(
+    state: SolverState, scan: FreeBundleCheck, compared: Optional[set[int]]
+) -> Optional[set[tuple[int, int]]]:
+    """Before a validated step: the (5)-(7) rows of the agent the next rule
+    fires on must equal a from-scratch check's, so that every rule fires on
+    a break a from-scratch check sees.
+
+    ``compared`` holds the agents whose rows the check of this very state
+    already compared (``None``: all of them, after a whole check); for
+    any other agent, her rows are decided from scratch here, in work in her
+    degree and her neighbours' bundles.  Returns the ``(envier, envied)``
+    pairs of ``scan`` whose envied agent is in ``C ∪ N(C)``, ``C`` the
+    agents the rule will change, for the step's postconditions; ``None``
+    when no rule fires.
+    """
+    pick = _pick(scan)
+    if pick is None:
+        return None
+    branch, i, j, _ = pick
+    if compared is not None and i not in compared:
+        reference = local_free_bundle_check(
+            state.instance, state.alloc, state.order, state.cuts, (i,)
+        )
+        view = _near_view(scan, reference)
+        if view != reference:
+            raise InternalSolverError(
+                f"before rule {branch} on agent {i} the live free-bundle check "
+                f"differs from the reference in {_differ(view, reference)}"
+            )
+    near = with_neighbours(state.instance, (i,) if j is None else (i, j))
+    return {(k, d) for d in near for k in scan.enviers.get(d, ())}
+
+
 def _validate_step(
     state: SolverState,
     record: StepRecord,
     envy_before: Iterable[tuple[int, int]],
     live: FreeBundleCheck,
-) -> None:
-    """Check one step from scratch.
+) -> Optional[set[int]]:
+    """Check one step from scratch; the agents whose live rows were
+    compared, ``None`` for all of them.
 
     Properties (1)-(4) must still hold, the live check ``live`` must equal
     the from-scratch one, and the rule's postconditions must hold against
     ``envy_before``, the ``(envier, envied)`` pairs of the state before the
-    step.  The from-scratch report is kept on the state.
+    step.
+
+    While ``live`` still has breaks, the check is scoped to the agents the
+    step changed, ``C`` (the scoped :func:`.verify.check_properties`): the
+    live check must equal it over ``C ∪ N(C)`` and the pairs touching it,
+    and no live row outside that is read.  At the stage's last step, when
+    ``live`` has no break left, the check is whole, compared field by
+    field, and kept on the state for stage three.  A scoped check that
+    fails is rerun whole, so the error names what the whole check finds.
+    The postconditions read the envy pairs whose envied agent is in
+    ``C ∪ N(C)``, the only ones a step that set the bundles of ``C`` alone
+    can change.
     """
-    report = state.keep_report(
-        check_properties(state.instance, state.alloc, state.order, state.cuts)
-    )
-    broken = report.only(STAGE_ONE_PROPERTIES)
-    if not broken.ok:
-        raise InternalSolverError(
-            f"rule {record.branch} on agent {record.agent} broke {broken.summary()}"
-        )
-    reference = report.free_bundles
-    if live != reference:
-        differ = [
-            f.name
-            for f in fields(FreeBundleCheck)
-            if getattr(live, f.name) != getattr(reference, f.name)
-        ]
-        raise InternalSolverError(
-            f"after rule {record.branch} on agent {record.agent} the live "
-            f"free-bundle check differs from the reference in {differ}"
-        )
-    created = set(envy_pairs(reference.enviers)).difference(envy_before)
+    instance = state.instance
+    check = (instance, state.alloc, state.order, state.cuts)
+    report = None
+    if not live.ok:
+        scoped = check_properties(*check, scope=record.changed())
+        rows = scoped.free_bundles
+        if scoped.only(STAGE_ONE_PROPERTIES).ok and _near_view(live, rows) == rows:
+            report = scoped
+    if report is None:
+        report = check_properties(*check)
+        if live.ok:
+            state.keep_report(report)
+        broken = report.only(STAGE_ONE_PROPERTIES)
+        if not broken.ok:
+            raise InternalSolverError(
+                f"rule {record.branch} on agent {record.agent} broke {broken.summary()}"
+            )
+        reference = report.free_bundles
+        if live != reference:
+            differ = _differ(live, reference)
+            raise InternalSolverError(
+                f"after rule {record.branch} on agent {record.agent} the live "
+                f"free-bundle check differs from the reference in {differ}"
+            )
+        if not live.ok:
+            differ = _differ(_near_view(live, rows), rows)
+            raise InternalSolverError(
+                f"after rule {record.branch} on agent {record.agent} the check "
+                f"scoped to agents {sorted(record.changed())} failed "
+                f"({scoped.summary()}, live differs in {differ}) where the whole "
+                f"check passed"
+            )
+    near = with_neighbours(instance, record.changed())
+    envied_now = report.free_bundles.enviers
+    before = {(k, d) for k, d in envy_before if d in near}
+    now = {(k, d) for d in near for k in envied_now.get(d, ())}
+    created = now - before
     if record.branch in ("A", "B") and created:
         raise InternalSolverError(
             f"rule {record.branch} on agent {record.agent} created envy "
             f"{sorted(created)}"
         )
     if record.branch == "C":
-        envied_now = reference.enviers
         if record.agent in envied_now:
             raise InternalSolverError(
                 f"rule C left agent {record.agent} envied"
@@ -435,7 +550,8 @@ def _validate_step(
             raise InternalSolverError(
                 f"rule C made the envier {record.partner} envied"
             )
-        if not len(envied_now) < len({i for _, i in envy_before}):
+        if not len({d for _, d in now}) < len({d for _, d in before}):
             raise InternalSolverError(
                 "rule C did not shrink the set of envied agents"
             )
+    return near if report.scope is not None else None

@@ -47,17 +47,22 @@ from .verify import (  # noqa: F401
 class SolveConfig:
     """Knobs for one solver run.
 
-    ``validate_steps`` re-checks every invariant after every mutation; it is
-    the default and recommended mode.  Turning it off keeps the stage-boundary
-    and final checks but skips the per-step ones (useful for large benchmark
-    instances).  The stage-boundary checks are the ones stages two and three
-    open with, each one check of properties (1)-(7) on its input, and the
-    final one is the complete-and-EFX check.  Each state is checked from
-    scratch once: a stage opens with the last report computed on the very
-    state it is handed when there is one, so a validated solve runs one
-    check per round and per step, and an unvalidated solve builds the envy
-    graph once when stage two takes no step, one more when it does, and one
-    more when stage three dumps.
+    ``validate_steps`` checks every stage-one round and every stage-two step
+    from scratch; it is the default and recommended mode.  A round or step
+    is checked over the agents it changed and their neighbours (the scoped
+    :func:`.verify.check_properties`), since the state before it passed its
+    check and each round and step asserts it changed no other bundle; the
+    last round and the last step are checked whole.  Turning it off keeps
+    the stage-boundary and final checks but skips the per-round and
+    per-step ones.  The stage-boundary checks are the ones stages two and
+    three open with, each one check of properties (1)-(7) on its input, and
+    the final one is the complete-and-EFX check.  Each state is checked
+    from scratch once: a stage opens with the last whole report computed on
+    the very state it is handed when there is one, so a validated solve
+    runs one check per round and per step, whole for the last round and the
+    last step only, and an unvalidated solve builds the envy graph once
+    when stage two takes no step, one more when it does, and one more when
+    stage three dumps.
     """
 
     validate_steps: bool = True

@@ -11,6 +11,8 @@ computed once, the envy graph is built once and each pair is read once with
 ``pair_state``; the report carries the graph it built.  Which properties it
 checks is decided by the picking order: (1)-(4) always, (5)-(7) once the
 order is complete; callers narrow a report with ``PropertyReport.only``.
+Scoped to some agents, it checks from scratch only what a change of their
+bundles can have changed, with the same per-pair and per-agent rules.
 ``envy_graph`` returns the envy relation as its envier index together with
 the strong-envy witnesses, the one place strong envy is decided; property
 (1), ``check_efx`` and the DOT export read the witnesses there, and
@@ -86,7 +88,10 @@ def strong_envy_witness(
 
 
 def envy_graph(
-    instance: Instance, alloc: Allocation, own: Optional[Sequence[int]] = None
+    instance: Instance,
+    alloc: Allocation,
+    own: Optional[Sequence[int] | Mapping[int, int]] = None,
+    owners: Optional[Iterable[int]] = None,
 ) -> EnvyGraph:
     """The directed envy relation of an allocation, with strong-envy witnesses.
 
@@ -104,27 +109,32 @@ def envy_graph(
     its endpoints ``i != j``; ``i`` envies ``j`` when that part is worth more
     to her than her own bundle, and each such pair is asked once for a
     strong-envy witness.  ``own``, when given, holds each agent's value for
-    her own bundle.
+    her own bundle.  With ``owners`` given, only the envy toward them is
+    decided, from their bundles alone: every agent's envy toward each of
+    them, with its witness, as in the whole relation.
     """
     goods = instance.goods
-    seen: list[dict[int, list[int]]] = [{} for _ in range(instance.n)]
-    for j, bundle in enumerate(alloc.bundles()):
+    if owners is None:
+        holders = enumerate(alloc.bundles())
+    else:
+        holders = ((j, alloc.bundle(j)) for j in sorted(owners))
+    seen: dict[int, dict[int, list[int]]] = {}
+    for j, bundle in holders:
         for g in bundle:
             good = goods[g]
             for i in (good.u, good.v):
                 if i != j:
-                    seen[i].setdefault(j, []).append(g)
+                    seen.setdefault(i, {}).setdefault(j, []).append(g)
     enviers: dict[int, list[int]] = {}
     strong: list[tuple[int, int, int]] = []
-    for i, by_owner in enumerate(seen):
-        if by_owner:
-            mine = alloc.bundle(i)
-            own_i = instance.valuations[i].value(mine) if own is None else own[i]
-            for j in viewer_envy(instance, i, own_i, by_owner):
-                enviers.setdefault(j, []).append(i)
-                witness = strong_envy_witness(instance, i, mine, alloc.bundle(j))
-                if witness is not None:
-                    strong.append((i, j, witness))
+    for i in sorted(seen):
+        mine = alloc.bundle(i)
+        own_i = instance.valuations[i].value(mine) if own is None else own[i]
+        for j in viewer_envy(instance, i, own_i, seen[i]):
+            enviers.setdefault(j, []).append(i)
+            witness = strong_envy_witness(instance, i, mine, alloc.bundle(j))
+            if witness is not None:
+                strong.append((i, j, witness))
     return EnvyGraph(enviers, strong)
 
 
@@ -166,9 +176,13 @@ def check_efx(instance: Instance, alloc: Allocation) -> CheckReport:
     return CheckReport("efx", envy_graph(instance, alloc).strong)
 
 
-def check_orientation(instance: Instance, alloc: Allocation) -> CheckReport:
+def check_orientation(
+    instance: Instance, alloc: Allocation, agents: Optional[Iterable[int]] = None
+) -> CheckReport:
+    """Every agent's bundle, or only those of ``agents``, must hold only
+    goods incident to her."""
     report = CheckReport("orientation")
-    for i in range(instance.n):
+    for i in range(instance.n) if agents is None else sorted(agents):
         stray = alloc.bundle(i) - instance.incident_goods(i)
         for g in sorted(stray):
             report.violations.append((i, g))
@@ -214,6 +228,9 @@ class FreeBundleCheck:
     break list is in ascending order; stage two repairs its first entry.
     Every field is compared, so a check kept up to date step by step (stage
     two's live check) equals the from-scratch one only when all its reads do.
+    A check of some agents only (a scoped :func:`check_properties`) holds
+    their own values, labels and free goods in dicts over them, their
+    enviers, the pairs touching them and their break-list entries.
     """
 
     enviers: dict[int, list[int]]
@@ -233,33 +250,39 @@ class FreeBundleCheck:
 def free_bundle_check(
     instance: Instance,
     alloc: Allocation,
-    enviers: dict[int, list[int]],
-    own: list[int],
+    enviers: Mapping[int, list[int]],
+    own: Sequence[int] | Mapping[int, int],
     pairs: dict[tuple[int, int], PairRead],
+    agents: Optional[Iterable[int]] = None,
 ) -> FreeBundleCheck:
-    """Decide properties (5)-(7) for every agent.
+    """Decide properties (5)-(7) for every agent, or for ``agents`` only.
 
     ``enviers``, ``own`` and ``pairs`` are the envier index of ``alloc``,
     each agent's value for her own bundle and every pair's free goods and
     labels, as :class:`FreeBundleCheck` holds them; :func:`check_properties`
     reads them in its one pass.  An agent's labels and free incident goods
-    are the unions over her pairs.
+    are the unions over her pairs.  With ``agents`` given, only they are
+    decided: ``pairs`` must hold every pair of each of them, ``enviers`` and
+    ``own`` their rows, and the check's labels and free goods are dicts over
+    ``agents`` (the check of a scoped :func:`check_properties`).
     """
-    n = instance.n
-    primary: list[set[int]] = [set() for _ in range(n)]
-    secondary: list[set[int]] = [set() for _ in range(n)]
-    loose: list[set[int]] = [set() for _ in range(n)]
-    for (a, b), (free, (primary_a, secondary_a), (primary_b, secondary_b)) in pairs.items():
-        primary[a] |= primary_a
-        secondary[a] |= secondary_a
-        primary[b] |= primary_b
-        secondary[b] |= secondary_b
-        loose[a] |= free
-        loose[b] |= free
+    whole = agents is None
+    if whole:
+        agents = range(instance.n)
+        primary, secondary, loose = ([set() for _ in agents] for _ in range(3))
+    else:
+        agents = sorted(agents)
+        primary, secondary, loose = ({i: set() for i in agents} for _ in range(3))
+    for (a, b), (free, labels_a, labels_b) in pairs.items():
+        for i, (primary_i, secondary_i) in ((a, labels_a), (b, labels_b)):
+            if whole or i in loose:
+                primary[i] |= primary_i
+                secondary[i] |= secondary_i
+                loose[i] |= free
     breaks_5: list[int] = []
     breaks_6: list[int] = []
     breaks_7: list[tuple[int, int, str]] = []
-    for i in range(n):
+    for i in agents:
         b5, b6, b7 = agent_free_bundle_breaks(
             instance,
             alloc,
@@ -326,7 +349,12 @@ def agent_free_bundle_breaks(
 
 
 def check_properties(
-    instance: Instance, alloc: Allocation, order: PickOrder, cuts: CutTable
+    instance: Instance,
+    alloc: Allocation,
+    order: PickOrder,
+    cuts: CutTable,
+    *,
+    scope: Optional[Iterable[int]] = None,
 ) -> "PropertyReport":
     """Check every numbered property that applies; see the list above.
 
@@ -343,7 +371,47 @@ def check_properties(
     :func:`.cuts.pair_state`, and that read decides (2) for the pair, (3)
     for each of its placed endpoints, and the pair's free goods and labels
     for (5)-(7).
+
+    With ``scope`` given, the check is scoped to those agents, ``C``: it
+    decides, from scratch and with the same per-pair and per-agent rules,
+
+    * (1) for the bundles of ``C`` and for the envy toward ``C ∪ N(C)``,
+      which holds every envy pair with an endpoint in ``C``;
+    * (2) and (3) for the pairs touching ``C`` and those of the goods ``C``
+      holds;
+    * (4) for the chains through those envy pairs, reading the envy rows of
+      their endpoints only when such a pair exists;
+    * on a complete order, (5)-(7) for ``C`` and its neighbours ``N(C)``.
+
+    The report's ``scope`` is ``C``, its graph holds the envy toward
+    ``C ∪ N(C)`` (so every envy pair touching ``C``) and its free-bundle
+    check the agents of ``C ∪ N(C)``, with dicts for their per-agent
+    fields.  Its verdict on (1)-(4) is the whole check's, and its (5)-(7)
+    rows are the whole check's rows of ``C ∪ N(C)``, when the state passed
+    (1)-(4) in a check before (whole or scoped) and since then only the
+    bundles of ``C`` were set and only agents of ``C`` placed (the premise
+    each stage-one round and stage-two step asserts):
+
+    * the other agents kept their bundles and passed (1), so each holds
+      only goods of her own pairs, and valuations are local: ``i`` values
+      ``j``'s bundle as its goods incident to ``i``.  Envy between two
+      agents outside ``C`` and its strong-envy witness are unchanged;
+      goods that agents of ``C`` hold are seen by each of their endpoints;
+    * a pair's read changes only when an endpoint's bundle or placement
+      did or an agent of ``C`` took or gave back one of its goods, and
+      placing an agent never reorders two placed ones, so the other pairs
+      keep their (2) and (3) verdicts;
+    * a chain made only of unchanged envy pairs was there before, so a new
+      chain has a link touching ``C``, and its middle pair is one of those
+      links or leaves an envied endpoint of one;
+    * an agent outside ``C ∪ N(C)`` keeps her own value, her pairs, and so
+      her labels and free goods, and her enviers, so her (5)-(7) rows are
+      unchanged too.
+
+    Every scoped failure row is a row of the whole check.
     """
+    if scope is not None:
+        return _check_scope(instance, alloc, order, cuts, frozenset(scope))
     unplaced = order.unplaced
     complete = not unplaced
     own = [instance.valuations[i].value(alloc.bundle(i)) for i in range(instance.n)]
@@ -358,18 +426,9 @@ def check_properties(
         ends = [(i, j) for i, j in ((a, b), (b, a)) if i not in unplaced]
         if not ends:
             continue
-        pair = pair_state(instance, alloc, order, cuts, a, b)
-        fault = pair_fault(a, b, pair)
-        if fault is not None:
-            faults.append(fault)
-        cut, free = pair[0], pair[4]
-        for i, j in ends:
-            v = instance.valuations[i].value
-            for part in cut.parts():
-                if part and part <= free and v(part) > own[i]:
-                    valued.setdefault(i, []).append((i, j, sorted(part)))
+        pair = _check_pair(instance, alloc, order, cuts, a, b, ends, own, faults, valued)
         if complete:
-            pairs[a, b] = (free, *pair_labels(a, b, pair))
+            pairs[a, b] = (pair[4], *pair_labels(a, b, pair))
 
     report.extend(1, check_orientation(instance, alloc).violations)
     report.extend(1, graph.strong)
@@ -380,12 +439,178 @@ def check_properties(
     chains = [(enviers[i][-1], i, j) for i, j in envy_pairs(enviers) if i in enviers]
     report.extend(4, chains[:1])
     if complete:
-        check = free_bundle_check(instance, alloc, enviers, own, pairs)
-        report.free_bundles = check
-        report.extend(5, [(i, sorted(check.units.primary[i])) for i in check.breaks_5])
-        report.extend(6, [(i, sorted(check.loose[i])) for i in check.breaks_6])
-        report.extend(7, check.breaks_7)
+        _extend_free_bundles(report, free_bundle_check(instance, alloc, enviers, own, pairs))
     return report
+
+
+def _check_pair(
+    instance: Instance,
+    alloc: Allocation,
+    order: PickOrder,
+    cuts: CutTable,
+    a: int,
+    b: int,
+    ends: list[tuple[int, int]],
+    own: Sequence[int] | Mapping[int, int],
+    faults: list[tuple],
+    valued: dict[int, list[tuple]],
+):
+    """Read the pair of ``a`` and ``b`` once, add its (2) fault to
+    ``faults`` and the (3) rows of its endpoints ``ends`` (``(endpoint,
+    partner)``) to ``valued``, and return the read."""
+    pair = pair_state(instance, alloc, order, cuts, a, b)
+    fault = pair_fault(a, b, pair)
+    if fault is not None:
+        faults.append(fault)
+    cut, free = pair[0], pair[4]
+    for i, j in ends:
+        v = instance.valuations[i].value
+        for part in cut.parts():
+            if part and part <= free and v(part) > own[i]:
+                valued.setdefault(i, []).append((i, j, sorted(part)))
+    return pair
+
+
+def _extend_free_bundles(report: "PropertyReport", check: FreeBundleCheck) -> None:
+    """Put the free-bundle check ``check`` and its (5)-(7) rows on ``report``."""
+    report.free_bundles = check
+    report.extend(5, [(i, sorted(check.units.primary[i])) for i in check.breaks_5])
+    report.extend(6, [(i, sorted(check.loose[i])) for i in check.breaks_6])
+    report.extend(7, check.breaks_7)
+
+
+class _OwnValues(dict):
+    """Each agent's value for her own bundle, computed when first read."""
+
+    def __init__(self, instance: Instance, alloc: Allocation):
+        super().__init__()
+        self.instance, self.alloc = instance, alloc
+
+    def __missing__(self, i: int) -> int:
+        value = self[i] = self.instance.valuations[i].value(self.alloc.bundle(i))
+        return value
+
+
+def with_neighbours(instance: Instance, agents: Iterable[int]) -> frozenset[int]:
+    """``agents`` and their neighbours."""
+    return frozenset(agents).union(*(instance.neighbors(c) for c in agents))
+
+
+def _pairs_touching(instance: Instance, agents) -> set[tuple[int, int]]:
+    """Every pair with an endpoint in ``agents``, as ``(a, b)`` with ``a < b``."""
+    return {(d, k) if d < k else (k, d) for d in agents for k in instance.neighbors(d)}
+
+
+def _check_scope(
+    instance: Instance, alloc: Allocation, order: PickOrder, cuts: CutTable, scope: frozenset
+) -> "PropertyReport":
+    """:func:`check_properties` scoped to the agents ``scope``."""
+    unplaced = order.unplaced
+    complete = not unplaced
+    near = with_neighbours(instance, scope)
+    own = _OwnValues(instance, alloc)
+    graph = envy_graph(instance, alloc, own, owners=near)
+    checked = ALL_PROPERTIES if complete else STAGE_ONE_PROPERTIES
+    report = PropertyReport(checked=checked, graph=graph, scope=scope)
+
+    faults: list[tuple] = []
+    valued: dict[int, list[tuple]] = {}
+    pairs: dict[tuple[int, int], PairRead] = {}
+    goods = instance.goods
+    changed = _pairs_touching(instance, scope)
+    for c in scope:
+        for g in alloc.bundle(c):
+            u, v = goods[g].u, goods[g].v
+            changed.add((u, v) if u < v else (v, u))
+    for a, b in sorted(changed | _pairs_touching(instance, near) if complete else changed):
+        if (a, b) in changed:
+            ends = [(i, j) for i, j in ((a, b), (b, a)) if i not in unplaced]
+            if not ends:
+                continue
+            pair = _check_pair(instance, alloc, order, cuts, a, b, ends, own, faults, valued)
+        else:
+            pair = pair_state(instance, alloc, order, cuts, a, b)
+        if complete:
+            pairs[a, b] = (pair[4], *pair_labels(a, b, pair))
+
+    report.extend(1, check_orientation(instance, alloc, scope).violations)
+    report.extend(1, graph.strong)
+    report.extend(2, faults)
+    for i in sorted(valued):
+        report.extend(3, valued[i])
+    report.extend(4, _first_chain(instance, alloc, scope, own, graph, near))
+    if complete:
+        check = free_bundle_check(
+            instance, alloc, graph.enviers, {i: own[i] for i in near}, pairs, near
+        )
+        _extend_free_bundles(report, check)
+    return report
+
+
+def _first_chain(
+    instance: Instance, alloc: Allocation, scope, own, graph: EnvyGraph, near
+) -> list[tuple[int, int, int]]:
+    """The whole check's property-(4) row, ``[]`` for none, of a state whose
+    envy pairs not touching ``scope`` form no chain.
+
+    ``graph`` holds the envy toward ``near``, ``scope`` and its neighbours.
+    A chain's middle pair ``(i, j)`` is then an envy pair touching
+    ``scope`` whose envier ``i`` is envied, or leaves the envied end ``i``
+    of one; the row is the smallest middle pair with the last of ``i``'s
+    enviers.  Rows outside ``graph`` are read only when an envy pair
+    touches ``scope``: those agents hold only goods of their own pairs, and
+    the agents of ``scope`` any goods.
+    """
+    if not graph.enviers:
+        return []
+    edges = [(i, j) for i, j in envy_pairs(graph.enviers) if i in scope or j in scope]
+    if not edges:
+        return []
+    seen: dict[int, dict[int, list[int]]] = {}  # viewer -> owner in scope -> goods
+    for c in scope:
+        for g in alloc.bundle(c):
+            good = instance.goods[g]
+            for k in (good.u, good.v):
+                if k != c:
+                    seen.setdefault(k, {}).setdefault(c, []).append(g)
+
+    def enviers(i: int) -> list[int]:
+        if i in near:
+            return graph.enviers.get(i, [])
+        return envy_graph(instance, alloc, own, owners=(i,)).enviers.get(i, [])
+
+    def envies(i: int) -> list[int]:
+        parts = dict(seen.get(i, {}))
+        for j in instance.neighbors(i):
+            if j not in scope:
+                part = alloc.bundle(j) & instance.pair_goods(i, j)
+                if part:
+                    parts[j] = part
+        return viewer_envy(instance, i, own[i], parts)
+
+    middles = {(i, j) for i, j in edges if enviers(i)}
+    for i in {j for _, j in edges}:
+        middles.update((i, j) for j in envies(i))
+    if not middles:
+        return []
+    i, j = min(middles)
+    return [(enviers(i)[-1], i, j)]
+
+
+def local_free_bundle_check(
+    instance: Instance, alloc: Allocation, order: PickOrder, cuts: CutTable, agents
+) -> FreeBundleCheck:
+    """Properties (5)-(7) of ``agents`` alone, decided from scratch on a
+    complete order, with dicts for the per-agent fields: the free-bundle
+    check of a :func:`check_properties` scoped to them, from each of their
+    pairs read once and the envy toward them."""
+    own = _OwnValues(instance, alloc)
+    enviers = envy_graph(instance, alloc, own, owners=agents).enviers
+    pairs: dict[tuple[int, int], PairRead] = {}
+    for a, b in sorted(_pairs_touching(instance, agents)):
+        pair = pair_state(instance, alloc, order, cuts, a, b)
+        pairs[a, b] = (pair[4], *pair_labels(a, b, pair))
+    return free_bundle_check(instance, alloc, enviers, {i: own[i] for i in agents}, pairs, agents)
 
 
 @dataclass
@@ -396,6 +621,8 @@ class PropertyReport:
     # checked; not serialised
     graph: Optional[EnvyGraph] = field(default=None, compare=False, repr=False)
     free_bundles: Optional[FreeBundleCheck] = field(default=None, compare=False, repr=False)
+    # the agents a scoped check was scoped to, ``None`` for a whole check
+    scope: Optional[frozenset[int]] = field(default=None, compare=False)
 
     def extend(self, prop: int, violations: list[tuple]) -> None:
         if violations:
@@ -409,7 +636,9 @@ class PropertyReport:
         """This report restricted to the properties ``props``."""
         checked = self.checked & frozenset(props)
         return PropertyReport(
-            checked, {k: v for k, v in self.failures.items() if k in checked}
+            checked,
+            {k: v for k, v in self.failures.items() if k in checked},
+            scope=self.scope,
         )
 
     def failed_properties(self) -> list[int]:

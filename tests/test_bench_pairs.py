@@ -122,6 +122,7 @@ def test_traced_runs_report_medians_and_whether_they_repeat():
 
 
 def test_the_claimed_workload_gets_the_ten_pairs_and_the_hold_out():
+    # every other workload gets as many seed-1 pairs, and no hold-out
     names = [w["name"] for w in BENCHMARK["workloads"]]
     for claimed in names:
         series = bench_pairs.series(claimed, BENCHMARK)
@@ -130,7 +131,7 @@ def test_the_claimed_workload_gets_the_ten_pairs_and_the_hold_out():
             (f"{claimed}_holdout", claimed, 90001, 3),
         ]
         others = [(w, seed, pairs) for _, w, seed, pairs in series[2:]]
-        assert others == [(w, 1, 5) for w in names if w != claimed]
+        assert others == [(w, 1, 10) for w in names if w != claimed]
     with pytest.raises(ValueError):
         bench_pairs.series("no_such_workload", BENCHMARK)
 

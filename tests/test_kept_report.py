@@ -2,7 +2,10 @@
 
 A stage opens with the last property report computed on the very state it
 is handed, kept on the ``SolverState``; any ``set_bundle`` or placement
-since then makes that report stale, and a fresh check runs instead.
+since then makes that report stale, and a fresh check runs instead.  A
+validated run checks its rounds and steps scoped to the agents each one
+changed, and only the last round and the last step whole; a scoped report
+is never kept.
 """
 
 import weakref
@@ -23,7 +26,7 @@ from trifree_efx import (
 )
 from trifree_efx import phase1, phase2, phase3, verify
 from trifree_efx.errors import InternalSolverError
-from trifree_efx.generate import TOPOLOGIES, gen_adversarial_suite, suite_spec
+from trifree_efx.generate import TOPOLOGIES, GenSpec, gen_adversarial_suite, suite_spec
 from trifree_efx.phase1 import SolveMetrics, SolverState, augment
 from trifree_efx.verify import STAGE_ONE_PROPERTIES
 
@@ -38,14 +41,16 @@ def instances():
     return out
 
 
-def counted(monkeypatch, owners, name):
-    """Count the calls of ``name`` as each module of ``owners`` sees it."""
+def counted(monkeypatch, owners, name, part="scope"):
+    """Count the calls of ``name`` as each module of ``owners`` sees it;
+    each call is logged as its keyword argument ``part``, which restricts
+    it to some agents (``None`` when whole)."""
     calls = []
     for owner in owners:
         original = getattr(owner, name)
 
         def wrapper(*args, _original=original, **kwargs):
-            calls.append(1)
+            calls.append(kwargs.get(part))
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(owner, name, wrapper)
@@ -53,21 +58,50 @@ def counted(monkeypatch, owners, name):
 
 
 def count_checks(monkeypatch):
-    return counted(monkeypatch, (phase1, phase2, phase3), "check_properties")
+    """The log of whole checks; scoped ones are left out."""
+    return WholeOnly(counted(monkeypatch, (phase1, phase2, phase3), "check_properties"))
+
+
+class WholeOnly:
+    """The whole checks of a call log of :func:`counted`."""
+
+    def __init__(self, log):
+        self.log = log
+
+    def __len__(self):
+        return self.log.count(None)
+
+    def clear(self):
+        self.log.clear()
 
 
 # -- how many from-scratch checks a solve runs ---------------------------------------
 
 
 def test_a_validated_solve_checks_once_per_round_and_step(monkeypatch):
-    checks = count_checks(monkeypatch)
+    # every round and every step is checked once; only the last round and
+    # the last step are checked whole, the others scoped to what they changed
+    log = counted(monkeypatch, (phase1, phase2, phase3), "check_properties")
     steps = []
     for inst in instances():
-        checks.clear()
+        log.clear()
         metrics = solve(inst).metrics
-        assert len(checks) == metrics.augment_calls + metrics.phase2_iterations
+        took_steps = metrics.phase2_iterations > 0
+        assert len(log) == metrics.augment_calls + metrics.phase2_iterations
+        assert log.count(None) == 1 + took_steps
+        scoped = [scope for scope in log if scope is not None]
+        assert len(scoped) == metrics.augment_calls - 1 + max(0, metrics.phase2_iterations - 1)
+        assert all(scoped)
         steps.append(metrics.phase2_iterations)
     assert 0 in steps and max(steps) > 0
+
+
+def test_a_validated_tree_solve_checks_at_most_twice_whole(monkeypatch):
+    checks = count_checks(monkeypatch)
+    inst = gen_instance(GenSpec(seed=1, n=1000, m=3000, topology="tree"))
+    metrics = solve(inst).metrics
+    assert metrics.augment_calls > 100 and metrics.phase2_iterations > 100
+    assert len(checks) <= 2
 
 
 def test_an_unvalidated_solve_checks_once_without_steps_and_twice_with(monkeypatch):
@@ -85,7 +119,7 @@ def test_an_unvalidated_solve_checks_once_without_steps_and_twice_with(monkeypat
 @pytest.mark.parametrize("validate", [True, False])
 def test_without_dumps_the_final_check_builds_no_envy_graph(monkeypatch, validate):
     checks = count_checks(monkeypatch)
-    graphs = counted(monkeypatch, (verify,), "envy_graph")
+    graphs = WholeOnly(counted(monkeypatch, (verify,), "envy_graph", "owners"))
     efx = counted(monkeypatch, (phase3,), "check_efx")
     dumps = set()
     for inst in instances():

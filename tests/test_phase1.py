@@ -80,11 +80,11 @@ def test_best_partner_tie_goes_to_agent_0_even_when_not_a_neighbour():
     inst = additive_instance(3, [(0, 1, {0: 4, 1: 4}), (1, 2, {1: 3, 2: 0})])
     state = SolverState.fresh(inst)
     state.order.prepend_back(2)
-    assert _best_partner(state, 2) == 0
+    assert _best_partner(state, 2) == (0, frozenset())
     state.order.prepend_back(1)
-    assert _best_partner(state, 1) == 0
+    assert _best_partner(state, 1)[0] == 0
     state.alloc.set_bundle(0, {0})  # agent 1 now only has good 1, worth 3, left
-    assert _best_partner(state, 1) == 2
+    assert _best_partner(state, 1) == (2, frozenset({1}))
 
 
 def _all_agents_argmax(state, i):
@@ -103,10 +103,11 @@ def test_best_partner_matches_all_agents_argmax_mid_augment(monkeypatch, topolog
     searches = []
 
     def checked(state, i):
-        j = _best_partner(state, i)
+        j, bundle = _best_partner(state, i)
         assert j == _all_agents_argmax(state, i), (i, j)
+        assert bundle == state.claimable(i, j), (i, j)
         searches.append(j in state.instance.neighbors(i))
-        return j
+        return j, bundle
 
     monkeypatch.setattr(phase1, "_best_partner", checked)
     for idx in range(15):

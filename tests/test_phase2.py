@@ -1,3 +1,4 @@
+from bisect import insort
 from itertools import islice, product
 
 import pytest
@@ -635,10 +636,39 @@ def test_a_validated_step_compares_the_live_reads(monkeypatch, field):
         run_phase2(state, validate=True)
 
 
+def test_a_rule_fires_only_on_a_break_a_from_scratch_check_sees(monkeypatch):
+    """A scoped step check compares the live check only around the agents
+    the step changed, so before each validated step the agent its rule
+    fires on has her rows decided from scratch.  Here the first update also
+    lists a sound agent outside C ∪ N(C) as the first to break (5); the
+    rule would fire on her next, and a validated run stops before it
+    does."""
+    update = LiveCheck.update
+    planted = []
+
+    def and_plant(self, changed):
+        check = update(self, changed)
+        if not planted:
+            near = set(changed).union(*(self.state.instance.neighbors(c) for c in changed))
+            first = check.breaks_5[0] if check.breaks_5 else self.state.instance.n
+            far = [i for i in range(first) if i not in near]
+            if far:
+                insort(check.breaks_5, far[0])
+                planted.append(far[0])
+        return check
+
+    monkeypatch.setattr(LiveCheck, "update", and_plant)
+    inst = gen_instance(GenSpec(seed=1, n=200, m=600, topology="tree"))
+    state = run_phase1(inst, validate=False)
+    with pytest.raises(InternalSolverError, match=r"before rule A on agent (\d+) .*\['breaks_5'\]") as raised:
+        run_phase2(state, validate=True)
+    assert f"agent {planted[0]} " in str(raised.value)
+
+
 @pytest.mark.parametrize(
     "branch, agent, partner, envy_before, error",
     [
-        ("A", 0, None, {(3, 4)}, r"rule A on agent 0 created envy \[\(5, 6\)\]"),
+        ("A", 5, None, {(3, 4)}, r"rule A on agent 5 created envy \[\(5, 6\)\]"),
         ("C", 4, 3, {(3, 4), (5, 6), (0, 2)}, "rule C left agent 4 envied"),
         ("C", 0, 6, {(3, 4), (5, 6), (0, 2)}, "rule C made the envier 6 envied"),
         # three pairs but two envied agents, as many as after the step
@@ -652,7 +682,9 @@ def test_rule_postconditions_read_the_envy_pairs_from_before_the_step(
     """A validated step checks its rule against the ``(envier, envied)``
     pairs the live check had before it; the envied agents are the distinct
     second elements.  Here the state after the step has the envy pairs
-    (3, 4) and (5, 6)."""
+    (3, 4) and (5, 6).  Only pairs whose envied agent is in C ∪ N(C) are
+    read, the only ones a step that changed C can change: agent 5's
+    neighbourhood holds (5, 6), and agent 0's and 1's hold 2, 4 and 6."""
     state = run_phase1(adversarial("hub_trade"))
     run_phase2(state)
     live = scratch_check(state)
@@ -683,15 +715,16 @@ def test_stage_two_builds_each_full_check_at_most_once(monkeypatch):
     assert counts["envy_graph"] <= 1 and counts["free_units"] <= 1, counts
 
 
-def test_a_validated_step_builds_one_envy_graph(monkeypatch):
-    # one from-scratch check per step serves both the (1)-(4) check and the
-    # reference for the live check; the stage opens with one more
+def test_a_scoped_step_builds_no_whole_envy_graph(monkeypatch):
+    # a step that leaves breaks is checked scoped to the agents it changed,
+    # which builds only the envy toward them and their neighbours; the
+    # stage opens with the one whole envy graph it builds
     builds = []
     for owner in (phase2, verify):
         original = owner.envy_graph
 
         def counted(*args, _original=original, **kwargs):
-            builds.append(1)
+            builds.append(kwargs.get("owners"))
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(owner, "envy_graph", counted)
@@ -712,7 +745,8 @@ def test_a_validated_step_builds_one_envy_graph(monkeypatch):
     metrics = SolveMetrics()
     with pytest.raises(Enough):
         run_phase2(state, validate=True, metrics=metrics)
-    assert len(builds) == 1 + metrics.phase2_iterations
+    assert metrics.phase2_iterations == 40
+    assert builds.count(None) == 1 and len(builds) > 40
 
 
 def test_live_check_sorts_only_what_a_step_changed(monkeypatch):
