@@ -166,10 +166,10 @@ def _best_partner(state: SolverState, i: int) -> tuple[int, Bundle]:
     with nothing of value to take resolves to agent 0, neighbour or not.
     If agent 0 is her neighbour she then takes her zero-valued unit bundle
     from pair ``(i, 0)``; otherwise that pair is empty and she takes nothing.
-    The bundle stays hers to claim while the pair's goods stay where they
-    are, and while its later picker does: :func:`augment` places the
-    partner, or hands her goods of another pair, before it hands ``i`` the
-    bundle, and neither changes the pair.
+    The bundle stays what ``i`` may claim while the pair's goods and its
+    later picker stay as they are: between the search and the hand-out,
+    :func:`augment` only places the partner at the front or hands the
+    partner goods of another pair, and neither changes the pair.
     """
     value = state.instance.valuations[i].value
     best_j, best_val, best = 0, 0, EMPTY_BUNDLE
