@@ -38,14 +38,16 @@ from .model import (
 from .verify import envy_graph, envy_pairs
 
 
-def _require(cond: bool, message: str) -> None:
+def _require(cond: bool, message: str, *args) -> None:
+    """Raise ``message.format(*args)`` unless ``cond``: a valid payload
+    builds no message text (so does :func:`_as_int`'s ``what``)."""
     if not cond:
-        raise ValidationError(message)
+        raise ValidationError(message.format(*args))
 
 
-def _as_int(x, what: str) -> int:
+def _as_int(x, what: str, *args) -> int:
     if isinstance(x, bool) or not isinstance(x, int):
-        raise ValidationError(f"{what} must be an integer, got {x!r}")
+        raise ValidationError(f"{what.format(*args)} must be an integer, got {x!r}")
     return x
 
 
@@ -73,17 +75,17 @@ def instance_to_json(instance: Instance) -> dict:
 def instance_from_json(data: dict) -> Instance:
     _require(isinstance(data, dict), "instance payload must be an object")
     for key in ("n", "goods", "valuations"):
-        _require(key in data, f"instance payload is missing {key!r}")
+        _require(key in data, "instance payload is missing {!r}", key)
     n = _as_int(data["n"], "n")
     _require(isinstance(data["goods"], list), "goods must be a list")
     goods = []
     for pos, entry in enumerate(data["goods"]):
-        _require(isinstance(entry, dict), f"good {pos} must be an object")
+        _require(isinstance(entry, dict), "good {} must be an object", pos)
         goods.append(
             Good(
-                _as_int(entry.get("id"), f"good {pos} id"),
-                _as_int(entry.get("u"), f"good {pos} endpoint u"),
-                _as_int(entry.get("v"), f"good {pos} endpoint v"),
+                _as_int(entry.get("id"), "good {} id", pos),
+                _as_int(entry.get("u"), "good {} endpoint u", pos),
+                _as_int(entry.get("v"), "good {} endpoint v", pos),
             )
         )
     _require(isinstance(data["valuations"], list), "valuations must be a list")
@@ -95,15 +97,15 @@ def instance_from_json(data: dict) -> Instance:
             incident[g.v].append(g.id)
     valuations = []
     for pos, entry in enumerate(data["valuations"]):
-        _require(isinstance(entry, dict), f"valuation {pos} must be an object")
-        agent = _as_int(entry.get("agent"), f"valuation {pos} agent")
-        _require(0 <= agent < n, f"valuation {pos}: agent {agent} out of range")
+        _require(isinstance(entry, dict), "valuation {} must be an object", pos)
+        agent = _as_int(entry.get("agent"), "valuation {} agent", pos)
+        _require(0 <= agent < n, "valuation {}: agent {} out of range", pos, agent)
         cls = entry.get("class")
         mine = sorted(incident.get(agent, []))
         incident_to_agent = set(mine)
         if cls in ("additive", "transformed_additive"):
             raw = entry.get("weights", {})
-            _require(isinstance(raw, dict), f"agent {agent}: weights must be an object")
+            _require(isinstance(raw, dict), "agent {}: weights must be an object", agent)
             weights = {}
             for key, w in raw.items():
                 try:
@@ -112,9 +114,11 @@ def instance_from_json(data: dict) -> Instance:
                     raise ValidationError(f"agent {agent}: bad weight key {key!r}")
                 _require(
                     gid in incident_to_agent,
-                    f"agent {agent}: weight for non-incident good {gid}",
+                    "agent {}: weight for non-incident good {}",
+                    agent,
+                    gid,
                 )
-                weights[gid] = _as_int(w, f"agent {agent} weight of good {gid}")
+                weights[gid] = _as_int(w, "agent {} weight of good {}", agent, gid)
             for gid in mine:
                 weights.setdefault(gid, 0)
             if cls == "additive":
@@ -123,18 +127,19 @@ def instance_from_json(data: dict) -> Instance:
                 transform = entry.get("transform")
                 _require(
                     isinstance(transform, list),
-                    f"agent {agent}: transformed_additive needs a transform list",
+                    "agent {}: transformed_additive needs a transform list",
+                    agent,
                 )
                 valuations.append(
                     TransformedAdditiveValuation(
                         agent,
                         weights,
-                        [_as_int(t, f"agent {agent} transform entry") for t in transform],
+                        [_as_int(t, "agent {} transform entry", agent) for t in transform],
                     )
                 )
         elif cls == "monotone_table":
             raw = entry.get("table")
-            _require(isinstance(raw, dict), f"agent {agent}: table must be an object")
+            _require(isinstance(raw, dict), "agent {}: table must be an object", agent)
             check_table_degree(agent, len(mine))  # before the 2^degree list exists
             size = 1 << len(mine)
             table = [None] * size
@@ -145,14 +150,14 @@ def instance_from_json(data: dict) -> Instance:
                     raise ValidationError(f"agent {agent}: bad table key {key!r}")
                 _require(
                     0 <= mask < size,
-                    f"agent {agent}: table key {mask} outside 0..{size - 1}",
+                    "agent {}: table key {} outside 0..{}",
+                    agent,
+                    mask,
+                    size - 1,
                 )
-                table[mask] = _as_int(v, f"agent {agent} table entry {mask}")
+                table[mask] = _as_int(v, "agent {} table entry {}", agent, mask)
             missing = [k for k, v in enumerate(table) if v is None]
-            _require(
-                not missing,
-                f"agent {agent}: table is missing subsets {missing[:5]}",
-            )
+            _require(not missing, "agent {}: table is missing subsets {}", agent, missing[:5])
             valuations.append(MonotoneTableValuation(agent, mine, table))
         else:
             raise ValidationError(f"agent {agent}: unknown valuation class {cls!r}")
@@ -170,18 +175,16 @@ def allocation_from_json(data: dict, instance: Instance) -> tuple[Allocation, Op
     bundles = data["bundles"]
     _require(isinstance(bundles, list), "'bundles' must be a list")
     _require(
-        len(bundles) == instance.n,
-        f"expected {instance.n} bundles, got {len(bundles)}",
+        len(bundles) == instance.n, "expected {} bundles, got {}", instance.n, len(bundles)
     )
     seen: dict[int, int] = {}
     for i, entry in enumerate(bundles):
-        _require(isinstance(entry, list), f"bundle {i} must be a list")
+        _require(isinstance(entry, list), "bundle {} must be a list", i)
         for g in entry:
-            gid = _as_int(g, f"bundle {i} entry")
-            _require(0 <= gid < instance.m, f"bundle {i}: unknown good {gid}")
+            gid = _as_int(g, "bundle {} entry", i)
+            _require(0 <= gid < instance.m, "bundle {}: unknown good {}", i, gid)
             _require(
-                gid not in seen,
-                f"good {gid} appears in bundles {seen.get(gid)} and {i}",
+                gid not in seen, "good {} appears in bundles {} and {}", gid, seen.get(gid), i
             )
             seen[gid] = i
     alloc = Allocation.from_bundles(instance.n, [frozenset(b) for b in bundles])

@@ -11,8 +11,9 @@ computed once, the envy graph is built once and each pair is read once with
 ``pair_state``; the report carries the graph it built.  Which properties it
 checks is decided by the picking order: (1)-(4) always, (5)-(7) once the
 order is complete; callers narrow a report with ``PropertyReport.only``.
-Scoped to some agents, it checks from scratch only what a change of their
-bundles can have changed, with the same per-pair and per-agent rules.
+The pass has two setups: whole, or scoped to some agents, where it reads
+from scratch only what a change of their bundles can have changed; both
+share its pair loop, its report assembly and its one property-(4) rule.
 ``envy_graph`` returns the envy relation as its envier index together with
 the strong-envy witnesses, the one place strong envy is decided; property
 (1), ``check_efx`` and the DOT export read the witnesses there, and
@@ -365,32 +366,35 @@ def check_properties(
     ``graph`` and the free-bundle check, when (5)-(7) were checked, as
     ``free_bundles``; callers narrow it with :meth:`PropertyReport.only`.
 
-    The check is one pass over the state.  Each agent's own value is
-    computed once and the envy graph is built once.  Each pair that touches
-    a placed agent (each pair, once the order is complete) is read once with
-    :func:`.cuts.pair_state`, and that read decides (2) for the pair, (3)
-    for each of its placed endpoints, and the pair's free goods and labels
-    for (5)-(7).
+    The check is one pass over the state with two setups, whole and scoped,
+    which differ only in what they read.  Each agent's own value is computed
+    once, the envy graph is built once and each pair is read at most once
+    with :func:`.cuts.pair_state`.  For a checked pair with a placed
+    endpoint, that read decides (2) for the pair and (3) for each placed
+    endpoint; on a complete order every read also gives the pair's free
+    goods and labels for (5)-(7).  Property (4) is :func:`_first_chain`'s.
+    The whole setup holds own values in a list, builds the envy toward
+    every owner and checks every pair.
 
     With ``scope`` given, the check is scoped to those agents, ``C``: it
-    decides, from scratch and with the same per-pair and per-agent rules,
+    reads own values when first needed, the envy toward ``C ∪ N(C)`` and,
+    on a complete order, the pairs touching ``C ∪ N(C)``, and it decides,
+    from scratch and with the same per-pair and per-agent rules,
 
     * (1) for the bundles of ``C`` and for the envy toward ``C ∪ N(C)``,
       which holds every envy pair with an endpoint in ``C``;
     * (2) and (3) for the pairs touching ``C`` and those of the goods ``C``
-      holds;
-    * (4) for the chains through those envy pairs, reading the envy rows of
-      their endpoints only when such a pair exists;
-    * on a complete order, (5)-(7) for ``C`` and its neighbours ``N(C)``.
+      holds outside them;
+    * (4) for the chains through those envy pairs;
+    * on a complete order, (5)-(7) for ``C ∪ N(C)``.
 
-    The report's ``scope`` is ``C``, its graph holds the envy toward
-    ``C ∪ N(C)`` (so every envy pair touching ``C``) and its free-bundle
-    check the agents of ``C ∪ N(C)``, with dicts for their per-agent
-    fields.  Its verdict on (1)-(4) is the whole check's, and its (5)-(7)
-    rows are the whole check's rows of ``C ∪ N(C)``, when the state passed
-    (1)-(4) in a check before (whole or scoped) and since then only the
-    bundles of ``C`` were set and only agents of ``C`` placed (the premise
-    each stage-one round and stage-two step asserts):
+    The report's ``scope`` is ``C`` and its free-bundle check holds dicts
+    over ``C ∪ N(C)`` for its per-agent fields.  Its verdict on (1)-(4) is
+    the whole check's, and its (5)-(7) rows are the whole check's rows of
+    ``C ∪ N(C)``, when the state passed (1)-(4) in a check before (whole or
+    scoped) and since then only the bundles of ``C`` were set and only
+    agents of ``C`` placed (the premise each stage-one round and stage-two
+    step asserts):
 
     * the other agents kept their bundles and passed (1), so each holds
       only goods of her own pairs, and valuations are local: ``i`` values
@@ -402,44 +406,63 @@ def check_properties(
       placing an agent never reorders two placed ones, so the other pairs
       keep their (2) and (3) verdicts;
     * a chain made only of unchanged envy pairs was there before, so a new
-      chain has a link touching ``C``, and its middle pair is one of those
-      links or leaves an envied endpoint of one;
+      chain has a link touching ``C``;
     * an agent outside ``C ∪ N(C)`` keeps her own value, her pairs, and so
       her labels and free goods, and her enviers, so her (5)-(7) rows are
       unchanged too.
 
     Every scoped failure row is a row of the whole check.
     """
-    if scope is not None:
-        return _check_scope(instance, alloc, order, cuts, frozenset(scope))
     unplaced = order.unplaced
     complete = not unplaced
-    own = [instance.valuations[i].value(alloc.bundle(i)) for i in range(instance.n)]
-    graph = envy_graph(instance, alloc, own)
+    if scope is None:
+        near = changed = None
+        own = [instance.valuations[i].value(alloc.bundle(i)) for i in range(instance.n)]
+        graph = envy_graph(instance, alloc, own)
+        read = instance.skeleton_edges()
+    else:
+        scope = frozenset(scope)
+        near = with_neighbours(instance, scope)
+        own = _OwnValues(instance, alloc)
+        graph = envy_graph(instance, alloc, own, owners=near)
+        goods = instance.goods
+        changed = _pairs_touching(instance, scope)
+        for c in scope:
+            for g in alloc.bundle(c) - instance.incident_goods(c):
+                u, v = goods[g].u, goods[g].v
+                changed.add((u, v) if u < v else (v, u))
+        read = sorted(changed | _pairs_touching(instance, near) if complete else changed)
     checked = ALL_PROPERTIES if complete else STAGE_ONE_PROPERTIES
-    report = PropertyReport(checked=checked, graph=graph)
+    report = PropertyReport(checked=checked, graph=graph, scope=scope)
 
     faults: list[tuple] = []  # (2), in pair order
     valued: dict[int, list[tuple]] = {}  # (3) rows of each agent, by partner
     pairs: dict[tuple[int, int], PairRead] = {}
-    for a, b in instance.skeleton_edges():
-        ends = [(i, j) for i, j in ((a, b), (b, a)) if i not in unplaced]
-        if not ends:
-            continue
-        pair = _check_pair(instance, alloc, order, cuts, a, b, ends, own, faults, valued)
+    for a, b in read:
+        if changed is None or (a, b) in changed:
+            ends = [(i, j) for i, j in ((a, b), (b, a)) if i not in unplaced]
+            if not ends:
+                continue
+            pair = _check_pair(instance, alloc, order, cuts, a, b, ends, own, faults, valued)
+        else:
+            pair = pair_state(instance, alloc, order, cuts, a, b)
         if complete:
             pairs[a, b] = (pair[4], *pair_labels(a, b, pair))
 
-    report.extend(1, check_orientation(instance, alloc).violations)
+    report.extend(1, check_orientation(instance, alloc, scope).violations)
     report.extend(1, graph.strong)
     report.extend(2, faults)
     for i in sorted(valued):
         report.extend(3, valued[i])
-    enviers = graph.enviers
-    chains = [(enviers[i][-1], i, j) for i, j in envy_pairs(enviers) if i in enviers]
-    report.extend(4, chains[:1])
+    report.extend(4, _first_chain(instance, alloc, own, graph, scope, near))
     if complete:
-        _extend_free_bundles(report, free_bundle_check(instance, alloc, enviers, own, pairs))
+        if near is not None:
+            own = {i: own[i] for i in near}
+        check = free_bundle_check(instance, alloc, graph.enviers, own, pairs, near)
+        report.free_bundles = check
+        report.extend(5, [(i, sorted(check.units.primary[i])) for i in check.breaks_5])
+        report.extend(6, [(i, sorted(check.loose[i])) for i in check.breaks_6])
+        report.extend(7, check.breaks_7)
     return report
 
 
@@ -471,14 +494,6 @@ def _check_pair(
     return pair
 
 
-def _extend_free_bundles(report: "PropertyReport", check: FreeBundleCheck) -> None:
-    """Put the free-bundle check ``check`` and its (5)-(7) rows on ``report``."""
-    report.free_bundles = check
-    report.extend(5, [(i, sorted(check.units.primary[i])) for i in check.breaks_5])
-    report.extend(6, [(i, sorted(check.loose[i])) for i in check.breaks_6])
-    report.extend(7, check.breaks_7)
-
-
 class _OwnValues(dict):
     """Each agent's value for her own bundle, computed when first read."""
 
@@ -501,96 +516,46 @@ def _pairs_touching(instance: Instance, agents) -> set[tuple[int, int]]:
     return {(d, k) if d < k else (k, d) for d in agents for k in instance.neighbors(d)}
 
 
-def _check_scope(
-    instance: Instance, alloc: Allocation, order: PickOrder, cuts: CutTable, scope: frozenset
-) -> "PropertyReport":
-    """:func:`check_properties` scoped to the agents ``scope``."""
-    unplaced = order.unplaced
-    complete = not unplaced
-    near = with_neighbours(instance, scope)
-    own = _OwnValues(instance, alloc)
-    graph = envy_graph(instance, alloc, own, owners=near)
-    checked = ALL_PROPERTIES if complete else STAGE_ONE_PROPERTIES
-    report = PropertyReport(checked=checked, graph=graph, scope=scope)
-
-    faults: list[tuple] = []
-    valued: dict[int, list[tuple]] = {}
-    pairs: dict[tuple[int, int], PairRead] = {}
-    goods = instance.goods
-    changed = _pairs_touching(instance, scope)
-    for c in scope:
-        for g in alloc.bundle(c):
-            u, v = goods[g].u, goods[g].v
-            changed.add((u, v) if u < v else (v, u))
-    for a, b in sorted(changed | _pairs_touching(instance, near) if complete else changed):
-        if (a, b) in changed:
-            ends = [(i, j) for i, j in ((a, b), (b, a)) if i not in unplaced]
-            if not ends:
-                continue
-            pair = _check_pair(instance, alloc, order, cuts, a, b, ends, own, faults, valued)
-        else:
-            pair = pair_state(instance, alloc, order, cuts, a, b)
-        if complete:
-            pairs[a, b] = (pair[4], *pair_labels(a, b, pair))
-
-    report.extend(1, check_orientation(instance, alloc, scope).violations)
-    report.extend(1, graph.strong)
-    report.extend(2, faults)
-    for i in sorted(valued):
-        report.extend(3, valued[i])
-    report.extend(4, _first_chain(instance, alloc, scope, own, graph, near))
-    if complete:
-        check = free_bundle_check(
-            instance, alloc, graph.enviers, {i: own[i] for i in near}, pairs, near
-        )
-        _extend_free_bundles(report, check)
-    return report
-
-
 def _first_chain(
-    instance: Instance, alloc: Allocation, scope, own, graph: EnvyGraph, near
+    instance: Instance, alloc: Allocation, own, graph: EnvyGraph, scope, near
 ) -> list[tuple[int, int, int]]:
-    """The whole check's property-(4) row, ``[]`` for none, of a state whose
-    envy pairs not touching ``scope`` form no chain.
+    """The property-(4) row of a state, ``[]`` for none: the smallest
+    candidate envy pair ``(i, j)`` whose envier ``i`` is envied, with the
+    last of ``i``'s enviers.  This is the one place (4) is decided.
 
-    ``graph`` holds the envy toward ``near``, ``scope`` and its neighbours.
-    A chain's middle pair ``(i, j)`` is then an envy pair touching
-    ``scope`` whose envier ``i`` is envied, or leaves the envied end ``i``
-    of one; the row is the smallest middle pair with the last of ``i``'s
-    enviers.  Rows outside ``graph`` are read only when an envy pair
-    touches ``scope``: those agents hold only goods of their own pairs, and
-    the agents of ``scope`` any goods.
+    For a whole check (``scope`` and ``near`` are ``None``), ``graph`` is
+    the whole envy relation and every envy pair is a candidate.  For a check
+    scoped to ``scope``, ``graph`` holds the envy toward ``near``, ``scope``
+    and its neighbours, and the envy pairs not touching ``scope`` form no
+    chain, so a chain's middle pair is an envy pair touching ``scope`` or
+    leaves the envied end of one: those are the candidates.  An envied
+    end's envy toward ``near`` is read from ``graph``; the agents outside
+    ``near`` hold only goods of their own pairs, so her envy toward them is
+    computed toward her neighbours among them.  Rows outside ``graph`` are
+    computed only for candidates.
     """
-    if not graph.enviers:
-        return []
-    edges = [(i, j) for i, j in envy_pairs(graph.enviers) if i in scope or j in scope]
-    if not edges:
-        return []
-    seen: dict[int, dict[int, list[int]]] = {}  # viewer -> owner in scope -> goods
-    for c in scope:
-        for g in alloc.bundle(c):
-            good = instance.goods[g]
-            for k in (good.u, good.v):
-                if k != c:
-                    seen.setdefault(k, {}).setdefault(c, []).append(g)
+    edges = envy_pairs(graph.enviers)
+    if scope is None:
+        candidates = edges
+    else:
+        candidates = [(i, j) for i, j in edges if i in scope or j in scope]
+        ends = {j for _, j in candidates}
+        candidates += [(i, j) for i, j in edges if i in ends]
+        for i in ends:
+            parts = {}
+            for k in instance.neighbors(i):
+                if k not in near:
+                    part = alloc.bundle(k) & instance.pair_goods(i, k)
+                    if part:
+                        parts[k] = part
+            candidates += [(i, k) for k in viewer_envy(instance, i, own[i], parts)]
 
     def enviers(i: int) -> list[int]:
-        if i in near:
+        if near is None or i in near:
             return graph.enviers.get(i, [])
         return envy_graph(instance, alloc, own, owners=(i,)).enviers.get(i, [])
 
-    def envies(i: int) -> list[int]:
-        parts = dict(seen.get(i, {}))
-        for j in instance.neighbors(i):
-            if j not in scope:
-                part = alloc.bundle(j) & instance.pair_goods(i, j)
-                if part:
-                    parts[j] = part
-        return viewer_envy(instance, i, own[i], parts)
-
-    middles = {(i, j) for i, j in edges if enviers(i)}
-    for i in {j for _, j in edges}:
-        middles.update((i, j) for j in envies(i))
+    middles = [(i, j) for i, j in candidates if enviers(i)]
     if not middles:
         return []
     i, j = min(middles)

@@ -280,6 +280,14 @@ def test_pick_order_semantics():
     assert order.full_order() == [2, 1, 3, 4, 0]
 
 
+def test_lowest_unplaced_stays_on_its_agent_until_she_is_placed():
+    order = PickOrder(3)
+    order.append_front(1)
+    assert [order.lowest_unplaced() for _ in range(2)] == [0, 0]
+    order.prepend_back(0)
+    assert order.lowest_unplaced() == 2
+
+
 @given(st.data())
 @settings(max_examples=200)
 def test_pick_order_precedes_matches_front_unplaced_back(data):

@@ -15,7 +15,8 @@ from dataclasses import asdict
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from trifree_efx import check_properties, gen_instance, run_phase1
+from trifree_efx import Allocation, check_properties, gen_instance, run_phase1, run_phase2
+from trifree_efx.cuts import CutTable, PickOrder
 from trifree_efx import phase1, phase2
 from trifree_efx.errors import InternalSolverError, StateError
 from trifree_efx.phase1 import SolveMetrics, SolverState, augment
@@ -81,6 +82,43 @@ def test_every_round_and_step_is_checked_alike_scoped_and_whole():
             assert scoped.only(STAGE_ONE_PROPERTIES).ok, entry
             seen[kind] += 1
     assert min(seen.values()) > 100, seen
+
+
+def test_a_check_scoped_to_every_agent_equals_the_whole_check():
+    # the two setups of the one pass agree where they read the same state
+    for entry in SUITE:
+        state = run_phase1(build(entry), validate=False)
+        for _ in range(2):
+            args = (state.instance, state.alloc, state.order, state.cuts)
+            whole = check_properties(*args)
+            scoped = check_properties(*args, scope=range(state.instance.n))
+            assert scoped.to_dict() == whole.to_dict(), entry
+            assert scoped.graph == whole.graph, entry
+            rows, reference = scoped.free_bundles, whole.free_bundles
+            agents = range(state.instance.n)
+            assert list(rows.loose) == list(agents)
+            for name in ("own", "loose"):
+                assert [getattr(rows, name)[i] for i in agents] == getattr(reference, name)
+            for name in ("primary", "secondary"):
+                assert [getattr(rows.units, name)[i] for i in agents] == getattr(
+                    reference.units, name
+                )
+            for name in ("enviers", "pairs", "breaks_5", "breaks_6", "breaks_7"):
+                assert getattr(rows, name) == getattr(reference, name), (entry, name)
+            state = run_phase2(state, validate=False)
+
+
+def test_a_chain_between_two_neighbours_of_the_scope_is_found():
+    # path 0 - 1 - 2 - 3 scoped to {0, 3}: 0 envies 1 and 1 envies 2, so the
+    # chain's middle pair (1, 2) leaves the envied end of an envy pair
+    # touching the scope, toward a neighbour of the scope
+    inst = additive_instance(
+        4, [(0, 1, {0: 5, 1: 1}), (1, 2, {1: 5, 2: 1}), (2, 3, {2: 1, 3: 1})]
+    )
+    alloc = Allocation.from_bundles(4, [set(), {0}, {1}, {2}])
+    args = (inst, alloc, PickOrder(4), CutTable(inst))
+    assert check_properties(*args).failures[4] == [(0, 1, 2)]
+    assert check_properties(*args, scope={0, 3}).failures[4] == [(0, 1, 2)]
 
 
 def perturb(data, state, scope):

@@ -179,6 +179,63 @@ def test_loading_is_not_quadratic_in_an_agents_degree():
     assert inst.valuations[0].value(frozenset(range(centre))) == centre
 
 
+def message_payload():
+    """Path 0 - 1 - 2: agent 0 transformed additive, agent 1 a table over
+    her goods 0 and 1, agent 2 additive."""
+    return {
+        "n": 3,
+        "goods": [{"id": 0, "u": 0, "v": 1}, {"id": 1, "u": 1, "v": 2}],
+        "valuations": [
+            {
+                "agent": 0,
+                "class": "transformed_additive",
+                "weights": {"0": 2},
+                "transform": [0, 1, 3],
+            },
+            {"agent": 1, "class": "monotone_table", "table": {"0": 0, "1": 1, "2": 1, "3": 2}},
+            {"agent": 2, "class": "additive", "weights": {"1": 2}},
+        ],
+    }
+
+
+@pytest.mark.parametrize(
+    "path, value, message",
+    [
+        (("goods", 1, "id"), "x", "good 1 id must be an integer, got 'x'"),
+        (("goods", 1, "u"), None, "good 1 endpoint u must be an integer, got None"),
+        (("goods", 0, "v"), 1.0, "good 0 endpoint v must be an integer, got 1.0"),
+        (
+            ("valuations", 2, "weights", "1"),
+            2.5,
+            "agent 2 weight of good 1 must be an integer, got 2.5",
+        ),
+        (("valuations", 0, "weights", "1"), 4, "agent 0: weight for non-incident good 1"),
+        (
+            ("valuations", 0, "transform", 1),
+            True,
+            "agent 0 transform entry must be an integer, got True",
+        ),
+        (("valuations", 1, "table", "9"), 3, "agent 1: table key 9 outside 0..3"),
+        (
+            ("valuations", 1, "table", "2"),
+            "1",
+            "agent 1 table entry 2 must be an integer, got '1'",
+        ),
+    ],
+)
+def test_a_bad_loader_field_is_named_as_before(path, value, message):
+    payload = message_payload()
+    instance_from_json(payload)
+    *parents, last = path
+    entry = payload
+    for key in parents:
+        entry = entry[key]
+    entry[last] = value
+    with pytest.raises(ValidationError) as raised:
+        instance_from_json(payload)
+    assert str(raised.value) == message
+
+
 def test_overlapping_bundles_rejected():
     inst = two_agent_parallel([1, 1])
     with pytest.raises(ValidationError):

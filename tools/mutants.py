@@ -52,6 +52,7 @@ class Mutant(NamedTuple):
 VERIFY = "src/trifree_efx/verify.py"
 PHASE1 = "src/trifree_efx/phase1.py"
 PHASE2 = "src/trifree_efx/phase2.py"
+CUTS = "src/trifree_efx/cuts.py"
 
 MUTANTS = (
     Mutant(
@@ -81,18 +82,36 @@ MUTANTS = (
     Mutant(
         "chain_skipped",
         VERIFY,
-        "report.extend(4, chains[:1])",
-        "report.extend(4, [])",
+        "        candidates = edges\n",
+        "        candidates = []\n",
         ("tests/test_verify.py", "tests/test_phase1.py"),
         "the whole check reports no envy chain, property (4)",
     ),
     Mutant(
         "scoped_chain_skipped",
         VERIFY,
-        "report.extend(4, _first_chain(instance, alloc, scope, own, graph, near))",
-        "report.extend(4, [])",
+        "candidates = [(i, j) for i, j in edges if i in scope or j in scope]",
+        "candidates = []",
         ("tests/test_scoped_check.py",),
         "the scoped check reports no envy chain, property (4)",
+    ),
+    Mutant(
+        "scoped_chain_ends_dropped",
+        VERIFY,
+        "ends = {j for _, j in candidates}",
+        "ends = set()",
+        ("tests/test_scoped_check.py",),
+        "the scoped check's property (4) misses chains leaving an envied end "
+        "of an envy pair touching the scope",
+    ),
+    Mutant(
+        "scoped_chain_near_envy_dropped",
+        VERIFY,
+        "        candidates += [(i, j) for i, j in edges if i in ends]\n",
+        "",
+        ("tests/test_scoped_check.py",),
+        "the scoped check's property (4) misses an envied end's envy toward "
+        "the scope's neighbours",
     ),
     Mutant(
         "pair_fault_skipped",
@@ -134,6 +153,30 @@ MUTANTS = (
         ("tests/test_phase2.py",),
         "the live check does not reread the pair toward a changed agent's "
         "highest neighbour",
+    ),
+    Mutant(
+        "live_envy_unsorted",
+        PHASE2,
+        "insort(enviers.setdefault(j, []), i)",
+        "enviers.setdefault(j, []).append(i)",
+        ("tests/test_phase2.py",),
+        "the live check appends a new envier instead of keeping the row sorted",
+    ),
+    Mutant(
+        "live_loose_not_swapped",
+        PHASE2,
+        "                (check.loose, old[0], new[0]),\n",
+        "",
+        ("tests/test_phase2.py",),
+        "the live check keeps the old free goods of a reread pair",
+    ),
+    Mutant(
+        "cursor_skips_agent",
+        CUTS,
+        "self._lowest = low",
+        "self._lowest = low + 1",
+        ("tests/test_cuts.py", "tests/test_phase1.py"),
+        "the lowest-unplaced cursor moves past the agent it returns",
     ),
     Mutant(
         "p6_not_strict",
