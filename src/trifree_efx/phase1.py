@@ -13,7 +13,7 @@ Between rounds the state keeps five invariants (checked by
 unplaced agents hold nothing (2), front agents envy nobody (5), back agents
 do not envy each other (6), and the numbered properties (1)-(4) of
 :mod:`.verify` hold, (2) and (3) for the placed agents (7).  Invariant (7)
-is one :func:`.verify.check_properties` call narrowed to (1)-(4), and (5)
+is a :func:`.verify.check_properties` report narrowed to (1)-(4), and (5)
 and (6) read the envy graph it built; (1) and (2) read only the picking
 order and the bundles.  Property (4), no envy chain, follows from
 invariants (1), (2), (5) and (6), so a correct run never trips it.  Codes
@@ -22,16 +22,12 @@ orientation and the absence of strong envy.
 
 When no agents remain unplaced, the allocation satisfies the numbered
 properties (1)-(4) of :mod:`.verify`.  Stage two asserts them in the check
-it opens with, so this stage does not check its own output again: a
-validated run's last round check, which runs on the complete order and so
-decides (5)-(7) too, stays on the state for stage two to open with.  Each
-round also checks that it set only the bundles of the agents it placed, in
-both modes.  That premise is what lets a validated run check every other
-round from scratch over the agents it placed only (``check_invariants``
-with ``scope``): the state before the round passed its check, and nothing
-outside those agents and their neighbours can have changed.  The last
-round, and the first one of a run handed a state it did not start, are
-checked whole.
+it opens with, so this stage does not check its own output again.  Each
+round checks that it set only the bundles of the agents it placed, in both
+modes, and a validated run checks every round from scratch by the one
+protocol of validated transitions, :func:`check_transition`, which stage
+two's steps share; the last round's whole report stays on the state
+(:meth:`SolverState.report`) for stage two to open with.
 """
 
 from __future__ import annotations
@@ -93,12 +89,12 @@ class SolverState:
     """Allocation, picking order and memoised pair splits, threaded through
     all three stages.
 
-    The state also holds the last from-scratch property report computed on
-    it (:meth:`keep_report`), stamped with the allocation and order objects,
-    the allocation's change count and the order's placed count.  The report
-    is handed back (:meth:`kept_report`) only while all four still match, so
-    after any ``set_bundle`` or placement it is never reused, and a copy
-    made with ``dataclasses.replace`` starts without one.
+    The state also keeps the last whole from-scratch property report
+    computed on it (:meth:`report`), stamped with the allocation and order
+    objects, the allocation's change count and the order's placed count.
+    The report is handed back (:meth:`kept_report`) only while all four
+    still match, so after any ``set_bundle`` or placement it is never
+    reused, and a copy made with ``dataclasses.replace`` starts without one.
     """
 
     instance: Instance
@@ -126,12 +122,13 @@ class SolverState:
         """The allocation's change count and the order's placed count."""
         return self.alloc.changes, self.order.n - len(self.order.unplaced)
 
-    def keep_report(self, report: PropertyReport) -> PropertyReport:
-        """Keep ``report``, a whole from-scratch check of this state as it is
-        now, and return it; a scoped report is refused."""
-        if report.scope is not None:
-            raise StateError("a scoped property report cannot be kept for reuse")
-        self._kept = (report, self.alloc, self.order, self._counts())
+    def report(self) -> PropertyReport:
+        """The whole from-scratch report of this state as it is now: the
+        kept one while it is current, else a new check, which is kept."""
+        report = self.kept_report()
+        if report is None:
+            report = check_properties(self.instance, self.alloc, self.order, self.cuts)
+            self._kept = (report, self.alloc, self.order, self._counts())
         return report
 
     def kept_report(self) -> Optional[PropertyReport]:
@@ -237,33 +234,66 @@ def augment(
     return front + back
 
 
+def check_transition(
+    state: SolverState,
+    scope: Iterable[int],
+    failures: Callable[[PropertyReport], list[str]],
+    *,
+    whole: bool = False,
+) -> PropertyReport:
+    """Check ``state`` from scratch after one transition, a stage-one round
+    or a stage-two step that set the bundles and placed agents of ``scope``
+    only; the report the verdict was read from.  This is the one protocol
+    of validated transitions.
+
+    ``failures(report)`` lists the caller's findings on a report as
+    messages.  Unless ``whole`` is set, the check is scoped to ``scope``,
+    and its report is returned when it has no findings: its verdict is the
+    whole check's, by the argument :func:`.verify.check_properties` states,
+    as the state before passed a check and each round and step asserts it
+    kept to ``scope``.  Scoped findings send the check whole
+    (:meth:`SolverState.report`): its findings are the error, and scoped
+    findings it does not share are an error of their own.  Callers check
+    whole the last transition of a stage, whose report the next stage opens
+    with, and one whose state before it was never checked.
+    """
+    if not whole:
+        scoped = check_properties(
+            state.instance, state.alloc, state.order, state.cuts, scope=scope
+        )
+        found = failures(scoped)
+        if not found:
+            return scoped
+    report = state.report()
+    bad = failures(report)
+    if bad:
+        raise InternalSolverError("; ".join(bad))
+    if not whole:
+        raise InternalSolverError(
+            f"the check scoped to agents {sorted(scoped.scope)} failed "
+            f"({'; '.join(found)}) where the whole check passed"
+        )
+    return report
+
+
 def check_invariants(
-    state: SolverState, scope: Optional[Iterable[int]] = None
+    state: SolverState, report: Optional[PropertyReport] = None
 ) -> list[InvariantViolation]:
-    """Check the between-round invariants; empty list means all hold.
+    """Check the between-round invariants against ``report``, a property
+    report of ``state`` as it is now (by default :meth:`SolverState.report`);
+    empty list means all hold.
 
-    Invariant (7) is one :func:`.verify.check_properties`, narrowed to
-    properties (1)-(4), and each of its failures is a code-7 row
-    ``(property, *row)``; the order-only invariants (5) and (6) read the
-    envy graph it built.  The whole report stays on the state
-    (:meth:`SolverState.keep_report`).
-
-    With ``scope``, the agents a round placed, the check is scoped to them:
-    (7) is the scoped :func:`.verify.check_properties`, (1) and (2) read
-    their bundles only, and (5) and (6) the envy toward them and their
-    neighbours, which holds every envy pair touching them.  Only
-    their bundles were set and only they were placed since the state passed
-    the check before, so the other agents' rows are unchanged (see the
-    scoped check); the report is not kept.
+    Each failure of the report's (1)-(4) is a code-7 row ``(property,
+    *row)``, and (5) and (6) read the envy graph it built.  On a report
+    scoped to the agents a round placed, (1) and (2) read their bundles
+    only, and (5) and (6) the envy toward them and their neighbours, which
+    holds every envy pair touching them.
     """
     instance, alloc, order = state.instance, state.alloc, state.order
     unplaced = order.unplaced
-    report = check_properties(instance, alloc, order, state.cuts, scope=scope)
-    if scope is None:
-        state.keep_report(report)
-        agents = range(instance.n)
-    else:
-        agents = sorted(scope)
+    if report is None:
+        report = state.report()
+    agents = range(instance.n) if report.scope is None else sorted(report.scope)
     out: list[InvariantViolation] = []
 
     for p in agents:
@@ -300,17 +330,12 @@ def run_phase1(
 ) -> SolverState:
     """Drive augmentation until every agent is placed.
 
-    With ``validate`` set, the invariants are re-checked after every round,
-    and the final allocation is replayed greedily along the finished order,
-    which must reproduce it exactly.  A round's check is scoped to the
-    agents it placed (:func:`check_invariants`) once the state before it
-    passed a check: a fresh state passes vacuously, a state handed in is
-    checked whole after the first round.  The last round's check, on the
-    complete order, is whole; it decides (1)-(7) and stays on the state for
-    stage two to open with.  A scoped check that fails is rerun whole, so
-    the error names what the whole check finds.  The numbered properties
-    (1)-(4) of the result are asserted by :func:`.phase2.run_phase2`, which
-    opens with one check of (1)-(7) on its input.
+    With ``validate`` set, :func:`check_transition` checks every round
+    against the invariants (:func:`check_invariants`), scoped to the agents
+    it placed; whole for the last round, which stage two opens with, and
+    for the first one of a handed state, unlike a fresh one not known to
+    pass.  The finished allocation is also replayed greedily along the
+    order, which must reproduce it exactly.
     """
     checked = state is None  # a fresh state passes every invariant vacuously
     if state is None:
@@ -322,14 +347,12 @@ def run_phase1(
         if len(state.order.unplaced) >= before:
             raise InternalSolverError("a round failed to place any agent")
         if validate:
-            scoped = checked and bool(state.order.unplaced)
-            bad = check_invariants(state, placed if scoped else None)
-            if bad and scoped:
-                bad = check_invariants(state) or bad
-            if bad:
-                raise InternalSolverError(
-                    "; ".join(str(v) for v in bad)
-                )
+            check_transition(
+                state,
+                placed,
+                lambda report: [str(v) for v in check_invariants(state, report)],
+                whole=not checked or not state.order.unplaced,
+            )
             checked = True
     if metrics.augment_calls > instance.n:
         raise InternalSolverError(

@@ -16,29 +16,21 @@ are read off a :class:`.verify.FreeBundleCheck` of the current state:
   bundle joined with one of her free-unit labels: the two swap their unit
   bundles of the shared pair, then she absorbs that label's free bundles.
 
-The stage opens with one from-scratch :func:`.verify.check_properties` of
-properties (1)-(7) on its input: the report stage one left on the state
-(:meth:`.phase1.SolverState.kept_report`) when nothing changed since, which
-a validated stage one's last round check is, else a new check.  (1)-(4)
-must hold, and the check's :class:`.verify.FreeBundleCheck` itself becomes
-the live one (:class:`LiveCheck`), updated in place after every step; the
-stage holds no other free-bundle check.  A rule changes the bundles of at
-most two agents ``C``, each step checks that no other agent's bundle was
-set, and only ``C`` and its neighbours ``N(C)`` are rechecked.  With
-``validate`` set, every step is also checked from scratch: (1)-(4) must
-still hold, the live check must equal the from-scratch one, and the rule's
-postconditions must hold against the envy pairs the live check had before
-the step.  That check is scoped to ``C`` (the scoped
-:func:`.verify.check_properties`), so it compares the live check over
-``C ∪ N(C)`` only, except at the stage's last step, the one after which
-the live check has no break left: that check is whole, compares the live
-check field by field and is kept on the state.  Since a live row outside
-the last scope is compared only then, the agent each rule fires on first
-has her rows decided from scratch, unless the check of that very state
-already compared them.  The stage's output is checked by stage three,
-which opens with the last report kept on the state when the state has not
-changed since: the last validated step's, or this stage's opening one when
-it took no step.
+The stage opens with the whole from-scratch report of properties (1)-(7)
+on its input (:meth:`.phase1.SolverState.report`), the one a validated
+stage one's last round left on the state when nothing changed since.
+(1)-(4) must hold, and the report's :class:`.verify.FreeBundleCheck` itself
+becomes the live one (:class:`LiveCheck`), updated in place after every
+step; the stage holds no other free-bundle check.  A rule changes the
+bundles of at most two agents ``C``, each step checks that no other
+agent's bundle was set, and only ``C`` and its neighbours ``N(C)`` are
+rechecked.  With ``validate`` set, every step is also checked from scratch
+by :func:`.phase1.check_transition`, whole at the stage's last step, the
+one after which the live check has no break left (:func:`_validate_step`).
+Since a live row outside a scoped check's ``C ∪ N(C)`` is compared only at
+that step, the agent each rule fires on first has her rows decided from
+scratch, unless the check of that very state already compared them.  Stage
+three opens with the state's report in the same way.
 
 Each step strictly lowers the triple (number of envied agents, rule-B
 violators, rule-A violators) in lexicographic order, so the loop ends after
@@ -52,11 +44,12 @@ from dataclasses import dataclass, fields
 from operator import itemgetter
 from typing import Iterable, NamedTuple, Optional
 
-# ``free_units`` and ``envy_graph`` are no longer called here, but the
-# benchmark's tracer wraps both by name, so a reintroduced call is counted
+# ``free_units``, ``envy_graph`` and ``check_properties`` are no longer
+# called here, but the benchmark's tracer wraps them by name, so a
+# reintroduced call is counted
 from .cuts import FreeUnits, free_units, own_labels, pair_labels, pair_state  # noqa: F401
 from .errors import InternalSolverError
-from .phase1 import SolveMetrics, SolverState, TraceFn
+from .phase1 import SolveMetrics, SolverState, TraceFn, check_transition
 from .verify import (  # noqa: F401
     STAGE_ONE_PROPERTIES,
     FreeBundleCheck,
@@ -357,27 +350,21 @@ def run_phase2(
 ) -> SolverState:
     """Iterate repair steps until properties (5)-(7) hold as well.
 
-    The stage opens with one check of properties (1)-(7) on the stage-one
-    output, the report kept on the state when it is still current: a
-    failure of (1)-(4) is an internal error, and the check's free-bundle
-    part becomes the :class:`LiveCheck` that gives every step's check.  The
-    potential must drop strictly on every step and the loop must finish
-    within ``n**3`` steps; either failure is an internal error.  With
-    ``validate`` set, the agent each rule fires on has her (5)-(7) rows
-    decided from scratch before the step (:func:`_check_rule_agent`), and
-    each step is checked from scratch after it (:func:`_validate_step`):
-    scoped to the agents it changed, and whole at the stage's last step,
-    whose report is kept on the state.  The output is checked by
-    :func:`.phase3.run_phase3`.
+    The stage opens with the state's whole report of properties (1)-(7)
+    (:meth:`.phase1.SolverState.report`): a failure of (1)-(4) is an
+    internal error, and the report's free-bundle part becomes the
+    :class:`LiveCheck` that gives every step's check.  The potential must
+    drop strictly on every step and the loop must finish within ``n**3``
+    steps; either failure is an internal error.  With ``validate`` set, the
+    agent each rule fires on has her (5)-(7) rows decided from scratch
+    before the step (:func:`_check_rule_agent`), and each step is checked
+    from scratch after it (:func:`_validate_step`).  The output is checked
+    by :func:`.phase3.run_phase3`.
     """
     instance = state.instance
     metrics = metrics if metrics is not None else SolveMetrics()
     cap = max(1, instance.n**3)
-    report = state.kept_report()
-    if report is None:
-        report = state.keep_report(
-            check_properties(instance, state.alloc, state.order, state.cuts)
-        )
+    report = state.report()
     broken = report.only(STAGE_ONE_PROPERTIES)
     if not broken.ok:
         raise InternalSolverError(f"stage-one output: {broken.summary()}")
@@ -480,78 +467,43 @@ def _validate_step(
     envy_before: Iterable[tuple[int, int]],
     live: FreeBundleCheck,
 ) -> Optional[set[int]]:
-    """Check one step from scratch; the agents whose live rows were
-    compared, ``None`` for all of them.
+    """Check one step from scratch (:func:`.phase1.check_transition`); the
+    agents whose live rows were compared, ``None`` for all of them.
 
-    Properties (1)-(4) must still hold, the live check ``live`` must equal
-    the from-scratch one, and the rule's postconditions must hold against
-    ``envy_before``, the ``(envier, envied)`` pairs of the state before the
-    step.
-
-    While ``live`` still has breaks, the check is scoped to the agents the
-    step changed, ``C`` (the scoped :func:`.verify.check_properties`): the
-    live check must equal it over ``C ∪ N(C)`` and the pairs touching it,
-    and no live row outside that is read.  At the stage's last step, when
-    ``live`` has no break left, the check is whole, compared field by
-    field, and kept on the state for stage three.  A scoped check that
-    fails is rerun whole, so the error names what the whole check finds.
-    The postconditions read the envy pairs whose envied agent is in
-    ``C ∪ N(C)``, the only ones a step that set the bundles of ``C`` alone
-    can change.
+    Properties (1)-(4) must still hold, and the live check ``live`` must
+    equal the from-scratch one: over ``C ∪ N(C)`` and its pairs when scoped
+    to the agents the step changed, ``C``, and field by field when whole, at
+    the stage's last step, after which ``live`` has no break.  Then the
+    rule's postconditions must hold against ``envy_before``, the ``(envier,
+    envied)`` pairs before the step, read for the envied agents in
+    ``C ∪ N(C)``, the only ones a step that set only ``C`` can change.
     """
-    instance = state.instance
-    check = (instance, state.alloc, state.order, state.cuts)
-    report = None
-    if not live.ok:
-        scoped = check_properties(*check, scope=record.changed())
-        rows = scoped.free_bundles
-        if scoped.only(STAGE_ONE_PROPERTIES).ok and _near_view(live, rows) == rows:
-            report = scoped
-    if report is None:
-        report = check_properties(*check)
-        if live.ok:
-            state.keep_report(report)
+    rule = f"rule {record.branch} on agent {record.agent}"
+
+    def failures(report):
         broken = report.only(STAGE_ONE_PROPERTIES)
         if not broken.ok:
-            raise InternalSolverError(
-                f"rule {record.branch} on agent {record.agent} broke {broken.summary()}"
-            )
+            return [f"{rule} broke {broken.summary()}"]
         reference = report.free_bundles
-        if live != reference:
-            differ = _differ(live, reference)
-            raise InternalSolverError(
-                f"after rule {record.branch} on agent {record.agent} the live "
-                f"free-bundle check differs from the reference in {differ}"
-            )
-        if not live.ok:
-            differ = _differ(_near_view(live, rows), rows)
-            raise InternalSolverError(
-                f"after rule {record.branch} on agent {record.agent} the check "
-                f"scoped to agents {sorted(record.changed())} failed "
-                f"({scoped.summary()}, live differs in {differ}) where the whole "
-                f"check passed"
-            )
-    near = with_neighbours(instance, record.changed())
+        view = live if report.scope is None else _near_view(live, reference)
+        if view == reference:
+            return []
+        differ = _differ(view, reference)
+        return [f"after {rule} the live free-bundle check differs from the reference in {differ}"]
+
+    report = check_transition(state, record.changed(), failures, whole=live.ok)
+    near = with_neighbours(state.instance, record.changed())
     envied_now = report.free_bundles.enviers
     before = {(k, d) for k, d in envy_before if d in near}
     now = {(k, d) for d in near for k in envied_now.get(d, ())}
     created = now - before
     if record.branch in ("A", "B") and created:
-        raise InternalSolverError(
-            f"rule {record.branch} on agent {record.agent} created envy "
-            f"{sorted(created)}"
-        )
+        raise InternalSolverError(f"{rule} created envy {sorted(created)}")
     if record.branch == "C":
         if record.agent in envied_now:
-            raise InternalSolverError(
-                f"rule C left agent {record.agent} envied"
-            )
+            raise InternalSolverError(f"rule C left agent {record.agent} envied")
         if record.partner in envied_now:
-            raise InternalSolverError(
-                f"rule C made the envier {record.partner} envied"
-            )
+            raise InternalSolverError(f"rule C made the envier {record.partner} envied")
         if not len({d for _, d in now}) < len({d for _, d in before}):
-            raise InternalSolverError(
-                "rule C did not shrink the set of envied agents"
-            )
+            raise InternalSolverError("rule C did not shrink the set of envied agents")
     return near if report.scope is not None else None

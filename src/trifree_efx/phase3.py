@@ -12,11 +12,11 @@ turns the orientation into a general allocation.
 The stage opens with one check of properties (1)-(7) on its input, which
 is the check of stage two's output, and reads each envied agent's envier
 (the check's envier index, its only form of the envy relation) and the
-labels it dumps from that check.  That check is computed from scratch once
-per state: when the report kept on the state is still current (the last
-validated step's, or stage two's opening one when stage two took no step)
-the stage opens with it.  ``solve`` wires the three stages together behind
-a triangle-freeness guard and re-verifies the final allocation (complete +
+labels it dumps from that check, the state's whole report
+(:meth:`.phase1.SolverState.report`): the last validated step's, or stage
+two's opening one when stage two took no step, when still current, else a
+new check.  ``solve`` wires the three stages together behind a
+triangle-freeness guard and re-verifies the final allocation (complete +
 EFX) from first principles; when nothing was dumped, the allocation is the
 one the opening check saw, and its property (1) is the EFX verdict.
 """
@@ -38,7 +38,6 @@ from .verify import (  # noqa: F401
     CheckReport,
     check_completeness,
     check_efx,
-    check_properties,
     envy_graph,
 )
 
@@ -48,21 +47,19 @@ class SolveConfig:
     """Knobs for one solver run.
 
     ``validate_steps`` checks every stage-one round and every stage-two step
-    from scratch; it is the default and recommended mode.  A round or step
-    is checked over the agents it changed and their neighbours (the scoped
-    :func:`.verify.check_properties`), since the state before it passed its
-    check and each round and step asserts it changed no other bundle; the
-    last round and the last step are checked whole.  Turning it off keeps
-    the stage-boundary and final checks but skips the per-round and
-    per-step ones.  The stage-boundary checks are the ones stages two and
-    three open with, each one check of properties (1)-(7) on its input, and
-    the final one is the complete-and-EFX check.  Each state is checked
-    from scratch once: a stage opens with the last whole report computed on
-    the very state it is handed when there is one, so a validated solve
-    runs one check per round and per step, whole for the last round and the
-    last step only, and an unvalidated solve builds the envy graph once
-    when stage two takes no step, one more when it does, and one more when
-    stage three dumps.
+    from scratch (:func:`.phase1.check_transition`); it is the default and
+    recommended mode.  Turning it off keeps the stage-boundary and final
+    checks but skips the per-round and per-step ones.  The stage-boundary
+    checks are the ones stages two and three open with, each one check of
+    properties (1)-(7) on its input, and the final one is the
+    complete-and-EFX check.  Each state is checked from scratch once: a
+    stage opens with the state's whole report
+    (:meth:`.phase1.SolverState.report`), the last one computed on the very
+    state it is handed when there is one, so a validated solve runs one
+    check per round and per step, whole for the last round and the last
+    step only, and an unvalidated solve builds the envy graph once when
+    stage two takes no step, one more when it does, and one more when stage
+    three dumps.
     """
 
     validate_steps: bool = True
@@ -85,9 +82,9 @@ def run_phase3(
 ) -> Allocation:
     """Dump every envied agent's primary free bundles on her envier.
 
-    The stage opens with one check of properties (1)-(7) on the stage-two
-    output, the report kept on the state when it is still current; any
-    failure is an internal error.  Each envied agent's one envier (her row
+    The stage opens with the state's whole report of properties (1)-(7) on
+    the stage-two output (:meth:`.phase1.SolverState.report`); any failure
+    is an internal error.  Each envied agent's one envier (her row
     of the check's envier index) and the free-unit labels are read from
     that check and frozen; with ``validate`` the dumped agent's primary
     label is also read from her own pairs before each dump, and must agree.
@@ -96,11 +93,7 @@ def run_phase3(
     """
     instance, alloc = state.instance, state.alloc
     metrics = metrics if metrics is not None else SolveMetrics()
-    report = state.kept_report()
-    if report is None:
-        report = state.keep_report(
-            check_properties(instance, alloc, state.order, state.cuts)
-        )
+    report = state.report()
     if not report.ok:
         raise InternalSolverError(f"stage-two output: {report.summary()}")
     check = report.free_bundles

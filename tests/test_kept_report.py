@@ -4,8 +4,8 @@ A stage opens with the last property report computed on the very state it
 is handed, kept on the ``SolverState``; any ``set_bundle`` or placement
 since then makes that report stale, and a fresh check runs instead.  A
 validated run checks its rounds and steps scoped to the agents each one
-changed, and only the last round and the last step whole; a scoped report
-is never kept.
+changed, and only the last round and the last step whole; only the whole
+report of ``SolverState.report`` is kept.
 """
 
 import weakref
@@ -59,7 +59,7 @@ def counted(monkeypatch, owners, name, part="scope"):
 
 def count_checks(monkeypatch):
     """The log of whole checks; scoped ones are left out."""
-    return WholeOnly(counted(monkeypatch, (phase1, phase2, phase3), "check_properties"))
+    return WholeOnly(counted(monkeypatch, (phase1, phase2), "check_properties"))
 
 
 class WholeOnly:
@@ -81,7 +81,7 @@ class WholeOnly:
 def test_a_validated_solve_checks_once_per_round_and_step(monkeypatch):
     # every round and every step is checked once; only the last round and
     # the last step are checked whole, the others scoped to what they changed
-    log = counted(monkeypatch, (phase1, phase2, phase3), "check_properties")
+    log = counted(monkeypatch, (phase1, phase2), "check_properties")
     steps = []
     for inst in instances():
         log.clear()
@@ -153,8 +153,7 @@ def test_a_set_bundle_makes_the_kept_report_stale():
 def test_a_placement_makes_the_kept_report_stale():
     inst = c4_instance([[3, 1], [2, 2], [5], [1, 4]])
     state = SolverState.fresh(inst)
-    state.keep_report(check_properties(inst, state.alloc, state.order, state.cuts))
-    assert state.kept_report() is not None
+    assert state.report() is state.kept_report() is not None
     state.order.prepend_back(state.order.lowest_unplaced())
     assert state.kept_report() is None
 
@@ -169,7 +168,7 @@ def test_a_replaced_state_inherits_no_report():
     for i in range(state.alloc.changes):
         other.set_bundle(i % inst.n, frozenset())
     copy = replace(state, alloc=other)
-    copy.keep_report(check_properties(inst, other, state.order, state.cuts))
+    assert copy.report() is copy.kept_report() is not None
     assert replace(copy, alloc=state.alloc).kept_report() is None
 
 

@@ -10,15 +10,17 @@ row of the whole check, and a scoped free-bundle check must equal the whole
 one over the agents it decides.
 """
 
+import re
 from dataclasses import asdict
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from trifree_efx import Allocation, check_properties, gen_instance, run_phase1, run_phase2
+from trifree_efx import Allocation, check_properties, gen_instance, run_phase1, run_phase2, solve
 from trifree_efx.cuts import CutTable, PickOrder
+from trifree_efx.generate import suite_spec
 from trifree_efx import phase1, phase2
-from trifree_efx.errors import InternalSolverError, StateError
+from trifree_efx.errors import InternalSolverError
 from trifree_efx.phase1 import SolveMetrics, SolverState, augment
 from trifree_efx.phase2 import LiveCheck, phase2_step
 from trifree_efx.verify import STAGE_ONE_PROPERTIES
@@ -162,15 +164,35 @@ def test_a_perturbed_scope_is_checked_alike_scoped_and_whole(entry, stop, data):
 # -- what a scoped check may and may not be used for --------------------------------
 
 
-def test_a_scoped_report_is_never_kept():
-    inst = gen_instance(next(pinned_specs()))
-    state = SolverState.fresh(inst)
-    placed = augment(state)
-    report = check_properties(inst, state.alloc, state.order, state.cuts, scope=placed)
-    for candidate in (report, report.only({1, 2})):
-        with pytest.raises(StateError, match="scoped"):
-            state.keep_report(candidate)
-    assert state.kept_report() is None
+@pytest.mark.parametrize("kind", ["round", "step"])
+def test_a_scoped_finding_the_whole_check_does_not_share_is_an_error(monkeypatch, kind):
+    # every scoped check of a stage-one round (incomplete order) or of a
+    # stage-two step (complete order) reports a spurious property-(2) row;
+    # the whole rerun passes, so the run stops at the first such check with
+    # the one error naming the scope and the scoped finding
+    inst = gen_instance(suite_spec("tree", 2))
+    check = phase1.check_properties
+    log = []
+
+    def spurious(instance, alloc, order, cuts, *, scope=None):
+        report = check(instance, alloc, order, cuts, scope=scope)
+        log.append(scope)
+        if scope is not None and (not order.unplaced) == (kind == "step"):
+            report.extend(2, [("spurious",)])
+        return report
+
+    monkeypatch.setattr(phase1, "check_properties", spurious)
+    with pytest.raises(InternalSolverError) as raised:
+        solve(inst)
+    scope, whole = log[-2:]
+    assert scope is not None and whole is None
+    finding = (
+        re.escape(str(phase1.InvariantViolation(7, (2, "spurious"))))
+        if kind == "round"
+        else r"rule [ABC] on agent \d+ broke violated: \(2\) x1"
+    )
+    prefix = re.escape(f"the check scoped to agents {sorted(scope)} failed (")
+    assert re.fullmatch(prefix + finding + r"\) where the whole check passed", str(raised.value))
 
 
 def test_the_first_round_of_a_handed_state_is_checked_whole(monkeypatch):

@@ -197,8 +197,8 @@ MUTANTS = (
     Mutant(
         "scoped_live_reads_ignored",
         PHASE2,
-        "if scoped.only(STAGE_ONE_PROPERTIES).ok and _near_view(live, rows) == rows:",
-        "if scoped.only(STAGE_ONE_PROPERTIES).ok:",
+        "view = live if report.scope is None else _near_view(live, reference)",
+        "view = live if report.scope is None else reference",
         ("tests/test_phase2.py",),
         "a scoped step check does not compare the live check's reads",
     ),
@@ -213,18 +213,26 @@ MUTANTS = (
     Mutant(
         "handed_state_scoped",
         PHASE1,
-        "scoped = checked and bool(state.order.unplaced)",
-        "scoped = bool(state.order.unplaced)",
+        "whole=not checked or not state.order.unplaced,",
+        "whole=not state.order.unplaced,",
         ("tests/test_scoped_check.py",),
         "the first round of a state handed to stage one is checked scoped",
     ),
     Mutant(
-        "scoped_report_kept",
+        "scoped_failure_accepted",
         PHASE1,
-        "if report.scope is not None:",
-        "if False:",
+        "        if not found:\n",
+        "        if True:\n",
         ("tests/test_scoped_check.py",),
-        "a scoped report may be kept for a stage to open with",
+        "a scoped check's findings are accepted without the whole rerun",
+    ),
+    Mutant(
+        "scoped_failure_unseen",
+        PHASE1,
+        "    if not whole:\n        raise InternalSolverError(",
+        "    if False:\n        raise InternalSolverError(",
+        ("tests/test_scoped_check.py",),
+        "a scoped finding the whole check does not share is dropped silently",
     ),
 )
 
