@@ -27,11 +27,14 @@ round checks that it set only the bundles of the agents it placed, in both
 modes, and a validated run checks every round from scratch by the one
 protocol of validated transitions, :func:`check_transition`, which stage
 two's steps share; the last round's whole report stays on the state
-(:meth:`SolverState.report`) for stage two to open with.
+(:meth:`SolverState.report`) for stage two to open with, and its reads,
+copied, seed the validator's ledger (:class:`.verify.Ledger`) for stage
+two's steps.
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, Optional
 
@@ -42,10 +45,10 @@ from .model import EMPTY_BUNDLE, Allocation, Bundle, Instance
 # it by name, so a reintroduced call is counted
 from .verify import (  # noqa: F401
     STAGE_ONE_PROPERTIES,
+    Ledger,
     PropertyReport,
     check_properties,
     envy_graph,
-    envy_pairs,
 )
 
 TraceFn = Optional[Callable[[dict], None]]
@@ -62,7 +65,13 @@ INVARIANT_NAMES = {
 
 @dataclass
 class SolveMetrics:
-    """Counters of one solver run, filled in by the three stages and ``solve``."""
+    """Counters of one solver run, filled in by the three stages and ``solve``.
+
+    ``validate_s`` is the part of the stage times a validated run spends
+    checking its rounds and steps: :func:`check_transition`, stage two's
+    rule-agent check and ledger seeding, and :func:`greedy_replay`; it is
+    0.0 when unvalidated.
+    """
 
     augment_calls: int = 0
     empty_picks: int = 0
@@ -75,6 +84,7 @@ class SolveMetrics:
     phase1_s: float = 0.0
     phase2_s: float = 0.0
     phase3_s: float = 0.0
+    validate_s: float = 0.0
     wall_time_s: float = 0.0
 
     def to_dict(self) -> dict:
@@ -94,7 +104,9 @@ class SolverState:
     objects, the allocation's change count and the order's placed count.
     The report is handed back (:meth:`kept_report`) only while all four
     still match, so after any ``set_bundle`` or placement it is never
-    reused, and a copy made with ``dataclasses.replace`` starts without one.
+    reused.  A validated run also keeps its ledger of from-scratch reads
+    here (:meth:`ledger`, :meth:`seed_ledger`), stamped in the same way.  A
+    copy made with ``dataclasses.replace`` starts without either.
     """
 
     instance: Instance
@@ -102,6 +114,7 @@ class SolverState:
     order: PickOrder
     cuts: CutTable
     _kept: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
+    _ledger: Optional[Ledger] = field(default=None, init=False, repr=False, compare=False)
 
     @classmethod
     def fresh(cls, instance: Instance) -> "SolverState":
@@ -142,6 +155,24 @@ class SolverState:
             return report
         self._kept = None
         return None
+
+    def ledger(self, scope: frozenset[int] = frozenset()) -> Optional[Ledger]:
+        """The validator's ledger if its entries read this state as it is
+        now but for the bundles of ``scope`` (:meth:`.verify.Ledger.current`),
+        else ``None``."""
+        ledger = self._ledger
+        if ledger is not None and ledger.current(self.alloc, self.order, scope):
+            return ledger
+        return None
+
+    def seed_ledger(self, report: Optional[PropertyReport] = None) -> None:
+        """Seed the validator's ledger with the reads of ``report``, a whole
+        report of this state as it is now, or, without one, with those of
+        the fresh state, where nobody holds anything."""
+        if report is None:
+            self._ledger = Ledger.fresh(self.alloc, self.order)
+        else:
+            self._ledger = Ledger.of(self.instance, self.alloc, self.order, report)
 
 
 @dataclass
@@ -247,19 +278,25 @@ def check_transition(
     of validated transitions.
 
     ``failures(report)`` lists the caller's findings on a report as
-    messages.  Unless ``whole`` is set, the check is scoped to ``scope``,
-    and its report is returned when it has no findings: its verdict is the
-    whole check's, by the argument :func:`.verify.check_properties` states,
-    as the state before passed a check and each round and step asserts it
-    kept to ``scope``.  Scoped findings send the check whole
-    (:meth:`SolverState.report`): its findings are the error, and scoped
-    findings it does not share are an error of their own.  Callers check
-    whole the last transition of a stage, whose report the next stage opens
-    with, and one whose state before it was never checked.
+    messages.  Unless ``whole`` is set, the check is scoped to ``scope``
+    when the state's ledger is current but for the bundles of ``scope``
+    (:meth:`SolverState.ledger`), and its report is returned when it has no
+    findings: its verdict is the whole check's, by the argument
+    :func:`.verify.check_properties` states, as the state before passed a
+    check, each round and step asserts it kept to ``scope``, and the check
+    brings the ledger up to date.  Scoped findings, or no current ledger,
+    send the check whole (:meth:`SolverState.report`): its findings are the
+    error, scoped findings it does not share are an error of their own, and
+    its reads seed the ledger afresh.  Callers check whole the last
+    transition of a stage, whose report the next stage opens with; a
+    transition from a state no check has read, which has no ledger, is
+    checked whole too.
     """
-    if not whole:
+    scope = frozenset(scope)
+    ledger = None if whole else state.ledger(scope)
+    if ledger is not None:
         scoped = check_properties(
-            state.instance, state.alloc, state.order, state.cuts, scope=scope
+            state.instance, state.alloc, state.order, state.cuts, scope=scope, ledger=ledger
         )
         found = failures(scoped)
         if not found:
@@ -268,9 +305,10 @@ def check_transition(
     bad = failures(report)
     if bad:
         raise InternalSolverError("; ".join(bad))
-    if not whole:
+    state.seed_ledger(report)
+    if ledger is not None:
         raise InternalSolverError(
-            f"the check scoped to agents {sorted(scoped.scope)} failed "
+            f"the check scoped to agents {sorted(scope)} failed "
             f"({'; '.join(found)}) where the whole check passed"
         )
     return report
@@ -286,32 +324,36 @@ def check_invariants(
     Each failure of the report's (1)-(4) is a code-7 row ``(property,
     *row)``, and (5) and (6) read the envy graph it built.  On a report
     scoped to the agents a round placed, (1) and (2) read their bundles
-    only, and (5) and (6) the envy toward them and their neighbours, which
-    holds every envy pair touching them.
+    only, and (5) and (6) the envy pairs touching them, which its graph
+    holds.
     """
     instance, alloc, order = state.instance, state.alloc, state.order
     unplaced = order.unplaced
     if report is None:
         report = state.report()
-    agents = range(instance.n) if report.scope is None else sorted(report.scope)
     out: list[InvariantViolation] = []
 
-    for p in agents:
-        if p in unplaced:
-            continue
-        for g in sorted(alloc.bundle(p)):
-            good = instance.goods[g]
-            if good.u in unplaced or good.v in unplaced:
-                out.append(InvariantViolation(1, (p, g)))
-    for u in agents:
-        if u in unplaced and alloc.bundle(u):
-            out.append(InvariantViolation(2, (u, min(alloc.bundle(u)))))
+    if unplaced:  # a complete order breaks neither (1) nor (2)
+        agents = range(instance.n) if report.scope is None else sorted(report.scope)
+        goods = instance.goods
+        for p in agents:
+            if p not in unplaced:
+                stray = [g for g in alloc.bundle(p) if goods[g].u in unplaced or goods[g].v in unplaced]
+                out.extend(InvariantViolation(1, (p, g)) for g in sorted(stray))
+        for u in agents:
+            if u in unplaced and alloc.bundle(u):
+                out.append(InvariantViolation(2, (u, min(alloc.bundle(u)))))
 
-    for i, j in envy_pairs(report.graph.enviers):
-        if order.in_front(i):
-            out.append(InvariantViolation(5, (i, j)))
-        if order.in_back(i) and order.in_back(j):
-            out.append(InvariantViolation(6, (i, j)))
+    # an agent is at the front, at the back or unplaced, so a pair breaks one at most
+    in_front, in_back = order.in_front, order.in_back
+    broken = [
+        (i, j)
+        for j, row in report.graph.enviers.items()
+        for i in row
+        if in_front(i) or (in_back(i) and in_back(j))
+    ]
+    for i, j in sorted(broken):
+        out.append(InvariantViolation(5 if in_front(i) else 6, (i, j)))
 
     for prop, violations in report.failures.items():
         if prop in STAGE_ONE_PROPERTIES:
@@ -333,37 +375,41 @@ def run_phase1(
     With ``validate`` set, :func:`check_transition` checks every round
     against the invariants (:func:`check_invariants`), scoped to the agents
     it placed; whole for the last round, which stage two opens with, and
-    for the first one of a handed state, unlike a fresh one not known to
-    pass.  The finished allocation is also replayed greedily along the
-    order, which must reproduce it exactly.
+    for the first one of a handed state, which has no ledger, unlike a
+    fresh one, whose ledger is seeded from the fresh state.  The finished
+    allocation is also replayed greedily along the order, which must
+    reproduce it exactly.
     """
-    checked = state is None  # a fresh state passes every invariant vacuously
     if state is None:
         state = SolverState.fresh(instance)
+        if validate:
+            state.seed_ledger()
     metrics = metrics if metrics is not None else SolveMetrics()
+
+    def broken(report: PropertyReport) -> list[str]:
+        return [str(v) for v in check_invariants(state, report)]
+
     while state.order.unplaced:
         before = len(state.order.unplaced)
         placed = augment(state, metrics=metrics, trace=trace)
         if len(state.order.unplaced) >= before:
             raise InternalSolverError("a round failed to place any agent")
         if validate:
-            check_transition(
-                state,
-                placed,
-                lambda report: [str(v) for v in check_invariants(state, report)],
-                whole=not checked or not state.order.unplaced,
-            )
-            checked = True
+            started = time.perf_counter()
+            check_transition(state, placed, broken, whole=not state.order.unplaced)
+            metrics.validate_s += time.perf_counter() - started
     if metrics.augment_calls > instance.n:
         raise InternalSolverError(
             f"{metrics.augment_calls} rounds for {instance.n} agents"
         )
     if validate:
+        started = time.perf_counter()
         replay = greedy_replay(state)
         if replay != state.alloc:
             raise InternalSolverError(
                 "greedy replay along the finished order diverged from the allocation"
             )
+        metrics.validate_s += time.perf_counter() - started
     return state
 
 

@@ -27,10 +27,16 @@ agent's bundle was set, and only ``C`` and its neighbours ``N(C)`` are
 rechecked.  With ``validate`` set, every step is also checked from scratch
 by :func:`.phase1.check_transition`, whole at the stage's last step, the
 one after which the live check has no break left (:func:`_validate_step`).
-Since a live row outside a scoped check's ``C ∪ N(C)`` is compared only at
-that step, the agent each rule fires on first has her rows decided from
-scratch, unless the check of that very state already compared them.  Stage
-three opens with the state's report in the same way.
+A scoped step check rereads only what the step can have changed and takes
+the rest from the validator's ledger (:class:`.verify.Ledger`), which the
+stage seeds from a copy of its opening report unless stage one's last
+check left it current; the live check is compared row by row with the
+ledger's rows of ``C ∪ N(C)`` and its reads of the pairs touching ``C``.
+Since a live row outside ``C ∪ N(C)`` is compared only at the stage's last
+step, each step's check also compares the rows of the agent the next rule
+fires on with the ledger's, which is current by the same argument; the
+first rule fires on the opening report itself.  Stage three opens with the
+state's report in the same way.
 
 Each step strictly lowers the triple (number of envied agents, rule-B
 violators, rule-A violators) in lexicographic order, so the loop ends after
@@ -39,15 +45,16 @@ at most ``n**3`` steps, at which point properties (1)-(7) all hold.
 
 from __future__ import annotations
 
+import time
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, fields
 from operator import itemgetter
-from typing import Iterable, NamedTuple, Optional
+from typing import Collection, Iterable, NamedTuple, Optional
 
 # ``free_units``, ``envy_graph`` and ``check_properties`` are no longer
 # called here, but the benchmark's tracer wraps them by name, so a
 # reintroduced call is counted
-from .cuts import FreeUnits, free_units, own_labels, pair_labels, pair_state  # noqa: F401
+from .cuts import free_units, own_labels, pair_labels, pair_state  # noqa: F401
 from .errors import InternalSolverError
 from .phase1 import SolveMetrics, SolverState, TraceFn, check_transition
 from .verify import (  # noqa: F401
@@ -56,7 +63,6 @@ from .verify import (  # noqa: F401
     agent_free_bundle_breaks,
     check_properties,
     envy_graph,
-    local_free_bundle_check,
     viewer_envy,
     with_neighbours,
 )
@@ -356,10 +362,11 @@ def run_phase2(
     :class:`LiveCheck` that gives every step's check.  The potential must
     drop strictly on every step and the loop must finish within ``n**3``
     steps; either failure is an internal error.  With ``validate`` set, the
-    agent each rule fires on has her (5)-(7) rows decided from scratch
-    before the step (:func:`_check_rule_agent`), and each step is checked
-    from scratch after it (:func:`_validate_step`).  The output is checked
-    by :func:`.phase3.run_phase3`.
+    validator's ledger is seeded from the opening report unless it is
+    current (:meth:`.phase1.SolverState.ledger`), and each step is checked
+    from scratch after it (:func:`_validate_step`), together with the rows
+    of the agent the next rule fires on.  The output is checked by
+    :func:`.phase3.run_phase3`.
     """
     instance = state.instance
     metrics = metrics if metrics is not None else SolveMetrics()
@@ -368,11 +375,17 @@ def run_phase2(
     broken = report.only(STAGE_ONE_PROPERTIES)
     if not broken.ok:
         raise InternalSolverError(f"stage-one output: {broken.summary()}")
+    if validate and state.ledger() is None:
+        started = time.perf_counter()
+        state.seed_ledger(report)
+        metrics.validate_s += time.perf_counter() - started
     live = LiveCheck(state, report.free_bundles)
     scan = live.check
-    compared = None  # the agents whose live rows equal a from-scratch check; None: all
     while True:
-        envy_before = _check_rule_agent(state, scan, compared) if validate else None
+        if validate:
+            started = time.perf_counter()
+            envy_before = _envy_before(state, scan)
+            metrics.validate_s += time.perf_counter() - started
         record = phase2_step(state, scan=scan, trace=trace)
         if record is None:
             break
@@ -384,7 +397,9 @@ def run_phase2(
             )
         scan = live.update(record.changed())
         if validate:
-            compared = _validate_step(state, record, envy_before, scan)
+            started = time.perf_counter()
+            _validate_step(state, record, envy_before, scan)
+            metrics.validate_s += time.perf_counter() - started
         phi = Potential.of(scan)
         if phi >= record.potential_before:
             raise InternalSolverError(
@@ -399,66 +414,71 @@ def _breaks_7_of(rows: list[tuple[int, int, str]], i: int) -> list[tuple[int, in
     return rows[lo : bisect_right(rows, i, lo, key=_AGENT)]
 
 
-def _near_view(live: FreeBundleCheck, near: FreeBundleCheck) -> FreeBundleCheck:
-    """``live`` cut down to the agents and pairs of ``near``, a check of
-    some agents only (a scoped :func:`.verify.check_properties` or
-    :func:`.verify.local_free_bundle_check`), in the same form."""
-    agents = near.loose  # a dict over the agents, in ascending order
-    enviers, units = live.enviers, live.units
-    return FreeBundleCheck(
-        {i: enviers[i] for i in agents if i in enviers},
-        FreeUnits(
-            {i: units.primary[i] for i in agents}, {i: units.secondary[i] for i in agents}
-        ),
-        {i: live.own[i] for i in agents},
-        {i: live.loose[i] for i in agents},
-        {p: live.pairs[p] for p in near.pairs},
-        [i for i in agents if _has(live.breaks_5, i)],
-        [i for i in agents if _has(live.breaks_6, i)],
-        [row for i in agents for row in _breaks_7_of(live.breaks_7, i)],
-    )
+_FIELDS = tuple(f.name for f in fields(FreeBundleCheck))
 
 
 def _differ(live: FreeBundleCheck, reference: FreeBundleCheck) -> list[str]:
-    """The fields in which ``live`` differs from ``reference``."""
-    return [
-        f.name
-        for f in fields(FreeBundleCheck)
-        if getattr(live, f.name) != getattr(reference, f.name)
-    ]
+    """The fields in which ``live`` differs from ``reference``: field by
+    field when ``reference`` is a check of every agent, else row by row
+    over its agents and its pair reads."""
+    if isinstance(reference.own, list):
+        return [name for name in _FIELDS if getattr(live, name) != getattr(reference, name)]
+    found = set()
+    units, near = live.units, reference.units
+    for i, own in reference.own.items():
+        if live.enviers.get(i) != reference.enviers.get(i):
+            found.add("enviers")
+        if units.primary[i] != near.primary[i] or units.secondary[i] != near.secondary[i]:
+            found.add("units")
+        if live.own[i] != own:
+            found.add("own")
+        if live.loose[i] != reference.loose[i]:
+            found.add("loose")
+        if _has(live.breaks_5, i) != (i in reference.breaks_5):
+            found.add("breaks_5")
+        if _has(live.breaks_6, i) != (i in reference.breaks_6):
+            found.add("breaks_6")
+        if _breaks_7_of(live.breaks_7, i) != _breaks_7_of(reference.breaks_7, i):
+            found.add("breaks_7")
+    if any(live.pairs[p] != read for p, read in reference.pairs.items()):
+        found.add("pairs")
+    return [name for name in _FIELDS if name in found]
 
 
-def _check_rule_agent(
-    state: SolverState, scan: FreeBundleCheck, compared: Optional[set[int]]
-) -> Optional[set[tuple[int, int]]]:
-    """Before a validated step: the (5)-(7) rows of the agent the next rule
-    fires on must equal a from-scratch check's, so that every rule fires on
-    a break a from-scratch check sees.
-
-    ``compared`` holds the agents whose rows the check of this very state
-    already compared (``None``: all of them, after a whole check); for
-    any other agent, her rows are decided from scratch here, in work in her
-    degree and her neighbours' bundles.  Returns the ``(envier, envied)``
-    pairs of ``scan`` whose envied agent is in ``C ∪ N(C)``, ``C`` the
-    agents the rule will change, for the step's postconditions; ``None``
-    when no rule fires.
-    """
+def _envy_before(state: SolverState, scan: FreeBundleCheck) -> Optional[set[tuple[int, int]]]:
+    """Before a validated step: the ``(envier, envied)`` pairs of ``scan``
+    whose envied agent is in ``C ∪ N(C)``, ``C`` the agents the next rule
+    will change, for the step's postconditions; ``None`` when no rule
+    fires."""
     pick = _pick(scan)
     if pick is None:
         return None
-    branch, i, j, _ = pick
-    if compared is not None and i not in compared:
-        reference = local_free_bundle_check(
-            state.instance, state.alloc, state.order, state.cuts, (i,)
-        )
-        view = _near_view(scan, reference)
-        if view != reference:
-            raise InternalSolverError(
-                f"before rule {branch} on agent {i} the live free-bundle check "
-                f"differs from the reference in {_differ(view, reference)}"
-            )
+    _, i, j, _ = pick
     near = with_neighbours(state.instance, (i,) if j is None else (i, j))
     return {(k, d) for d in near for k in scan.enviers.get(d, ())}
+
+
+def _check_rule_agent(state: SolverState, scan: FreeBundleCheck, near: Collection[int]) -> None:
+    """After a validated step's check: the (5)-(7) rows and pair reads of
+    the agent the next rule fires on must equal those the validator's
+    ledger gives, so that every rule fires on a break a from-scratch check
+    sees.  The step's check compared the rows of ``near``, its
+    ``C ∪ N(C)``, and left the ledger current, so only an agent outside
+    ``near`` is compared here, in work in her degree.
+    """
+    pick = _pick(scan)
+    if pick is None or pick[1] in near:
+        return
+    branch, i, _, _ = pick
+    instance = state.instance
+    pairs = [(i, k) if i < k else (k, i) for k in instance.neighbors(i)]
+    reference = state.ledger().check(instance, state.alloc, (i,), pairs)
+    differ = _differ(scan, reference)
+    if differ:
+        raise InternalSolverError(
+            f"before rule {branch} on agent {i} the live free-bundle check "
+            f"differs from the reference in {differ}"
+        )
 
 
 def _validate_step(
@@ -466,34 +486,36 @@ def _validate_step(
     record: StepRecord,
     envy_before: Iterable[tuple[int, int]],
     live: FreeBundleCheck,
-) -> Optional[set[int]]:
-    """Check one step from scratch (:func:`.phase1.check_transition`); the
-    agents whose live rows were compared, ``None`` for all of them.
+) -> None:
+    """Check one step from scratch (:func:`.phase1.check_transition`).
 
     Properties (1)-(4) must still hold, and the live check ``live`` must
-    equal the from-scratch one: over ``C ∪ N(C)`` and its pairs when scoped
-    to the agents the step changed, ``C``, and field by field when whole, at
-    the stage's last step, after which ``live`` has no break.  Then the
-    rule's postconditions must hold against ``envy_before``, the ``(envier,
+    equal the from-scratch one: row by row over ``C ∪ N(C)`` and the pairs
+    touching ``C``, when scoped to the agents the step changed, ``C``, and
+    field by field when whole, at the stage's last
+    step, after which ``live`` has no break.  Then the rule's
+    postconditions must hold against ``envy_before``, the ``(envier,
     envied)`` pairs before the step, read for the envied agents in
-    ``C ∪ N(C)``, the only ones a step that set only ``C`` can change.
+    ``C ∪ N(C)``, the only ones a step that set only ``C`` can change, and
+    the agent the next rule fires on must have the ledger's rows
+    (:func:`_check_rule_agent`).
     """
     rule = f"rule {record.branch} on agent {record.agent}"
 
     def failures(report):
-        broken = report.only(STAGE_ONE_PROPERTIES)
-        if not broken.ok:
-            return [f"{rule} broke {broken.summary()}"]
-        reference = report.free_bundles
-        view = live if report.scope is None else _near_view(live, reference)
-        if view == reference:
+        if not STAGE_ONE_PROPERTIES.isdisjoint(report.failures):
+            return [f"{rule} broke {report.only(STAGE_ONE_PROPERTIES).summary()}"]
+        differ = _differ(live, report.free_bundles)
+        if not differ:
             return []
-        differ = _differ(view, reference)
         return [f"after {rule} the live free-bundle check differs from the reference in {differ}"]
 
     report = check_transition(state, record.changed(), failures, whole=live.ok)
-    near = with_neighbours(state.instance, record.changed())
     envied_now = report.free_bundles.enviers
+    if report.scope is None:
+        near = with_neighbours(state.instance, record.changed())
+    else:
+        near = report.free_bundles.own.keys()  # the scoped check's C ∪ N(C)
     before = {(k, d) for k, d in envy_before if d in near}
     now = {(k, d) for d in near for k in envied_now.get(d, ())}
     created = now - before
@@ -506,4 +528,4 @@ def _validate_step(
             raise InternalSolverError(f"rule C made the envier {record.partner} envied")
         if not len({d for _, d in now}) < len({d for _, d in before}):
             raise InternalSolverError("rule C did not shrink the set of envied agents")
-    return near if report.scope is not None else None
+    _check_rule_agent(state, live, near)

@@ -47,9 +47,12 @@ class SolveConfig:
     """Knobs for one solver run.
 
     ``validate_steps`` checks every stage-one round and every stage-two step
-    from scratch (:func:`.phase1.check_transition`); it is the default and
-    recommended mode.  Turning it off keeps the stage-boundary and final
-    checks but skips the per-round and per-step ones.  The stage-boundary
+    from scratch (:func:`.phase1.check_transition`), rereading only what
+    the round or step can have changed and taking the rest from a ledger of
+    earlier from-scratch reads (:class:`.verify.Ledger`); it is the default
+    and recommended mode, and ``SolveMetrics.validate_s`` is its cost.
+    Turning it off keeps the stage-boundary and final checks but skips the
+    per-round and per-step ones, and builds no ledger.  The stage-boundary
     checks are the ones stages two and three open with, each one check of
     properties (1)-(7) on its input, and the final one is the
     complete-and-EFX check.  Each state is checked from scratch once: a

@@ -616,24 +616,48 @@ def corrupt_pairs(instance, check, c):
 CORRUPTIONS = {"own": corrupt_own, "loose": corrupt_loose, "pairs": corrupt_pairs}
 
 
-@pytest.mark.parametrize("field", sorted(CORRUPTIONS))
+@pytest.mark.parametrize("field", sorted(CORRUPTIONS) + ["neighbour loose"])
 def test_a_validated_step_compares_the_live_reads(monkeypatch, field):
-    """The reads the live check keeps are compared fields: after an update
-    has decided the break lists, corrupting one agent's own value or free
-    goods, or one pair's read, leaves the break lists right, and a validated
-    run still reports the corrupted field."""
-    corrupt = CORRUPTIONS[field]
+    """The reads the live check keeps are compared fields: after the first
+    update has decided the break lists, corrupting one changed agent's own
+    value or free goods, one pair's read, or the free goods of a neighbour
+    outside the step, leaves the break lists right, and the validated check
+    of that very step reports the corrupted field."""
+    neighbour = field.startswith("neighbour ")
+    name = field.split()[-1]
+    corrupt = CORRUPTIONS[name]
     update = LiveCheck.update
+    first = []
 
     def corrupted(self, changed):
         check = update(self, changed)
-        corrupt(self.state.instance, check, min(changed))
+        if not first:
+            changed = set(changed)
+            c = min(changed)
+            if neighbour:
+                c = min(set(self.state.instance.neighbors(c)) - changed)
+            corrupt(self.state.instance, check, c)
+            first.append(changed)
         return check
 
+    steps = []
+    step = phase2.phase2_step
+
+    def recorded(state, **kwargs):
+        record = step(state, **kwargs)
+        steps.append(record)
+        return record
+
     monkeypatch.setattr(LiveCheck, "update", corrupted)
+    monkeypatch.setattr(phase2, "phase2_step", recorded)
     state = run_phase1(adversarial("hub_trade"))
-    with pytest.raises(InternalSolverError, match=rf"reference in \['{field}'\]$"):
+    with pytest.raises(InternalSolverError) as raised:
         run_phase2(state, validate=True)
+    record = steps[0]
+    assert str(raised.value) == (
+        f"after rule {record.branch} on agent {record.agent} the live free-bundle "
+        f"check differs from the reference in ['{name}']"
+    )
 
 
 def test_a_rule_fires_only_on_a_break_a_from_scratch_check_sees(monkeypatch):
@@ -717,8 +741,8 @@ def test_stage_two_builds_each_full_check_at_most_once(monkeypatch):
 
 def test_a_scoped_step_builds_no_whole_envy_graph(monkeypatch):
     # a step that leaves breaks is checked scoped to the agents it changed,
-    # which builds only the envy toward them and their neighbours; the
-    # stage opens with the one whole envy graph it builds
+    # which rereads only the envy pairs touching them; the stage opens with
+    # the one whole envy graph it builds
     builds = []
     for owner in (phase2, verify):
         original = owner.envy_graph
@@ -728,6 +752,14 @@ def test_a_scoped_step_builds_no_whole_envy_graph(monkeypatch):
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(owner, "envy_graph", counted)
+    rereads = []
+    reread = verify.Ledger.reread_envy
+
+    def counted_reread(self, instance, alloc, scope, reads):
+        rereads.append(scope)
+        return reread(self, instance, alloc, scope, reads)
+
+    monkeypatch.setattr(verify.Ledger, "reread_envy", counted_reread)
     # the first 40 steps are enough; the 41st stops the stage
     class Enough(Exception):
         pass
@@ -746,7 +778,7 @@ def test_a_scoped_step_builds_no_whole_envy_graph(monkeypatch):
     with pytest.raises(Enough):
         run_phase2(state, validate=True, metrics=metrics)
     assert metrics.phase2_iterations == 40
-    assert builds.count(None) == 1 and len(builds) > 40
+    assert builds == [None] and len(rereads) == 40 and all(rereads)
 
 
 def test_live_check_sorts_only_what_a_step_changed(monkeypatch):

@@ -66,40 +66,40 @@ MUTANTS = (
     Mutant(
         "witness_dropped",
         VERIFY,
-        "if witness is not None:",
-        "if witness is not None and i != 0:",
+        "if witness is not None:\n                strong.append((i, j, witness))",
+        "if witness is not None and i != 0:\n                strong.append((i, j, witness))",
         ("tests/test_verify.py", "tests/test_scoped_check.py"),
         "agent 0's strong-envy witnesses are dropped from the envy graph",
     ),
     Mutant(
         "front_envy_skipped",
         PHASE1,
-        "out.append(InvariantViolation(5, (i, j)))",
-        "pass",
+        "if in_front(i) or (in_back(i) and in_back(j))",
+        "if in_back(i) and in_back(j)",
         ("tests/test_phase1.py",),
         "stage one's invariant (5), front agents envy nobody, is not reported",
     ),
     Mutant(
         "chain_skipped",
         VERIFY,
-        "        candidates = edges\n",
-        "        candidates = []\n",
+        "report.extend(4, _first_chain(graph.enviers, middles))",
+        "report.extend(4, _first_chain(graph.enviers, []))",
         ("tests/test_verify.py", "tests/test_phase1.py"),
         "the whole check reports no envy chain, property (4)",
     ),
     Mutant(
         "scoped_chain_skipped",
         VERIFY,
-        "candidates = [(i, j) for i, j in edges if i in scope or j in scope]",
-        "candidates = []",
+        "report.extend(4, _first_chain(ledger.enviers, _chain_middles(instance, ledger, middles)))",
+        "report.extend(4, [])",
         ("tests/test_scoped_check.py",),
         "the scoped check reports no envy chain, property (4)",
     ),
     Mutant(
         "scoped_chain_ends_dropped",
         VERIFY,
-        "ends = {j for _, j in candidates}",
-        "ends = set()",
+        "for j in {j for _, j in edges}:",
+        "for j in set():",
         ("tests/test_scoped_check.py",),
         "the scoped check's property (4) misses chains leaving an envied end "
         "of an envy pair touching the scope",
@@ -107,11 +107,11 @@ MUTANTS = (
     Mutant(
         "scoped_chain_near_envy_dropped",
         VERIFY,
-        "        candidates += [(i, j) for i, j in edges if i in ends]\n",
-        "",
+        "if j in enviers.get(k, ())]",
+        "if j in graph.enviers.get(k, ())]",
         ("tests/test_scoped_check.py",),
         "the scoped check's property (4) misses an envied end's envy toward "
-        "the scope's neighbours",
+        "agents outside the scope, which only the ledger holds",
     ),
     Mutant(
         "pair_fault_skipped",
@@ -189,34 +189,37 @@ MUTANTS = (
     Mutant(
         "scope_without_neighbours",
         VERIFY,
-        "near = with_neighbours(instance, scope)",
-        "near = frozenset(scope)",
-        ("tests/test_scoped_check.py",),
-        "the scoped check decides envy and (5)-(7) for the changed agents only",
+        "ledger.check(instance, alloc, with_neighbours(instance, scope), read)",
+        "ledger.check(instance, alloc, scope, read)",
+        ("tests/test_scoped_check.py", "tests/test_phase2.py"),
+        "the scoped check decides (5)-(7) for the changed agents only",
     ),
     Mutant(
-        "scoped_live_reads_ignored",
+        "scoped_live_rows_ignored",
         PHASE2,
-        "view = live if report.scope is None else _near_view(live, reference)",
-        "view = live if report.scope is None else reference",
+        "    for i, own in reference.own.items():",
+        "    for i, own in ():",
         ("tests/test_phase2.py",),
-        "a scoped step check does not compare the live check's reads",
+        "a scoped step check does not compare the live check's per-agent rows",
     ),
     Mutant(
         "rule_agent_unchecked",
         PHASE2,
-        "if compared is not None and i not in compared:",
-        "if False:",
+        "    differ = _differ(scan, reference)\n    if differ:",
+        "    differ = _differ(scan, reference)\n    if False:",
         ("tests/test_phase2.py",),
-        "a rule fires on a live break no from-scratch check has seen",
+        "a rule fires on a live break the ledger's rows do not have",
     ),
     Mutant(
         "handed_state_scoped",
         PHASE1,
-        "whole=not checked or not state.order.unplaced,",
-        "whole=not state.order.unplaced,",
+        "        state = SolverState.fresh(instance)\n        if validate:\n"
+        "            state.seed_ledger()\n",
+        "        state = SolverState.fresh(instance)\n    if validate:\n"
+        "        state.seed_ledger()\n",
         ("tests/test_scoped_check.py",),
-        "the first round of a state handed to stage one is checked scoped",
+        "a state handed to stage one gets the ledger of a fresh state, so its "
+        "first round is checked scoped",
     ),
     Mutant(
         "scoped_failure_accepted",
@@ -229,10 +232,56 @@ MUTANTS = (
     Mutant(
         "scoped_failure_unseen",
         PHASE1,
-        "    if not whole:\n        raise InternalSolverError(",
+        "    if ledger is not None:\n        raise InternalSolverError(",
         "    if False:\n        raise InternalSolverError(",
         ("tests/test_scoped_check.py",),
         "a scoped finding the whole check does not share is dropped silently",
+    ),
+    Mutant(
+        "ledger_pair_not_refreshed",
+        VERIFY,
+        "        if complete:\n            pairs[a, b] = (pair[4], *pair_labels(a, b, pair))",
+        "        if complete and (scope is None or a in scope):\n"
+        "            pairs[a, b] = (pair[4], *pair_labels(a, b, pair))",
+        ("tests/test_scoped_check.py",),
+        "a scoped check leaves the ledger's read of a pair whose higher "
+        "endpoint is in the scope as it was before the step",
+    ),
+    Mutant(
+        "ledger_own_stale",
+        VERIFY,
+        "            own[c] = instance.valuations[c].value(alloc.bundle(c))",
+        "            pass",
+        ("tests/test_scoped_check.py",),
+        "a scoped check keeps the ledger's own values of the scope from before the step",
+    ),
+    Mutant(
+        "ledger_aliases_live_check",
+        VERIFY,
+        "            own, pairs = list(check.own), dict(check.pairs)\n"
+        "        enviers = {j: list(row) for j, row in report.graph.enviers.items()}",
+        "            own, pairs = check.own, check.pairs\n        enviers = report.graph.enviers",
+        ("tests/test_phase2.py",),
+        "the ledger is seeded with the very containers of the opening report, "
+        "which stage two's live check updates, so a scoped check's reads "
+        "overwrite the live check's slips",
+    ),
+    Mutant(
+        "ledger_stamp_ignored",
+        VERIFY,
+        "and alloc.set_since(self.changes) <= scope",
+        "and True",
+        ("tests/test_scoped_check.py",),
+        "a ledger counts as current after bundles outside the scope were set",
+    ),
+    Mutant(
+        "scoped_outgoing_envy_dropped",
+        VERIFY,
+        "                    seen.setdefault(c, {})[k] = part",
+        "                    pass",
+        ("tests/test_scoped_check.py",),
+        "a scoped check does not reread the envy of the scope toward its "
+        "neighbours outside it",
     ),
 )
 
