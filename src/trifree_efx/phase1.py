@@ -68,9 +68,9 @@ class SolveMetrics:
     """Counters of one solver run, filled in by the three stages and ``solve``.
 
     ``validate_s`` is the part of the stage times a validated run spends
-    checking its rounds and steps: :func:`check_transition`, stage two's
-    rule-agent check and ledger seeding, and :func:`greedy_replay`; it is
-    0.0 when unvalidated.
+    checking its rounds and steps: :func:`check_transition`, the rest of
+    stage two's step validation and its ledger seeding, and
+    :func:`greedy_replay`; it is 0.0 when unvalidated.
     """
 
     augment_calls: int = 0
@@ -338,7 +338,9 @@ def check_invariants(
         goods = instance.goods
         for p in agents:
             if p not in unplaced:
-                stray = [g for g in alloc.bundle(p) if goods[g].u in unplaced or goods[g].v in unplaced]
+                stray = [
+                    g for g in alloc.bundle(p) if goods[g].u in unplaced or goods[g].v in unplaced
+                ]
                 out.extend(InvariantViolation(1, (p, g)) for g in sorted(stray))
         for u in agents:
             if u in unplaced and alloc.bundle(u):

@@ -1,7 +1,8 @@
 """Definition-level checkers for fairness and structure.
 
 Everything here is recomputed from ``(instance, allocation)`` alone -- no
-solver bookkeeping is reused -- so agreement between the solver and these
+solver bookkeeping is reused, and a scoped check reuses only its own
+earlier from-scratch reads -- so agreement between the solver and these
 checks is meaningful evidence.  The only shared vocabulary is the fixed
 pair splits (unit bundles), which the structural property checks need by
 definition.
@@ -575,8 +576,8 @@ def check_properties(
 
     The report's ``scope`` is ``C``, its graph holds the envy pairs touching
     ``C``, and its free-bundle check holds dicts over ``C ∪ N(C)`` and the
-    reads of the pairs it reread.  Its verdict on (1)-(4) is
-    the whole check's, and its (5)-(7) rows are the whole check's rows of
+    reads of the pairs it reread.  Its verdict on (1)-(4) is the whole
+    check's, and its (5)-(7) rows are the whole check's rows of
     ``C ∪ N(C)``, when the state passed (1)-(4) in a check before (whole or
     scoped), since then only the bundles of ``C`` were set and only agents
     of ``C`` placed (the premise each stage-one round and stage-two step
