@@ -19,11 +19,18 @@ a largest-first greedy split, which is already feasible; that is decided in
 O(k) from the parts' weight sums and lightest goods
 (:func:`_additive_split_ok`), so the local search and its subset-wise
 post-check run only for monotone tables.
+
+A pair's state is read only by :func:`read_pairs`, one loop over the pairs
+asked for that gives each pair's cut by the later picker, goods, held
+parts, free goods, property-(2) fault and free-unit labels.  Stage one's
+partner search, the property check and stage two's live check each make
+one call per visit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import filterfalse
 from typing import Optional, Sequence
 
 from .errors import InternalSolverError, StateError
@@ -269,6 +276,81 @@ class PickOrder:
         return self.front + self.back
 
 
+Labels = tuple[Bundle, Bundle]  # (primary, secondary)
+NO_LABELS: Labels = (EMPTY_BUNDLE, EMPTY_BUNDLE)
+
+
+def read_pairs(
+    instance: Instance,
+    alloc: Allocation,
+    order: PickOrder,
+    cuts: CutTable,
+    pairs: Sequence[tuple[int, int]],
+) -> list[tuple]:
+    """Read each adjacent pair ``(a, b)`` of ``pairs`` once: one
+    ``(cut, goods, held_a, held_b, fault, free, labels_a, labels_b)`` per
+    pair, in the order of ``pairs``.
+
+    ``cut`` is the pair's fixed split, cut by whichever endpoint picks later
+    (the order of the two must be determined); ``held_a`` and ``held_b`` are
+    the pair goods each endpoint holds and ``free`` the unallocated ones.
+    The three sets are disjoint, and a pair good in none of them is held by
+    a third agent.  The held sets and the labels follow the order of ``a``
+    and ``b``; ``read[5:]`` is the pair's :class:`.verify.FreeBundleCheck`
+    entry when ``a < b``.  ``fault`` says why the goods are not whole unit
+    bundles on the endpoints ``lo < hi``, ``None`` when they are:
+    ``(lo, hi, "held-outside-pair", smallest such good)`` or ``(lo, hi,
+    "torn-unit-bundle", lower-id endpoint holding a torn part)``.  The
+    labels are the ``(primary, secondary)`` pair the rule of
+    :class:`FreeUnits` gives each endpoint.
+
+    This is the one place the later-picker-cuts rule, the pair-fault rule
+    and the per-pair label rule are written.  The loop reads the model's
+    containers directly and takes a memoised cut without a
+    :meth:`CutTable.cut` call.
+    """
+    goods_of, bundles, owners = instance._pair, alloc._bundles, alloc._owner
+    allocated, owned = owners.keys(), owners.__contains__
+    rank, n, memo = order._ranks.get, order.n, cuts._memo
+    out = []
+    for a, b in pairs:
+        lo, hi = (a, b) if a < b else (b, a)
+        goods = goods_of.get((lo, hi), EMPTY_BUNDLE)
+        held_a, held_b = bundles[a] & goods, bundles[b] & goods
+        rank_a, rank_b = rank(a, n), rank(b, n)
+        if rank_a == rank_b == n:
+            raise StateError(f"relative order of agents {a} and {b} is not determined yet")
+        later = b if rank_a < rank_b else a
+        cut = memo.get((lo, hi, later))
+        if cut is None:
+            cut = cuts.cut(lo, hi, later)
+        first, second = cut.first, cut.second
+        if len(held_a) + len(held_b) == len(goods):
+            rest = EMPTY_BUNDLE
+        else:
+            rest = goods.difference(held_a, held_b) if held_a or held_b else goods
+        # isdisjoint looks up the goods of rest only
+        free = rest if allocated.isdisjoint(rest) else frozenset(filterfalse(owned, rest))
+        fault = (lo, hi, "held-outside-pair", min(rest - free)) if len(free) < len(rest) else None
+        if fault is None:
+            held_lo, held_hi = (held_a, held_b) if a < b else (held_b, held_a)
+            if held_lo and held_lo != first and held_lo != second:
+                fault = (lo, hi, "torn-unit-bundle", lo)
+            elif held_hi and held_hi != first and held_hi != second:
+                fault = (lo, hi, "torn-unit-bundle", hi)
+        labels_a = labels_b = NO_LABELS  # every label is a part of the free goods
+        if free and len(free) == len(goods):
+            # nothing of the pair is held; the lower-id endpoint's primary is the first part
+            low, high = (first, second), (second, first)
+            labels_a, labels_b = (low, high) if a < b else (high, low)
+        elif free and (first <= free or second <= free):  # one unit bundle is free
+            loose = (first, first) if first <= free else (second, second)
+            labels_a = NO_LABELS if held_a else loose
+            labels_b = NO_LABELS if held_b else loose
+        out.append((cut, goods, held_a, held_b, fault, free, labels_a, labels_b))
+    return out
+
+
 def pair_state(
     instance: Instance,
     alloc: Allocation,
@@ -276,55 +358,14 @@ def pair_state(
     cuts: CutTable,
     a: int,
     b: int,
-) -> tuple[PairCut, Bundle, Bundle, Bundle, Bundle]:
-    """The state of an adjacent pair's goods: ``(cut, goods, held_a, held_b, free)``.
-
-    ``cut`` is the pair's fixed split, cut by whichever endpoint picks later;
-    ``held_a`` and ``held_b`` are the pair goods each endpoint holds and
-    ``free`` the unallocated ones.  The three sets are disjoint, and a pair
-    good in none of them is held by a third agent.  ``a`` and ``b`` may come
-    in either order; the held sets follow it.  This is the one place a pair's
-    state is read, and the only place the later-picker-cuts rule is written.
-    """
-    goods = instance.pair_goods(a, b)
-    held_a = alloc.bundle(a) & goods
-    held_b = alloc.bundle(b) & goods
-    free = alloc.free_among(goods)
-    return cuts.cut(a, b, order.later(a, b)), goods, held_a, held_b, free
+) -> tuple:
+    """The :func:`read_pairs` read of the one pair ``(a, b)``."""
+    return read_pairs(instance, alloc, order, cuts, ((a, b),))[0]
 
 
-def pair_fault(
-    a: int, b: int, pair: tuple[PairCut, Bundle, Bundle, Bundle, Bundle]
-) -> Optional[tuple[int, int, str, int]]:
-    """Why the :func:`pair_state` result ``pair`` of ``(a, b)`` is not whole
-    unit bundles on the pair's endpoints, or ``None`` when it is.
-
-    The fault is ``(lo, hi, "held-outside-pair", smallest such good)`` or
-    ``(lo, hi, "torn-unit-bundle", lower-id endpoint holding a torn part)``,
-    with ``lo < hi`` the pair's endpoints.  Two endpoints can never hold the
-    same part, since bundles are disjoint.
-    """
-    cut, goods, held_a, held_b, free = pair
-    outside = goods.difference(held_a, held_b, free)
-    if outside:
-        return (cut.a, cut.b, "held-outside-pair", min(outside))
-    if a > b:
-        a, b, held_a, held_b = b, a, held_b, held_a
-    for who, held in ((a, held_a), (b, held_b)):
-        if held and held not in cut.parts():
-            return (cut.a, cut.b, "torn-unit-bundle", who)
-    return None
-
-
-def claimable(
-    instance: Instance,
-    alloc: Allocation,
-    order: PickOrder,
-    cuts: CutTable,
-    i: int,
-    j: int,
-) -> Bundle:
-    """Goods of the pair ``(i, j)`` that agent ``i`` may still take.
+def claimable(instance: Instance, i: int, pair: tuple) -> Bundle:
+    """Goods of a pair that agent ``i`` may still take, from ``pair``, its
+    :func:`read_pairs` read from ``i``'s end ``(i, j)``.
 
     * no goods shared with ``j``: nothing;
     * nothing of the pair allocated: the unit bundle ``i`` values most
@@ -332,19 +373,15 @@ def claimable(
     * only ``j`` holds from the pair: the remaining unit bundle;
     * ``i`` already holds from the pair (or both do): nothing.
 
-    A :func:`pair_fault` (a torn unit bundle, a third party holding pair
-    goods) never arises in a valid run and raises ``StateError``.
+    A pair fault (a torn unit bundle, a third party holding pair goods)
+    never arises in a valid run and raises ``StateError``.
     """
-    if not instance.pair_goods(i, j):
-        return EMPTY_BUNDLE
-    pair = pair_state(instance, alloc, order, cuts, i, j)
-    fault = pair_fault(i, j, pair)
+    cut, goods, held_i, held_j, fault, free, _, _ = pair
     if fault is not None:
         raise StateError(
             "pair (%d,%d) is not whole unit bundles on its endpoints: %s %d" % fault
         )
-    cut, goods, held_i, held_j, free = pair
-    if free == goods:
+    if len(free) == len(goods):
         vi = instance.valuations[i].value
         return cut.first if vi(cut.first) >= vi(cut.second) else cut.second
     if not held_i and held_j:
@@ -374,55 +411,20 @@ class FreeUnits:
     secondary: list[set[int]]
 
 
-Labels = tuple[Bundle, Bundle]  # (primary, secondary)
-NO_LABELS: Labels = (EMPTY_BUNDLE, EMPTY_BUNDLE)
-
-
-def pair_labels(
-    a: int, b: int, pair: tuple[PairCut, Bundle, Bundle, Bundle, Bundle]
-) -> tuple[Labels, Labels]:
-    """The ``(primary, secondary)`` labels that the :func:`pair_state` result
-    ``pair`` of ``(a, b)`` gives ``a`` and ``b``, by the rule of :class:`FreeUnits`.
-
-    This is the one place the per-pair label rule is written.
-    """
-    cut, _, held_a, held_b, free = pair
-    first, second = cut.first, cut.second
-    free_first, free_second = first <= free, second <= free
-    if free_first and free_second:
-        # nothing of the pair is held; the lower-id endpoint's primary is the first part
-        low, high = (first, second), (second, first)
-        return (low, high) if a < b else (high, low)
-    if free_first or free_second:
-        loose = first if free_first else second
-        return (
-            NO_LABELS if held_a else (loose, loose),
-            NO_LABELS if held_b else (loose, loose),
-        )
-    return NO_LABELS, NO_LABELS
-
-
 def free_units(
     instance: Instance,
     alloc: Allocation,
     order: PickOrder,
     cuts: CutTable,
 ) -> FreeUnits:
-    """Compute the free-unit labelling for every adjacent ordered pair.
+    """Compute the free-unit labelling for every adjacent ordered pair, as
+    each agent's :func:`own_labels`.
 
     Pair goods held by a third party count as taken; property (2) of
     :func:`.verify.check_properties` is what reports them.
     """
-    primary: list[set[int]] = [set() for _ in range(instance.n)]
-    secondary: list[set[int]] = [set() for _ in range(instance.n)]
-    for a, b in instance.skeleton_edges():
-        pair = pair_state(instance, alloc, order, cuts, a, b)
-        (primary_a, secondary_a), (primary_b, secondary_b) = pair_labels(a, b, pair)
-        primary[a] |= primary_a
-        secondary[a] |= secondary_a
-        primary[b] |= primary_b
-        secondary[b] |= secondary_b
-    return FreeUnits(primary, secondary)
+    labels = [own_labels(instance, alloc, order, cuts, i) for i in range(instance.n)]
+    return FreeUnits([primary for primary, _ in labels], [secondary for _, secondary in labels])
 
 
 def own_labels(
@@ -436,9 +438,9 @@ def own_labels(
     read from her own pairs only."""
     primary: set[int] = set()
     secondary: set[int] = set()
-    for k in instance.neighbors(i):
-        pair = pair_state(instance, alloc, order, cuts, i, k)
-        first, second = pair_labels(i, k, pair)[0]
+    pairs = [(i, k) for k in instance.neighbors(i)]
+    for pair in read_pairs(instance, alloc, order, cuts, pairs):
+        first, second = pair[6]
         primary |= first
         secondary |= second
     return primary, secondary

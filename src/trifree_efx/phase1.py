@@ -29,7 +29,7 @@ protocol of validated transitions, :func:`check_transition`, which stage
 two's steps share; the last round's whole report stays on the state
 (:meth:`SolverState.report`) for stage two to open with, and its reads,
 copied, seed the validator's ledger (:class:`.verify.Ledger`) for stage
-two's steps.
+two's steps when a rule fires on it.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ import time
 from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, Optional
 
-from .cuts import CutTable, PickOrder, claimable
+from .cuts import CutTable, PickOrder, claimable, read_pairs
 from .errors import InternalSolverError, StateError
 from .model import EMPTY_BUNDLE, Allocation, Bundle, Instance
 # ``envy_graph`` is no longer called here, but the benchmark's tracer wraps
@@ -128,9 +128,6 @@ class SolverState:
     def sigma(self) -> list[int]:
         return self.order.full_order()
 
-    def claimable(self, i: int, j: int):
-        return claimable(self.instance, self.alloc, self.order, self.cuts, i, j)
-
     def _counts(self) -> tuple[int, int]:
         """The allocation's change count and the order's placed count."""
         return self.alloc.changes, self.order.n - len(self.order.unplaced)
@@ -194,15 +191,20 @@ def _best_partner(state: SolverState, i: int) -> tuple[int, Bundle]:
     with nothing of value to take resolves to agent 0, neighbour or not.
     If agent 0 is her neighbour she then takes her zero-valued unit bundle
     from pair ``(i, 0)``; otherwise that pair is empty and she takes nothing.
+    Her pairs are read in one :func:`.cuts.read_pairs` call, and
+    :func:`.cuts.claimable` decides each neighbour's bundle from its read.
     The bundle stays what ``i`` may claim while the pair's goods and its
     later picker stay as they are: between the search and the hand-out,
     :func:`augment` only places the partner at the front or hands the
     partner goods of another pair, and neither changes the pair.
     """
-    value = state.instance.valuations[i].value
+    instance = state.instance
+    value = instance.valuations[i].value
+    neighbours = instance.neighbors(i)
+    pairs = read_pairs(instance, state.alloc, state.order, state.cuts, [(i, j) for j in neighbours])
     best_j, best_val, best = 0, 0, EMPTY_BUNDLE
-    for j in state.instance.neighbors(i):
-        bundle = state.claimable(i, j)
+    for j, pair in zip(neighbours, pairs):
+        bundle = claimable(instance, i, pair)
         val = value(bundle)
         if val > best_val or j == best_j:
             best_j, best_val, best = j, val, bundle
@@ -288,7 +290,9 @@ def check_transition(
     send the check whole (:meth:`SolverState.report`): its findings are the
     error, scoped findings it does not share are an error of their own, and
     its reads seed the ledger afresh.  Callers check whole the last
-    transition of a stage, whose report the next stage opens with; a
+    transition of a stage, whose report the next stage opens with, and
+    whose reads seed no ledger: no scoped check of the stage follows, and
+    stage two seeds its own from that report when a rule fires on it.  A
     transition from a state no check has read, which has no ledger, is
     checked whole too.
     """
@@ -305,7 +309,8 @@ def check_transition(
     bad = failures(report)
     if bad:
         raise InternalSolverError("; ".join(bad))
-    state.seed_ledger(report)
+    if not whole:
+        state.seed_ledger(report)
     if ledger is not None:
         raise InternalSolverError(
             f"the check scoped to agents {sorted(scope)} failed "

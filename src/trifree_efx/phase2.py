@@ -29,8 +29,8 @@ by :func:`.phase1.check_transition`, whole at the stage's last step, the
 one after which the live check has no break left (:func:`_validate_step`).
 A scoped step check rereads only what the step can have changed and takes
 the rest from the validator's ledger (:class:`.verify.Ledger`), which the
-stage seeds from a copy of its opening report unless stage one's last
-check left it current; the live check is compared row by row with the
+stage seeds from a copy of its opening report when a rule fires on it
+(the stage's last step seeds none); the live check is compared row by row with the
 ledger's rows of ``C ∪ N(C)`` and its reads of the pairs touching ``C``.
 Since a live row outside ``C ∪ N(C)`` is compared only at the stage's last
 step, each step's check also compares the rows of the agent the next rule
@@ -54,8 +54,9 @@ from typing import Collection, Iterable, NamedTuple, Optional
 # ``free_units``, ``envy_graph`` and ``check_properties`` are no longer
 # called here, but the benchmark's tracer wraps them by name, so a
 # reintroduced call is counted
-from .cuts import free_units, own_labels, pair_labels, pair_state  # noqa: F401
+from .cuts import free_units, own_labels, read_pairs  # noqa: F401
 from .errors import InternalSolverError
+from .model import Bundle
 from .phase1 import SolveMetrics, SolverState, TraceFn, check_transition
 from .verify import (  # noqa: F401
     STAGE_ONE_PROPERTIES,
@@ -136,12 +137,15 @@ class LiveCheck:
     therefore read only the goods of her own pairs, and those change only
     when ``i`` or one of her neighbours is in ``C``.  Distinct pairs share no
     goods, so an agent's labels and free goods are disjoint unions over her
-    pairs: each pair touching ``C`` is reread once, and when the read
-    changed its old part of both endpoints' sets is swapped for its new
-    one, so a step costs set work linear in the degrees of ``C``.  The rules
-    are the from-scratch ones: :func:`.cuts.pair_labels` per pair,
-    :func:`.verify.viewer_envy` per viewer and
-    :func:`.verify.agent_free_bundle_breaks` per agent.
+    pairs: the pairs touching ``C`` are reread once each, in one
+    :func:`.cuts.read_pairs` call, and when a pair's read changed its old
+    part of both endpoints' sets is swapped for its new one, so a step
+    costs set work linear in the degrees of ``C``.  The same reads give the
+    envy parts: of ``j``'s bundle, a neighbour ``i`` sees the part ``j``
+    holds of their pair.  The rules are the from-scratch ones: the pair
+    read's labels, :func:`.verify.viewer_envy` per viewer and
+    :func:`.verify.agent_free_bundle_breaks` per agent, whose break-list
+    entries are spliced only when they changed.
 
     A neighbour ``k`` outside ``C`` keeps her own bundle, so her value for
     it is unchanged.  When she was non-envied and kept (6) before the step,
@@ -154,51 +158,28 @@ class LiveCheck:
         self.state = state
         self.check = check
 
-    def _refresh_pair(self, a: int, b: int) -> bool:
-        """Reread the pair of ``a`` and ``b`` and, when the read changed,
-        swap its old part of both endpoints' sets for its new one; whether
-        the pair gained a free good."""
-        if a > b:
-            a, b = b, a
-        state, check = self.state, self.check
-        old = check.pairs[a, b]
-        pair = pair_state(state.instance, state.alloc, state.order, state.cuts, a, b)
-        new = (pair[4], *pair_labels(a, b, pair))
-        if new == old:
-            return False
-        check.pairs[a, b] = new
-        units = check.units
-        for agent, side in ((a, 1), (b, 2)):
-            for sets, old_part, new_part in (
-                (check.loose, old[0], new[0]),
-                (units.primary, old[side][0], new[side][0]),
-                (units.secondary, old[side][1], new[side][1]),
-            ):
-                part = sets[agent]
-                part -= old_part
-                part |= new_part
-        return not new[0] <= old[0]
-
-    def _set_envy(self, i: int, owners: Iterable[int]) -> None:
-        """Recompute agent ``i``'s envy toward ``owners``, all neighbours of hers."""
-        instance, alloc = self.state.instance, self.state.alloc
+    def _set_envy(self, i: int, parts: dict[int, Bundle]) -> None:
+        """Recompute agent ``i``'s envy toward the owners of ``parts``, her
+        neighbours, from the parts of their bundles she sees; an empty part
+        is worth 0 to her, so its owner is not envied."""
         enviers = self.check.enviers
-        parts = {}
-        for j in owners:
+        seen = {j: part for j, part in parts.items() if part}
+        envied = viewer_envy(self.state.instance, i, self.check.own[i], seen)
+        for j in parts:
             row = enviers.get(j)
-            if row is not None:
+            if (row is not None and _has(row, i)) == (j in envied):
+                continue
+            if j in envied:
+                insort(enviers.setdefault(j, []), i)
+            else:
                 _splice(row, i, [])
                 if not row:
                     del enviers[j]
-            part = alloc.bundle(j) & instance.pair_goods(i, j)
-            if part:
-                parts[j] = part
-        for j in viewer_envy(instance, i, self.check.own[i], parts):
-            insort(enviers.setdefault(j, []), i)
 
     def _decide(self, i: int, holds_6: bool) -> None:
         """Recompute agent ``i``'s properties (5)-(7); ``holds_6`` as for
-        :func:`.verify.agent_free_bundle_breaks`."""
+        :func:`.verify.agent_free_bundle_breaks`.  A break list is spliced
+        only when her entry in it changed."""
         check = self.check
         b5, b6, b7 = agent_free_bundle_breaks(
             self.state.instance,
@@ -211,41 +192,58 @@ class LiveCheck:
             check.loose[i],
             holds_6=holds_6,
         )
-        _splice(check.breaks_5, i, [i] if b5 else [])
-        _splice(check.breaks_6, i, [i] if b6 else [])
-        _splice(check.breaks_7, i, b7, _AGENT)
+        for rows, broken in ((check.breaks_5, b5), (check.breaks_6, b6)):
+            if _has(rows, i) != broken:
+                _splice(rows, i, [i] if broken else [])
+        if _breaks_7_of(check.breaks_7, i) != b7:
+            _splice(check.breaks_7, i, b7, _AGENT)
 
     def update(self, changed: Iterable[int]) -> FreeBundleCheck:
         """The check after a step that changed the bundles of ``changed``,
         updated in place."""
-        instance, alloc = self.state.instance, self.state.alloc
-        check = self.check
-        own = check.own
+        state, check = self.state, self.check
+        instance, alloc = state.instance, state.alloc
+        own, reads, loose = check.own, check.pairs, check.loose
+        primary, secondary = check.units.primary, check.units.secondary
         changed = set(changed)
-        # each neighbour outside C -> her neighbours in C
-        toward: dict[int, list[int]] = {}
-        gained: set[int] = set()  # neighbours with a pair that gained a free good
+        read: list[tuple[int, int]] = []  # the pairs touching C, each once
         for c in changed:
             own[c] = instance.valuations[c].value(alloc.bundle(c))
             for k in instance.neighbors(c):
-                if k not in changed:
-                    toward.setdefault(k, []).append(c)
-                    if self._refresh_pair(c, k):
-                        gained.add(k)
-                elif c < k:  # a pair inside C, read once
-                    self._refresh_pair(c, k)
+                if k not in changed or c < k:  # a pair inside C is read once
+                    read.append((c, k) if c < k else (k, c))
+        # each agent of C ∪ N(C) -> the parts her neighbours across a read pair hold
+        views: dict[int, dict[int, Bundle]] = {i: {} for i in with_neighbours(instance, changed)}
+        gained: set[int] = set()  # agents with a pair that gained a free good
+        for (a, b), pair in zip(read, read_pairs(instance, alloc, state.order, state.cuts, read)):
+            views[a][b], views[b][a] = pair[3], pair[2]
+            new = pair[5:]
+            old = reads[a, b]
+            if new == old:
+                continue
+            # the pair's old part of both endpoints' sets is swapped for its new one
+            reads[a, b] = new
+            old_free, new_free = old[0], new[0]
+            for agent, old_labels, new_labels in ((a, old[1], new[1]), (b, old[2], new[2])):
+                part = loose[agent]
+                part -= old_free
+                part |= new_free
+                if old_labels is not new_labels:
+                    part = primary[agent]
+                    part -= old_labels[0]
+                    part |= new_labels[0]
+                    part = secondary[agent]
+                    part -= old_labels[1]
+                    part |= new_labels[1]
+            if not new_free <= old_free:
+                gained.update((a, b))
         # neighbours that kept (6) without envy before the step and whose
         # free goods only shrank
-        holds_6 = {
-            k
-            for k in toward
-            if k not in gained and k not in check.enviers and not _has(check.breaks_6, k)
-        }
-        for c in changed:
-            self._set_envy(c, instance.neighbors(c))
-        for k, owners in toward.items():
-            self._set_envy(k, owners)
-        for i in changed.union(toward):
+        shrank = views.keys() - changed - gained
+        holds_6 = {k for k in shrank if k not in check.enviers and not _has(check.breaks_6, k)}
+        for i, parts in views.items():
+            self._set_envy(i, parts)
+        for i in views:
             self._decide(i, i in holds_6)
         return check
 
@@ -362,8 +360,8 @@ def run_phase2(
     :class:`LiveCheck` that gives every step's check.  The potential must
     drop strictly on every step and the loop must finish within ``n**3``
     steps; either failure is an internal error.  With ``validate`` set, the
-    validator's ledger is seeded from the opening report unless it is
-    current (:meth:`.phase1.SolverState.ledger`), and each step is checked
+    validator's ledger is seeded from a copy of the opening report when a
+    rule fires on it, and each step is checked
     from scratch after it (:func:`_validate_step`), together with the rows
     of the agent the next rule fires on.  The output is checked by
     :func:`.phase3.run_phase3`.
@@ -375,11 +373,11 @@ def run_phase2(
     broken = report.only(STAGE_ONE_PROPERTIES)
     if not broken.ok:
         raise InternalSolverError(f"stage-one output: {broken.summary()}")
-    if validate and state.ledger() is None:
+    live = LiveCheck(state, report.free_bundles)
+    if validate and not live.check.ok:
         started = time.perf_counter()
         state.seed_ledger(report)
         metrics.validate_s += time.perf_counter() - started
-    live = LiveCheck(state, report.free_bundles)
     scan = live.check
     while True:
         if validate:

@@ -8,8 +8,9 @@ pair splits (unit bundles), which the structural property checks need by
 definition.
 
 ``check_properties`` checks a state in one pass: each agent's own value is
-computed once, the envy graph is built once and each pair is read once with
-``pair_state``; the report carries the graph it built.  Which properties it
+computed once, the pairs are read once, in one :func:`.cuts.read_pairs`
+call, and the envy graph is built once, a whole check's from those reads;
+the report carries the graph it built.  Which properties it
 checks is decided by the picking order: (1)-(4) always, (5)-(7) once the
 order is complete; callers narrow a report with ``PropertyReport.only``.
 The pass has two setups: whole, or scoped to some agents, where it rereads
@@ -51,11 +52,9 @@ from .cuts import (  # noqa: F401
     Labels,
     PickOrder,
     free_units,
-    pair_fault,
-    pair_labels,
-    pair_state,
+    read_pairs,
 )
-from .model import Allocation, Bundle, Instance
+from .model import EMPTY_BUNDLE, Allocation, Bundle, Instance
 
 ALL_PROPERTIES = frozenset(range(1, 8))
 STAGE_ONE_PROPERTIES = frozenset(range(1, 5))
@@ -92,12 +91,7 @@ def strong_envy_witness(
     return None
 
 
-def envy_graph(
-    instance: Instance,
-    alloc: Allocation,
-    own: Optional[Sequence[int] | Mapping[int, int]] = None,
-    owners: Optional[Iterable[int]] = None,
-) -> EnvyGraph:
+def envy_graph(instance: Instance, alloc: Allocation) -> EnvyGraph:
     """The directed envy relation of an allocation, with strong-envy witnesses.
 
     One scan over the owners' bundles, resting on two model facts:
@@ -113,24 +107,18 @@ def envy_graph(
     Each good of ``j``'s bundle is recorded under ``seen[i][j]`` for each of
     its endpoints ``i != j``; ``i`` envies ``j`` when that part is worth more
     to her than her own bundle, and each such pair is asked once for a
-    strong-envy witness.  ``own``, when given, holds each agent's value for
-    her own bundle.  With ``owners`` given, only the envy toward them is
-    decided, from their bundles alone: every agent's envy toward each of
-    them, with its witness, as in the whole relation.
+    strong-envy witness.  The whole property check builds the same relation
+    from its pair reads instead (:func:`_whole_envy`).
     """
     goods = instance.goods
-    if owners is None:
-        holders = enumerate(alloc.bundles())
-    else:
-        holders = ((j, alloc.bundle(j)) for j in sorted(owners))
     seen: dict[int, dict[int, list[int]]] = {}
-    for j, bundle in holders:
+    for j, bundle in enumerate(alloc.bundles()):
         for g in bundle:
             good = goods[g]
             for i in (good.u, good.v):
                 if i != j:
                     seen.setdefault(i, {}).setdefault(j, []).append(g)
-    return _envy_of_parts(instance, alloc, own, seen)
+    return _envy_of_parts(instance, alloc, None, seen)
 
 
 def _envy_of_parts(
@@ -239,9 +227,9 @@ class FreeBundleCheck:
     non-envied agent has no entry); it is the only form of the envy relation
     the check holds.  ``units`` are the agents' free-unit labels, ``own[i]``
     is agent ``i``'s value for her own bundle, ``loose[i]`` the free goods
-    incident to her and ``pairs[a, b]`` (``a < b``) the
-    :func:`.cuts.pair_state` free goods of the pair and the labels that
-    :func:`.cuts.pair_labels` gives ``a`` and ``b``.  Each
+    incident to her and ``pairs[a, b]`` (``a < b``) the free goods of the
+    pair and the labels it gives ``a`` and ``b``, as its
+    :func:`.cuts.read_pairs` read ends.  Each
     break list is in ascending order; stage two repairs its first entry.
     Every field is compared, so a check kept up to date step by step (stage
     two's live check) equals the from-scratch one only when all its reads do.
@@ -435,7 +423,7 @@ class Ledger:
         her, as in :func:`envy_graph`.  An agent ``c`` of ``scope`` sees of
         each other neighbour ``k``, who holds only goods of her own pairs
         while the ledger is current, the part ``k`` holds of their pair,
-        taken from its :func:`.cuts.pair_state` read in ``reads`` when the
+        taken from its :func:`.cuts.read_pairs` read in ``reads`` when the
         check read it.  ``own`` must already hold the own values of
         ``scope``.
         """
@@ -550,13 +538,14 @@ def check_properties(
 
     The check is one pass over the state with two setups, whole and scoped,
     which differ only in what they read.  Each own value is computed once,
-    the envy graph is built once and each pair is read at most once with
-    :func:`.cuts.pair_state`.  For a checked pair with a placed endpoint,
-    that read decides (2) for the pair and (3) for each placed endpoint; on
-    a complete order every read also gives the pair's free goods and labels
-    for (5)-(7).  Property (4) is :func:`_first_chain`'s.  The whole setup
-    holds own values in a list, builds the envy toward every owner, checks
-    every pair and decides (5)-(7) with :func:`free_bundle_check`.
+    the envy graph is built once and the checked pairs, those with a placed
+    endpoint, are read once each in one :func:`.cuts.read_pairs` call.  A
+    pair's read decides (2) for the pair and (3) for each placed endpoint;
+    on a complete order it also gives the pair's free goods and labels for
+    (5)-(7).  Property (4) is :func:`_first_chain`'s.  The whole setup holds
+    own values in a list, builds the envy relation from its reads
+    (:func:`_whole_envy`), checks every pair and decides (5)-(7) with
+    :func:`free_bundle_check`.
 
     With ``scope`` given, the check is scoped to those agents, ``C``, and
     ``ledger`` must be current but for the bundles of ``C``
@@ -608,7 +597,6 @@ def check_properties(
     unplaced = order.unplaced
     complete = not unplaced
     pairs: dict[tuple[int, int], PairRead] = {}
-    reads: Optional[dict[tuple[int, int], tuple]] = None  # a scoped check's pair reads
     if scope is None:
         own = [instance.valuations[i].value(alloc.bundle(i)) for i in range(instance.n)]
         orientation = check_orientation(instance, alloc).violations
@@ -618,7 +606,6 @@ def check_properties(
         own = ledger.own
         for c in scope:
             own[c] = instance.valuations[c].value(alloc.bundle(c))
-        reads = {}
         orientation = check_orientation(instance, alloc, scope).violations
         changed = _pairs_touching(instance, scope)
         goods = instance.goods
@@ -628,22 +615,29 @@ def check_properties(
         read = sorted(changed)
         if complete:
             pairs = ledger.pairs
+    unread = [(a, b) for a, b in read if a in unplaced and b in unplaced]
+    if unread:
+        read = [(a, b) for a, b in read if a not in unplaced or b not in unplaced]
+    reads = dict(zip(read, read_pairs(instance, alloc, order, cuts, read)))
     faults: list[tuple] = []  # (2), in pair order
     valued: dict[int, list[tuple]] = {}  # (3) rows of each agent, by partner
-    for a, b in read:
+    for (a, b), pair in reads.items():
+        cut, fault, free = pair[0], pair[4], pair[5]
+        if fault is not None:
+            faults.append(fault)
         if complete:
-            ends = ((a, b), (b, a))
-        else:
-            ends = [(i, j) for i, j in ((a, b), (b, a)) if i not in unplaced]
-            if not ends:
+            pairs[a, b] = pair[5:]
+        if not free:  # (3) values free parts only
+            continue
+        for i, j in ((a, b), (b, a)):
+            if i in unplaced:
                 continue
-        pair = _check_pair(instance, alloc, order, cuts, a, b, ends, own, faults, valued)
-        if complete:
-            pairs[a, b] = (pair[4], *pair_labels(a, b, pair))
-        if reads is not None:
-            reads[a, b] = pair
-    if reads is None:
-        graph = envy_graph(instance, alloc, own)
+            v = instance.valuations[i].value
+            for part in (cut.first, cut.second):
+                if part and part <= free and v(part) > own[i]:
+                    valued.setdefault(i, []).append((i, j, sorted(part)))
+    if scope is None:
+        graph = _whole_envy(instance, alloc, own, reads, unread, orientation)
     else:
         graph = ledger.reread_envy(instance, alloc, scope, reads)
     checked = ALL_PROPERTIES if complete else STAGE_ONE_PROPERTIES
@@ -673,34 +667,35 @@ def check_properties(
     return report
 
 
-def _check_pair(
+def _whole_envy(
     instance: Instance,
     alloc: Allocation,
-    order: PickOrder,
-    cuts: CutTable,
-    a: int,
-    b: int,
-    ends: Sequence[tuple[int, int]],
     own: Sequence[int],
-    faults: list[tuple],
-    valued: dict[int, list[tuple]],
-):
-    """Read the pair of ``a`` and ``b`` once, add its (2) fault to
-    ``faults`` and the (3) rows of its endpoints ``ends`` (``(endpoint,
-    partner)``) to ``valued``, and return the read."""
-    pair = pair_state(instance, alloc, order, cuts, a, b)
-    fault = pair_fault(a, b, pair)
-    if fault is not None:
-        faults.append(fault)
-    cut, free = pair[0], pair[4]
-    if not free:  # (3) values free parts only
-        return pair
-    for i, j in ends:
-        v = instance.valuations[i].value
-        for part in cut.parts():
-            if part and part <= free and v(part) > own[i]:
-                valued.setdefault(i, []).append((i, j, sorted(part)))
-    return pair
+    reads: Mapping[tuple[int, int], tuple],
+    unread: Iterable[tuple[int, int]],
+    strays: Iterable[tuple[int, int]],
+) -> EnvyGraph:
+    """The envy relation :func:`envy_graph` gives, from a whole check's
+    pair reads ``reads``, the pairs ``unread`` with no endpoint placed and
+    the ``(holder, good)`` rows ``strays`` of :func:`check_orientation`.
+    Of ``j``'s bundle ``i`` sees the part ``j`` holds of their pair and
+    ``j``'s stray goods incident to ``i``, so this is exact for any
+    allocation."""
+    seen: dict[int, dict[int, Bundle]] = {}
+    parts = [(a, b, pair[2], pair[3]) for (a, b), pair in reads.items()]
+    for a, b in unread:
+        parts.append((a, b, *(alloc.bundle(i) & instance.pair_goods(a, b) for i in (a, b))))
+    for a, b, held_a, held_b in parts:
+        if held_b:
+            seen.setdefault(a, {})[b] = held_b
+        if held_a:
+            seen.setdefault(b, {})[a] = held_a
+    goods = instance.goods
+    for j, g in strays:
+        for i in (goods[g].u, goods[g].v):
+            row = seen.setdefault(i, {})
+            row[j] = row.get(j, EMPTY_BUNDLE) | {g}
+    return _envy_of_parts(instance, alloc, own, seen)
 
 
 def with_neighbours(instance: Instance, agents: Iterable[int]) -> frozenset[int]:

@@ -21,15 +21,22 @@ from trifree_efx.cuts import (
     _additive_split_ok,
     _efx_cut_with_moves,
     _feasibility_witness,
-    claimable,
     free_units,
-    pair_fault,
+    read_pairs,
 )
 from trifree_efx.generate import GenSpec, gen_instance, suite_spec
 from trifree_efx.phase1 import run_phase1
 from trifree_efx.phase2 import phase2_step
 
-from helpers import additive_instance, scratch_check, two_agent_parallel
+from helpers import (
+    additive_instance,
+    claim,
+    pair_fault,
+    reference_read,
+    scratch_check,
+    two_agent_parallel,
+)
+from helpers import pair_state as reference_pair_state
 
 
 def all_two_way_splits(goods):
@@ -352,15 +359,15 @@ def test_claimable_free_pair_takes_preferred_part():
     # prefers the pair of threes
     inst = two_agent_parallel([5, 3, 3], [5, 3, 3])
     alloc, order, cuts = make_state(inst, [0, 1])
-    assert claimable(inst, alloc, order, cuts, 0, 1) == frozenset({1, 2})
-    assert claimable(inst, alloc, order, cuts, 1, 0) == frozenset({1, 2})
+    assert claim(inst, alloc, order, cuts, 0, 1) == frozenset({1, 2})
+    assert claim(inst, alloc, order, cuts, 1, 0) == frozenset({1, 2})
 
 
 def test_claimable_tie_prefers_first_part():
     inst = two_agent_parallel([3, 3])
     alloc, order, cuts = make_state(inst, [0, 1])
     cut = cuts.cut(0, 1, order.later(0, 1))
-    assert claimable(inst, alloc, order, cuts, 0, 1) == cut.first
+    assert claim(inst, alloc, order, cuts, 0, 1) == cut.first
 
 
 def test_claimable_partner_holds_leaves_remainder():
@@ -368,8 +375,8 @@ def test_claimable_partner_holds_leaves_remainder():
     alloc, order, cuts = make_state(inst, [0, 1])
     cut = cuts.cut(0, 1, order.later(0, 1))
     alloc.set_bundle(1, cut.second)
-    assert claimable(inst, alloc, order, cuts, 0, 1) == cut.first
-    assert claimable(inst, alloc, order, cuts, 1, 0) == frozenset()
+    assert claim(inst, alloc, order, cuts, 0, 1) == cut.first
+    assert claim(inst, alloc, order, cuts, 1, 0) == frozenset()
 
 
 def test_claimable_own_holding_blocks_pair():
@@ -377,16 +384,16 @@ def test_claimable_own_holding_blocks_pair():
     alloc, order, cuts = make_state(inst, [0, 1])
     cut = cuts.cut(0, 1, order.later(0, 1))
     alloc.set_bundle(0, cut.first)
-    assert claimable(inst, alloc, order, cuts, 0, 1) == frozenset()
+    assert claim(inst, alloc, order, cuts, 0, 1) == frozenset()
     alloc.set_bundle(1, cut.second)
-    assert claimable(inst, alloc, order, cuts, 0, 1) == frozenset()
-    assert claimable(inst, alloc, order, cuts, 1, 0) == frozenset()
+    assert claim(inst, alloc, order, cuts, 0, 1) == frozenset()
+    assert claim(inst, alloc, order, cuts, 1, 0) == frozenset()
 
 
 def test_claimable_non_adjacent_pair_is_empty():
     inst = additive_instance(3, [(0, 1, {0: 1, 1: 1})])
     alloc, order, cuts = make_state(inst, [0, 1, 2])
-    assert claimable(inst, alloc, order, cuts, 0, 2) == frozenset()
+    assert claim(inst, alloc, order, cuts, 0, 2) == frozenset()
 
 
 def test_claimable_rejects_torn_unit_bundle():
@@ -394,7 +401,7 @@ def test_claimable_rejects_torn_unit_bundle():
     alloc, order, cuts = make_state(inst, [0, 1])
     alloc.set_bundle(1, frozenset({1}))  # half of the {3,3} part
     with pytest.raises(StateError):
-        claimable(inst, alloc, order, cuts, 0, 1)
+        claim(inst, alloc, order, cuts, 0, 1)
 
 
 def test_claimable_rejects_third_party_holder():
@@ -404,7 +411,7 @@ def test_claimable_rejects_third_party_holder():
     alloc, order, cuts = make_state(inst, [0, 1, 2])
     alloc.set_bundle(2, frozenset({0}))  # agent 2 holds a good of pair (0,1)
     with pytest.raises(StateError):
-        claimable(inst, alloc, order, cuts, 0, 1)
+        claim(inst, alloc, order, cuts, 0, 1)
 
 
 def _three_agents_two_pairs():
@@ -433,15 +440,16 @@ def test_claimable_and_property_2_report_the_same_pair_fault(make, bundles, faul
     alloc = Allocation.from_bundles(inst.n, bundles)
     order, cuts = PickOrder.complete(list(range(inst.n))), CutTable(inst)
     for a, b in ((0, 1), (1, 0)):
-        assert pair_fault(a, b, pair_state(inst, alloc, order, cuts, a, b)) == fault
+        assert pair_fault(a, b, reference_pair_state(inst, alloc, order, cuts, a, b)) == fault
+        assert pair_state(inst, alloc, order, cuts, a, b)[4] == fault
     report = check_properties(inst, alloc, order, cuts).only({2})
     assert report.failures == ({} if fault is None else {2: [fault]})
     for i, j in ((0, 1), (1, 0)):
         if fault is None:
-            claimable(inst, alloc, order, cuts, i, j)
+            claim(inst, alloc, order, cuts, i, j)
             continue
         with pytest.raises(StateError) as exc:
-            claimable(inst, alloc, order, cuts, i, j)
+            claim(inst, alloc, order, cuts, i, j)
         assert str(exc.value) == (
             "pair (%d,%d) is not whole unit bundles on its endpoints: %s %d" % fault
         )
@@ -452,7 +460,7 @@ def test_claimable_requires_determined_order():
     alloc = Allocation(2)
     order = PickOrder(2)  # nobody placed
     with pytest.raises(StateError):
-        claimable(inst, alloc, order, CutTable(inst), 0, 1)
+        claim(inst, alloc, order, CutTable(inst), 0, 1)
 
 
 # -- free-unit labelling ---------------------------------------------------------
@@ -549,7 +557,56 @@ def test_pair_state_splits_the_pair_goods():
     alloc, order, cuts = make_state(inst, [0, 1, 2])
     alloc.set_bundle(0, frozenset({0}))
     alloc.set_bundle(2, frozenset({1}))  # a third party holds good 1
-    cut, goods, held_0, held_1, free = pair_state(inst, alloc, order, cuts, 0, 1)
+    cut, goods, held_0, held_1, fault, free, _, _ = pair_state(inst, alloc, order, cuts, 0, 1)
     assert cut == cuts.cut(0, 1, 1)
     assert goods == frozenset({0, 1, 2})
     assert (held_0, held_1, free) == (frozenset({0}), frozenset(), frozenset({2}))
+    assert fault == (0, 1, "held-outside-pair", 1)
+
+
+def _random_state(inst, rng):
+    """A random allocation and picking order of ``inst``: each pair's goods
+    go as whole unit bundles to its endpoints, or good by good to any agent
+    (a torn part, a third party, a stray good) or to nobody; a random set
+    of agents is placed, each at the front or the back."""
+    order, cuts = PickOrder(inst.n), CutTable(inst)
+    for i in rng.sample(range(inst.n), rng.randint(0, inst.n)):
+        (order.append_front if rng.random() < 0.5 else order.prepend_back)(i)
+    owner = {}
+    for a, b in inst.skeleton_edges():
+        if rng.random() < 0.5:
+            cut = cuts.cut(a, b, rng.choice((a, b)))
+            for part in cut.parts():
+                owner.update(dict.fromkeys(part, rng.choice((a, b, None))))
+        else:
+            for g in inst.pair_goods(a, b):
+                owner[g] = rng.choice((a, b, None, rng.randrange(inst.n)))
+    bundles = [[g for g, i in owner.items() if i == agent] for agent in range(inst.n)]
+    return Allocation.from_bundles(inst.n, bundles), order, cuts
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(("bipartite", "c4_girth", "tree", "star", "cycle_even")),
+    st.integers(0, 40),
+    st.sampled_from(("additive", "transformed_additive", "monotone_table")),
+    st.integers(0, 2**32),
+)
+def test_read_pairs_equals_the_reference_reads(topology, idx, valuation_class, seed):
+    # read_pairs is the one pair read: each of its reads equals the reference
+    # pair_state, pair_fault and pair_labels of the pair, from either end
+    spec = suite_spec(topology, idx, valuation_class=valuation_class, n_max=8, m_max=16)
+    inst = gen_instance(spec)
+    rng = random.Random(seed)
+    alloc, order, cuts = _random_state(inst, rng)
+    pairs = [
+        (a, b) if rng.random() < 0.5 else (b, a)
+        for a, b in inst.skeleton_edges()
+        if order.determined(a, b)
+    ]
+    expected = [reference_read(inst, alloc, order, cuts, a, b) for a, b in pairs]
+    assert read_pairs(inst, alloc, order, cuts, pairs) == expected
+    for a, b in inst.skeleton_edges():
+        if not order.determined(a, b):
+            with pytest.raises(StateError):
+                read_pairs(inst, alloc, order, cuts, [(a, b)])

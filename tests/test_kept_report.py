@@ -118,16 +118,21 @@ def test_an_unvalidated_solve_checks_once_without_steps_and_twice_with(monkeypat
 
 @pytest.mark.parametrize("validate", [True, False])
 def test_without_dumps_the_final_check_builds_no_envy_graph(monkeypatch, validate):
-    checks = count_checks(monkeypatch)
-    graphs = WholeOnly(counted(monkeypatch, (verify,), "envy_graph", "owners"))
+    # every check, whole or scoped, reads its pairs in one kernel call and
+    # builds its envy from those reads; only the final check of a solve
+    # with dumps scans the goods
+    checks = counted(monkeypatch, (phase1, phase2), "check_properties")
+    reads = counted(monkeypatch, (verify,), "read_pairs")
+    graphs = counted(monkeypatch, (verify,), "envy_graph")
     efx = counted(monkeypatch, (phase3,), "check_efx")
     dumps = set()
     for inst in instances():
-        checks.clear(), graphs.clear(), efx.clear()
+        checks.clear(), reads.clear(), graphs.clear(), efx.clear()
         metrics = solve(inst, SolveConfig(validate_steps=validate)).metrics
         dumped = metrics.phase3_dumps > 0
         assert len(efx) == dumped
-        assert len(graphs) == len(checks) + dumped
+        assert len(reads) == len(checks)
+        assert len(graphs) == dumped
         dumps.add(dumped)
     assert dumps == {False, True}
 

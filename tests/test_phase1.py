@@ -22,12 +22,22 @@ from trifree_efx.phase1 import (
     check_invariants,
     greedy_replay,
 )
-from trifree_efx.cuts import pair_fault, pair_state
 from trifree_efx.generate import TOPOLOGIES, GenSpec, gen_instance, suite_spec
 from trifree_efx.model import Allocation
 from trifree_efx.verify import envy_graph, envy_pairs
 
-from helpers import additive_instance, c4_instance, two_agent_parallel
+from helpers import (
+    additive_instance,
+    c4_instance,
+    claim,
+    pair_fault,
+    pair_state,
+    two_agent_parallel,
+)
+
+
+def state_parts(state):
+    return state.instance, state.alloc, state.order, state.cuts
 
 
 # -- hand-traced augmentation rounds -------------------------------------------
@@ -92,7 +102,7 @@ def _all_agents_argmax(state, i):
     agent ``i`` values most, over all agents (``i`` herself and
     non-neighbours offer nothing)."""
     value = state.instance.valuations[i].value
-    values = [value(state.claimable(i, j)) for j in range(state.instance.n)]
+    values = [value(claim(*state_parts(state), i, j)) for j in range(state.instance.n)]
     return values.index(max(values))
 
 
@@ -105,7 +115,7 @@ def test_best_partner_matches_all_agents_argmax_mid_augment(monkeypatch, topolog
     def checked(state, i):
         j, bundle = _best_partner(state, i)
         assert j == _all_agents_argmax(state, i), (i, j)
-        assert bundle == state.claimable(i, j), (i, j)
+        assert bundle == claim(*state_parts(state), i, j), (i, j)
         searches.append(j in state.instance.neighbors(i))
         return j, bundle
 

@@ -8,7 +8,6 @@ from trifree_efx import (
     SolveConfig,
     check_properties,
     envy_graph,
-    pair_state,
     run_phase1,
     run_phase2,
     solve,
@@ -31,7 +30,7 @@ from trifree_efx.generate import (
 from trifree_efx.model import Good, Instance
 from trifree_efx.oracle import scan_strong_envy
 
-from helpers import additive_instance, scratch_check, two_agent_parallel
+from helpers import additive_instance, pair_state, scratch_check, two_agent_parallel
 
 
 def step_cap(inst):
@@ -741,8 +740,9 @@ def test_stage_two_builds_each_full_check_at_most_once(monkeypatch):
 
 def test_a_scoped_step_builds_no_whole_envy_graph(monkeypatch):
     # a step that leaves breaks is checked scoped to the agents it changed,
-    # which rereads only the envy pairs touching them; the stage opens with
-    # the one whole envy graph it builds
+    # which reads only the pairs touching them and rereads only the envy
+    # pairs touching them; the stage opens with the one whole check, whose
+    # one kernel read covers every pair
     builds = []
     for owner in (phase2, verify):
         original = owner.envy_graph
@@ -752,6 +752,14 @@ def test_a_scoped_step_builds_no_whole_envy_graph(monkeypatch):
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(owner, "envy_graph", counted)
+    reads = []
+    read_pairs = verify.read_pairs
+
+    def counted_read(instance, alloc, order, cuts, pairs):
+        reads.append(len(pairs))
+        return read_pairs(instance, alloc, order, cuts, pairs)
+
+    monkeypatch.setattr(verify, "read_pairs", counted_read)
     rereads = []
     reread = verify.Ledger.reread_envy
 
@@ -778,23 +786,31 @@ def test_a_scoped_step_builds_no_whole_envy_graph(monkeypatch):
     with pytest.raises(Enough):
         run_phase2(state, validate=True, metrics=metrics)
     assert metrics.phase2_iterations == 40
-    assert builds == [None] and len(rereads) == 40 and all(rereads)
+    assert builds == [] and len(rereads) == 40 and all(rereads)
+    degrees = [sum(len(inst.neighbors(c)) for c in scope) for scope in rereads]
+    assert reads[0] == len(inst.skeleton_edges()) and len(reads) == 41
+    assert all(count <= degree for count, degree in zip(reads[1:], degrees)), reads
 
 
 def test_live_check_sorts_only_what_a_step_changed(monkeypatch):
-    """A step rereads only the pairs touching C and decides (5)-(7) only for
-    C and N(C): each update calls ``pair_state`` as stage two's module sees
-    it at most once per pair of C, the sum of C's degrees, and
+    """A step rereads only the pairs touching C, in one kernel call, and
+    decides (5)-(7) only for C and N(C): each update reads at most one pair
+    per pair of C, the sum of C's degrees, and calls
     ``agent_free_bundle_breaks`` at most once per agent of C ∪ N(C)."""
-    calls = {"pair_state": 0, "agent_free_bundle_breaks": 0}
-    for name in calls:
-        original = getattr(phase2, name)
+    calls = {"read_pairs": 0, "pairs": 0, "agent_free_bundle_breaks": 0}
+    read_pairs, breaks = phase2.read_pairs, phase2.agent_free_bundle_breaks
 
-        def counted(*args, _name=name, _original=original, **kwargs):
-            calls[_name] += 1
-            return _original(*args, **kwargs)
+    def counted_read(instance, alloc, order, cuts, pairs):
+        calls["read_pairs"] += 1
+        calls["pairs"] += len(pairs)
+        return read_pairs(instance, alloc, order, cuts, pairs)
 
-        monkeypatch.setattr(phase2, name, counted)
+    def counted_breaks(*args, **kwargs):
+        calls["agent_free_bundle_breaks"] += 1
+        return breaks(*args, **kwargs)
+
+    monkeypatch.setattr(phase2, "read_pairs", counted_read)
+    monkeypatch.setattr(phase2, "agent_free_bundle_breaks", counted_breaks)
     original_update = LiveCheck.update
     steps = []
 
@@ -806,7 +822,8 @@ def test_live_check_sorts_only_what_a_step_changed(monkeypatch):
         for name in calls:
             calls[name] = 0
         check = original_update(self, changed)
-        assert calls["pair_state"] <= pairs, (changed, calls)
+        assert calls["read_pairs"] == 1, (changed, calls)
+        assert calls["pairs"] <= pairs, (changed, calls)
         assert calls["agent_free_bundle_breaks"] <= rechecked, (changed, calls)
         steps.append(calls["agent_free_bundle_breaks"])
         return check

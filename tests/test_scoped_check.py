@@ -28,7 +28,7 @@ from trifree_efx import (
     run_phase2,
     solve,
 )
-from trifree_efx.cuts import CutTable, PickOrder, pair_labels, pair_state
+from trifree_efx.cuts import CutTable, PickOrder
 from trifree_efx.generate import GenSpec, suite_spec
 from trifree_efx import phase1, phase2, verify
 from trifree_efx.errors import InternalSolverError
@@ -36,7 +36,7 @@ from trifree_efx.phase1 import SolveMetrics, SolverState, augment
 from trifree_efx.phase2 import LiveCheck, phase2_step
 from trifree_efx.verify import STAGE_ONE_PROPERTIES, Ledger, viewer_envy, with_neighbours
 
-from helpers import additive_instance, scratch_check
+from helpers import additive_instance, pair_labels, pair_state, scratch_check
 from test_digest import pinned_specs
 from test_phase2 import ODD_SKELETONS, VALUATION_CLASSES, odd_cycle_instance
 
@@ -241,7 +241,10 @@ def test_every_ledger_entry_equals_a_fresh_read(monkeypatch):
     def and_compare(state, scope, failures, *, whole=False):
         report = transition(state, scope, failures, whole=whole)
         checks["whole" if report.scope is None else "scoped"] += 1
-        assert_ledger_is_fresh(state)
+        if whole:  # the last transition of a stage seeds no ledger
+            assert state.ledger() is None
+        else:
+            assert_ledger_is_fresh(state)
         return report
 
     for owner in (phase1, phase2):
@@ -249,6 +252,28 @@ def test_every_ledger_entry_equals_a_fresh_read(monkeypatch):
     for entry in SUITE:
         solve(build(entry))
     assert checks["scoped"] > 1000 and checks["whole"] > 400, checks
+
+
+def test_a_report_is_copied_into_the_ledger_only_when_a_step_follows(monkeypatch):
+    # the last round's and the last step's reads are read by no later check,
+    # so a validated solve copies one report, stage two's opening one, and
+    # only when stage two takes a step
+    copies = []
+    of = verify.Ledger.of.__func__
+
+    def counted(cls, *args):
+        copies.append(args[-1])
+        return of(cls, *args)
+
+    monkeypatch.setattr(verify.Ledger, "of", classmethod(counted))
+    steps = set()
+    for entry in SUITE:
+        copies.clear()
+        metrics = solve(build(entry)).metrics
+        took_steps = metrics.phase2_iterations > 0
+        assert len(copies) == took_steps
+        steps.add(took_steps)
+    assert steps == {False, True}
 
 
 def test_a_ledger_copies_the_report_it_is_seeded_from():
@@ -277,6 +302,7 @@ def test_a_bundle_set_outside_the_scope_sends_the_check_whole(monkeypatch):
         log.append(kwargs.get("scope"))
         return check(*args, **kwargs)
 
+    state.seed_ledger(state.report())  # as stage two does before its first step
     monkeypatch.setattr(phase1, "check_properties", logged)
     assert state.ledger() is not None
     phase1.check_transition(state, [0], lambda report: [])
@@ -295,11 +321,11 @@ def test_a_validated_step_rereads_only_the_pairs_of_its_agents(monkeypatch):
     # on a complete bipartite skeleton C ∪ N(C) is a whole side, whose pairs
     # are every pair; a scoped check reads only the pairs of C
     reads = []
-    pair_state_ = verify.pair_state
+    read_pairs = verify.read_pairs
 
-    def counted(*args):
-        reads[-1] += 1
-        return pair_state_(*args)
+    def counted(instance, alloc, order, cuts, pairs):
+        reads[-1] += len(pairs)
+        return read_pairs(instance, alloc, order, cuts, pairs)
 
     transition = phase1.check_transition
     checked = []
@@ -312,7 +338,7 @@ def test_a_validated_step_rereads_only_the_pairs_of_its_agents(monkeypatch):
             checked.append((state.order.unplaced == set(), reads[-1], degrees))
         return report
 
-    monkeypatch.setattr(verify, "pair_state", counted)
+    monkeypatch.setattr(verify, "read_pairs", counted)
     for owner in (phase1, phase2):
         monkeypatch.setattr(owner, "check_transition", counting)
     metrics = solve(gen_instance(DENSE)).metrics

@@ -15,7 +15,7 @@ from trifree_efx import (
     solve_state,
 )
 from trifree_efx import phase1, phase2, phase3, verify
-from trifree_efx.cuts import CutTable, PickOrder, free_units, pair_fault, pair_state
+from trifree_efx.cuts import CutTable, PickOrder, free_units
 from trifree_efx.generate import TOPOLOGIES, gen_instance, suite_spec
 from trifree_efx.model import VALUATION_CLASSES
 from trifree_efx.oracle import scan_strong_envy
@@ -28,7 +28,7 @@ from trifree_efx.verify import (
     strong_envy_witness,
 )
 
-from helpers import additive_instance, two_agent_parallel
+from helpers import additive_instance, pair_fault, pair_state, two_agent_parallel
 
 
 # -- check_efx -----------------------------------------------------------------
@@ -290,6 +290,37 @@ def test_envy_graph_matches_definition_on_random_allocations(
     ]
 
 
+@given(
+    st.sampled_from(TOPOLOGIES),
+    st.sampled_from(VALUATION_CLASSES),
+    st.integers(0, 10_000),
+    st.data(),
+)
+@settings(max_examples=150, deadline=None)
+def test_the_whole_checks_envy_from_pair_reads_equals_the_goods_scan(
+    topology, valuation_class, index, data
+):
+    # the whole check builds its envy relation from its pair reads and the
+    # stray goods; it equals envy_graph's scan over every good, witnesses
+    # included, on any allocation and any order, complete or not
+    spec = suite_spec(topology, index, valuation_class=valuation_class, v_max=20, max_degree=10)
+    inst = gen_instance(spec)
+    owners = data.draw(
+        st.lists(st.integers(-1, inst.n - 1), min_size=inst.m, max_size=inst.m)
+    )
+    alloc = Allocation.from_bundles(
+        inst.n, [[g for g, o in enumerate(owners) if o == i] for i in range(inst.n)]
+    )
+    agents = data.draw(st.permutations(range(inst.n)))
+    ends = data.draw(st.lists(st.booleans(), min_size=inst.n, max_size=inst.n))
+    order = PickOrder(inst.n)
+    for i, front in zip(agents[: data.draw(st.integers(0, inst.n))], ends):
+        (order.append_front if front else order.prepend_back)(i)
+    graph = check_properties(inst, alloc, order, CutTable(inst)).graph
+    expected = envy_graph(inst, alloc)
+    assert (graph.enviers, graph.strong) == (expected.enviers, expected.strong)
+
+
 @pytest.mark.parametrize("topology, index", [("bipartite", 7), ("cycle_even", 4)])
 def test_envy_graph_matches_definition_on_solver_output(topology, index):
     # the cycle's final allocation keeps three (non-strong) envy edges
@@ -448,9 +479,16 @@ def counting(monkeypatch, owners, name):
 def test_a_check_reads_each_determined_pair_once(monkeypatch):
     inst = gen_instance(GenSpec(seed=1, n=1000, m=3000, topology="tree"))
     state = run_phase2(run_phase1(inst, validate=False), validate=False)
-    reads = counting(monkeypatch, [verify], "pair_state")
+    reads = []
+    read_pairs = verify.read_pairs
+
+    def counted(instance, alloc, order, cuts, pairs):
+        reads.append(list(pairs))
+        return read_pairs(instance, alloc, order, cuts, pairs)
+
+    monkeypatch.setattr(verify, "read_pairs", counted)
     assert check_properties(inst, state.alloc, state.order, state.cuts).ok
-    assert len(reads) == len(inst.skeleton_edges())
+    assert reads == [inst.skeleton_edges()]
     # a partial order: only pairs that are determined and touch the scope
     order = PickOrder(inst.n)
     for i in state.sigma()[:300]:
@@ -460,14 +498,16 @@ def test_a_check_reads_each_determined_pair_once(monkeypatch):
     determined = [
         (a, b) for a, b in inst.skeleton_edges() if a in order.front or b in order.front
     ]
-    assert len(reads) == len(determined) > 0
+    assert reads == [determined] and determined
 
 
 def test_an_unvalidated_solve_builds_three_envy_graphs(monkeypatch):
-    # stage two's opening check, stage three's opening check, and the final
-    # complete-and-EFX check
+    # stage two's opening check and stage three's opening check each build
+    # theirs from one whole kernel read, and the final complete-and-EFX check
+    # scans the goods
+    reads = counting(monkeypatch, [verify], "read_pairs")
     builds = counting(monkeypatch, [phase1, phase2, phase3, verify], "envy_graph")
     inst = gen_instance(GenSpec(seed=1, n=1000, m=3000, topology="tree"))
     metrics = solve(inst, SolveConfig(validate_steps=False)).metrics
-    assert metrics.phase2_iterations > 100
-    assert len(builds) == 3
+    assert metrics.phase2_iterations > 100 and metrics.phase3_dumps > 0
+    assert len(reads) + len(builds) == 3 and len(builds) == 1

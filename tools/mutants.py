@@ -58,8 +58,8 @@ MUTANTS = (
     Mutant(
         "p3_one_endpoint",
         VERIFY,
-        "for i, j in ends:",
-        "for i, j in ends[:1]:",
+        "        for i, j in ((a, b), (b, a)):\n            if i in unplaced:",
+        "        for i, j in ((a, b),):\n            if i in unplaced:",
         ("tests/test_verify.py", "tests/test_scoped_check.py"),
         "property (3) is checked for one endpoint of each pair only",
     ),
@@ -140,16 +140,16 @@ MUTANTS = (
     Mutant(
         "inner_pair_refresh_skipped",
         PHASE2,
-        "                    self._refresh_pair(c, k)\n",
-        "                    pass\n",
+        "if k not in changed or c < k:  # a pair inside C is read once",
+        "if k not in changed:",
         ("tests/test_phase2.py",),
         "the live check does not reread a pair with both endpoints changed",
     ),
     Mutant(
         "outer_pair_refresh_skipped",
         PHASE2,
-        "if self._refresh_pair(c, k):",
-        "if k != max(instance.neighbors(c)) and self._refresh_pair(c, k):",
+        "if k not in changed or c < k:  # a pair inside C is read once",
+        "if k != max(instance.neighbors(c)) and (k not in changed or c < k):",
         ("tests/test_phase2.py",),
         "the live check does not reread the pair toward a changed agent's "
         "highest neighbour",
@@ -165,7 +165,8 @@ MUTANTS = (
     Mutant(
         "live_loose_not_swapped",
         PHASE2,
-        "                (check.loose, old[0], new[0]),\n",
+        "                part = loose[agent]\n                part -= old_free\n"
+        "                part |= new_free\n",
         "",
         ("tests/test_phase2.py",),
         "the live check keeps the old free goods of a reread pair",
@@ -240,9 +241,8 @@ MUTANTS = (
     Mutant(
         "ledger_pair_not_refreshed",
         VERIFY,
-        "        if complete:\n            pairs[a, b] = (pair[4], *pair_labels(a, b, pair))",
-        "        if complete and (scope is None or a in scope):\n"
-        "            pairs[a, b] = (pair[4], *pair_labels(a, b, pair))",
+        "        if complete:\n            pairs[a, b] = pair[5:]",
+        "        if complete and (scope is None or a in scope):\n            pairs[a, b] = pair[5:]",
         ("tests/test_scoped_check.py",),
         "a scoped check leaves the ledger's read of a pair whose higher "
         "endpoint is in the scope as it was before the step",
@@ -282,6 +282,42 @@ MUTANTS = (
         ("tests/test_scoped_check.py",),
         "a scoped check does not reread the envy of the scope toward its "
         "neighbours outside it",
+    ),
+    Mutant(
+        "whole_envy_strays_dropped",
+        VERIFY,
+        "    for j, g in strays:",
+        "    for j, g in ():",
+        ("tests/test_verify.py",),
+        "the whole check's envy parts leave out the stray goods, so an agent "
+        "does not see a good held outside its pair",
+    ),
+    Mutant(
+        "kernel_torn_high_skipped",
+        CUTS,
+        "            elif held_hi and held_hi != first and held_hi != second:",
+        "            elif False:",
+        ("tests/test_cuts.py", "tests/test_verify.py"),
+        "the pair read does not check the higher endpoint's part for a torn "
+        "unit bundle",
+    ),
+    Mutant(
+        "kernel_labels_not_crossed",
+        CUTS,
+        "            low, high = (first, second), (second, first)",
+        "            low, high = (first, second), (first, second)",
+        ("tests/test_cuts.py", "tests/test_verify.py"),
+        "a pair with both unit bundles free gives the higher endpoint the "
+        "lower one's labels instead of crossing them",
+    ),
+    Mutant(
+        "kernel_third_party_free",
+        CUTS,
+        "free = rest if allocated.isdisjoint(rest) else",
+        "free = rest if True else",
+        ("tests/test_cuts.py", "tests/test_verify.py"),
+        "the pair read counts pair goods a third agent holds as free, so it "
+        "reports no held-outside-pair fault",
     ),
 )
 
