@@ -108,11 +108,11 @@ def _parse_properties(text: str) -> set[int]:
             ) from None
         if lo > hi:
             raise ValidationError(f"properties range {chunk!r} is empty")
+        if lo < 1 or hi > 7:  # checked before the range is expanded
+            raise ValidationError(f"properties must be within 1..7, got {chunk!r}")
         chosen.update(range(lo, hi + 1))
     if not chosen:
         raise ValidationError(f"properties must name at least one property, got {text!r}")
-    if not chosen <= set(range(1, 8)):
-        raise ValidationError(f"properties must be within 1..7, got {sorted(chosen)}")
     return chosen
 
 

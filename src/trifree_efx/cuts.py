@@ -404,11 +404,13 @@ class FreeUnits:
     * everything of the pair is taken by others: both labels are empty.
 
     ``primary[i]`` and ``secondary[i]`` are the unions of agent ``i``'s
-    labels over all her pairs.
+    labels over all her pairs: lists over every agent from
+    :func:`free_units`, dicts over the agents a
+    :class:`.verify.FreeBundleCheck` decides.
     """
 
-    primary: list[set[int]]
-    secondary: list[set[int]]
+    primary: list[set[int]] | dict[int, set[int]]
+    secondary: list[set[int]] | dict[int, set[int]]
 
 
 def free_units(

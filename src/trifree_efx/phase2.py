@@ -30,8 +30,10 @@ one after which the live check has no break left (:func:`_validate_step`).
 A scoped step check rereads only what the step can have changed and takes
 the rest from the validator's ledger (:class:`.verify.Ledger`), which the
 stage seeds from a copy of its opening report when a rule fires on it
-(the stage's last step seeds none); the live check is compared row by row with the
-ledger's rows of ``C ∪ N(C)`` and its reads of the pairs touching ``C``.
+(the stage's last step seeds none); the live check is compared row by row
+with the ledger's rows of ``C ∪ N(C)`` and its reads of the pairs touching
+``C``, both derived by :func:`.verify.free_bundle_check`, which also
+derives the whole check's rows.
 Since a live row outside ``C ∪ N(C)`` is compared only at the stage's last
 step, each step's check also compares the rows of the agent the next rule
 fires on with the ledger's, which is current by the same argument; the
@@ -64,6 +66,7 @@ from .verify import (  # noqa: F401
     agent_free_bundle_breaks,
     check_properties,
     envy_graph,
+    free_bundle_check,
     viewer_envy,
     with_neighbours,
 )
@@ -416,11 +419,8 @@ _FIELDS = tuple(f.name for f in fields(FreeBundleCheck))
 
 
 def _differ(live: FreeBundleCheck, reference: FreeBundleCheck) -> list[str]:
-    """The fields in which ``live`` differs from ``reference``: field by
-    field when ``reference`` is a check of every agent, else row by row
-    over its agents and its pair reads."""
-    if isinstance(reference.own, list):
-        return [name for name in _FIELDS if getattr(live, name) != getattr(reference, name)]
+    """The fields in which ``live`` differs from ``reference``, row by row
+    over the agents and the pair reads ``reference`` holds."""
     found = set()
     units, near = live.units, reference.units
     for i, own in reference.own.items():
@@ -468,9 +468,11 @@ def _check_rule_agent(state: SolverState, scan: FreeBundleCheck, near: Collectio
     if pick is None or pick[1] in near:
         return
     branch, i, _, _ = pick
-    instance = state.instance
+    instance, ledger = state.instance, state.ledger()
     pairs = [(i, k) if i < k else (k, i) for k in instance.neighbors(i)]
-    reference = state.ledger().check(instance, state.alloc, (i,), pairs)
+    reference = free_bundle_check(
+        instance, state.alloc, ledger.enviers, ledger.own, ledger.pairs, (i,), pairs
+    )
     differ = _differ(scan, reference)
     if differ:
         raise InternalSolverError(
@@ -488,10 +490,10 @@ def _validate_step(
     """Check one step from scratch (:func:`.phase1.check_transition`).
 
     Properties (1)-(4) must still hold, and the live check ``live`` must
-    equal the from-scratch one: row by row over ``C ∪ N(C)`` and the pairs
-    touching ``C``, when scoped to the agents the step changed, ``C``, and
-    field by field when whole, at the stage's last
-    step, after which ``live`` has no break.  Then the rule's
+    equal the from-scratch one row by row (:func:`_differ`): over
+    ``C ∪ N(C)`` and the pairs touching ``C`` when scoped to the agents the
+    step changed, ``C``, and over every agent and pair when whole, at the
+    stage's last step, after which ``live`` has no break.  Then the rule's
     postconditions must hold against ``envy_before``, the ``(envier,
     envied)`` pairs before the step, read for the envied agents in
     ``C ∪ N(C)``, the only ones a step that set only ``C`` can change, and

@@ -9,22 +9,24 @@ definition.
 
 ``check_properties`` checks a state in one pass: each agent's own value is
 computed once, the pairs are read once, in one :func:`.cuts.read_pairs`
-call, and the envy graph is built once, a whole check's from those reads;
-the report carries the graph it built.  Which properties it
-checks is decided by the picking order: (1)-(4) always, (5)-(7) once the
+call, and the envy graph is built once, from those reads
+(``_whole_envy``); the report carries the graph it built.  Which properties
+it checks is decided by the picking order: (1)-(4) always, (5)-(7) once the
 order is complete; callers narrow a report with ``PropertyReport.only``.
 The pass has two setups: whole, or scoped to some agents, where it rereads
 from scratch only what a change of their bundles can have changed and takes
 the rest from a :class:`Ledger` of earlier from-scratch reads; both share
-its pair loop, its report assembly and its one property-(4) rule.
+its pair loop, its envy parts, its report assembly, its one property-(4)
+rule and its one free-bundle check.
 ``envy_graph`` returns the envy relation as its envier index together with
 the strong-envy witnesses, the one place strong envy is decided; property
 (1), ``check_efx`` and the DOT export read the witnesses there, and
 ``envy_pairs`` lists the index as ``(envier, envied)`` pairs.
 ``agent_free_bundle_breaks`` is the one place the free-bundle properties
-(5)-(7) are decided: ``free_bundle_check`` runs it for every agent from the
-reads of a whole pass, a ledger for the agents a scoped pass rechecks.  The
-:class:`FreeBundleCheck` they return carries the reads with the verdict, the
+(5)-(7) are decided, and ``free_bundle_check`` the one place an agent's
+labels and free goods are derived from pair reads: for every agent from the
+reads of a whole pass, for some agents from a ledger's.  The
+:class:`FreeBundleCheck` it returns carries the reads with the verdict, the
 envy relation as its envier index: stage two picks its repair rule from it,
 ``check_properties`` only formats it, and stage two's live check is the
 check stage two opens with, updated in place.  The envy comparison of one
@@ -107,8 +109,8 @@ def envy_graph(instance: Instance, alloc: Allocation) -> EnvyGraph:
     Each good of ``j``'s bundle is recorded under ``seen[i][j]`` for each of
     its endpoints ``i != j``; ``i`` envies ``j`` when that part is worth more
     to her than her own bundle, and each such pair is asked once for a
-    strong-envy witness.  The whole property check builds the same relation
-    from its pair reads instead (:func:`_whole_envy`).
+    strong-envy witness.  The property check builds the same relation from
+    its pair reads instead (:func:`_whole_envy`).
     """
     goods = instance.goods
     seen: dict[int, dict[int, list[int]]] = {}
@@ -223,26 +225,25 @@ class FreeBundleCheck:
     """Which agents break the free-bundle properties (5)-(7) in one state,
     and the reads they were decided from.
 
+    The check decides some agents, every agent or those a scoped
+    :func:`check_properties` rechecks, and holds dicts keyed by them:
     ``enviers[i]`` holds envied agent ``i``'s enviers in ascending order (a
     non-envied agent has no entry); it is the only form of the envy relation
     the check holds.  ``units`` are the agents' free-unit labels, ``own[i]``
-    is agent ``i``'s value for her own bundle, ``loose[i]`` the free goods
-    incident to her and ``pairs[a, b]`` (``a < b``) the free goods of the
-    pair and the labels it gives ``a`` and ``b``, as its
-    :func:`.cuts.read_pairs` read ends.  Each
-    break list is in ascending order; stage two repairs its first entry.
-    Every field is compared, so a check kept up to date step by step (stage
-    two's live check) equals the from-scratch one only when all its reads do.
-    A check of some agents only (:meth:`Ledger.check`, as a scoped
-    :func:`check_properties` gives it) holds their own values, labels and
-    free goods in dicts over them, their enviers, their break-list entries
-    and the reads of the pairs it was given.
+    is agent ``i``'s value for her own bundle and ``loose[i]`` the free goods
+    incident to her.  ``pairs[a, b]`` (``a < b``) holds the free goods of
+    each pair the check was given and the labels it gives ``a`` and ``b``,
+    as its :func:`.cuts.read_pairs` read ends.  Each break list holds the
+    agents' entries in ascending order; stage two repairs its first entry.
+    Stage two's live check, kept up to date step by step, is compared with
+    a from-scratch check row by row over its agents and pair reads, so it
+    equals the from-scratch one only when all its reads do.
     """
 
     enviers: dict[int, list[int]]
     units: FreeUnits
-    own: list[int]
-    loose: list[set[int]]
+    own: dict[int, int]
+    loose: dict[int, set[int]]
     pairs: dict[tuple[int, int], PairRead]
     breaks_5: list[int]  # non-envied agents with a primary free bundle
     breaks_6: list[int]  # non-envied agents preferring their free goods
@@ -258,39 +259,42 @@ def free_bundle_check(
     alloc: Allocation,
     enviers: Mapping[int, list[int]],
     own: Sequence[int],
-    pairs: dict[tuple[int, int], PairRead],
+    reads: dict[tuple[int, int], PairRead],
+    agents: Optional[Iterable[int]] = None,
+    kept: Optional[Iterable[tuple[int, int]]] = None,
 ) -> FreeBundleCheck:
-    """Decide properties (5)-(7) for every agent.
+    """Decide properties (5)-(7) for ``agents``, every agent by default.
 
-    ``enviers``, ``own`` and ``pairs`` are the envier index of ``alloc``,
-    each agent's value for her own bundle and every pair's free goods and
-    labels, as :class:`FreeBundleCheck` holds them; :func:`check_properties`
-    reads them in its one pass.  An agent's labels and free incident goods
-    are the unions over her pairs, of which a pair with nothing free gives
-    nothing.
+    ``enviers``, ``own`` and ``reads`` are the envier index of ``alloc``,
+    each agent's value for her own bundle and each pair's free goods and
+    labels, as :class:`FreeBundleCheck` holds them: a whole
+    :func:`check_properties` pass's reads, or a :class:`Ledger`'s entries.
+    An agent's labels and free incident goods are the unions over her pairs,
+    of which a pair with nothing free gives nothing, taken into sets of her
+    own, so the work is in the degrees of ``agents``, not in the pairs
+    kept.  The check holds the reads of ``kept``, by default ``reads``
+    itself, and for every agent ``enviers`` itself.
     """
-    agents = range(instance.n)
-    primary, secondary, loose = ([set() for _ in agents] for _ in range(3))
-    for (a, b), (free, labels_a, labels_b) in pairs.items():
-        if not free:  # the labels are parts of the free goods
-            continue
-        for i, (primary_i, secondary_i) in ((a, labels_a), (b, labels_b)):
-            primary[i] |= primary_i
-            secondary[i] |= secondary_i
-            loose[i] |= free
+    whole = agents is None
+    agents = range(instance.n) if whole else sorted(agents)
+    primary: dict[int, set[int]] = {}
+    secondary: dict[int, set[int]] = {}
+    loose: dict[int, set[int]] = {}
     breaks_5: list[int] = []
     breaks_6: list[int] = []
     breaks_7: list[tuple[int, int, str]] = []
     for i in agents:
+        primary_i, secondary_i, loose_i = set(), set(), set()
+        for k in instance.neighbors(i):
+            free, labels_low, labels_high = reads[(i, k) if i < k else (k, i)]
+            if free:  # the labels are parts of the free goods
+                first, second = labels_low if i < k else labels_high
+                primary_i |= first
+                secondary_i |= second
+                loose_i |= free
+        primary[i], secondary[i], loose[i] = primary_i, secondary_i, loose_i
         b5, b6, b7 = agent_free_bundle_breaks(
-            instance,
-            alloc,
-            i,
-            own[i],
-            enviers.get(i, []),
-            primary[i],
-            secondary[i],
-            loose[i],
+            instance, alloc, i, own[i], enviers.get(i, []), primary_i, secondary_i, loose_i
         )
         if b5:
             breaks_5.append(i)
@@ -298,11 +302,11 @@ def free_bundle_check(
             breaks_6.append(i)
         breaks_7.extend(b7)
     return FreeBundleCheck(
-        enviers,
+        enviers if whole else {i: enviers[i] for i in agents if i in enviers},
         FreeUnits(primary, secondary),
-        own,
+        {i: own[i] for i in agents},
         loose,
-        pairs,
+        reads if kept is None else {p: reads[p] for p in kept},
         breaks_5,
         breaks_6,
         breaks_7,
@@ -392,7 +396,7 @@ class Ledger:
             own = [instance.valuations[i].value(alloc.bundle(i)) for i in range(instance.n)]
             pairs = None
         else:
-            own, pairs = list(check.own), dict(check.pairs)
+            own, pairs = [check.own[i] for i in range(instance.n)], dict(check.pairs)
         enviers = {j: list(row) for j, row in report.graph.enviers.items()}
         return cls(own, enviers, pairs, alloc, order, alloc.changes)
 
@@ -408,114 +412,28 @@ class Ledger:
             and alloc.set_since(self.changes) <= scope
         )
 
-    def reread_envy(
-        self,
-        instance: Instance,
-        alloc: Allocation,
-        scope: frozenset[int],
-        reads: Mapping[tuple[int, int], tuple],
-    ) -> EnvyGraph:
-        """Reread from scratch the envy pairs with an endpoint in ``scope``,
-        with their strong-envy witnesses, write them into :attr:`enviers`
-        and return them as an :class:`EnvyGraph`.
-
-        Every agent sees the goods ``scope`` holds that are incident to
-        her, as in :func:`envy_graph`.  An agent ``c`` of ``scope`` sees of
-        each other neighbour ``k``, who holds only goods of her own pairs
-        while the ledger is current, the part ``k`` holds of their pair,
-        taken from its :func:`.cuts.read_pairs` read in ``reads`` when the
-        check read it.  ``own`` must already hold the own values of
-        ``scope``.
-        """
-        goods, enviers = instance.goods, self.enviers
-        seen: dict[int, dict[int, Iterable[int]]] = {}
-        for c in scope:
-            for g in alloc.bundle(c):
-                good = goods[g]
-                for i in (good.u, good.v):
-                    if i != c:
-                        seen.setdefault(i, {}).setdefault(c, []).append(g)
+    def reread_envy(self, instance: Instance, scope: frozenset[int], graph: EnvyGraph) -> None:
+        """Write ``graph``, the envy pairs with an endpoint in ``scope`` as a
+        scoped check rereads them (:func:`_whole_envy`), into
+        :attr:`enviers` in place of the old ones: the rows of ``scope`` are
+        dropped, and so is ``scope`` from the rows of its neighbours outside
+        it, the only agents it can envy while the ledger is current, before
+        the new pairs are merged in."""
+        enviers = self.enviers
         for c in scope:
             enviers.pop(c, None)
             for k in instance.neighbors(c):
-                if k in scope:
-                    continue
                 row = enviers.get(k)
-                if row is not None and c in row:
+                if k not in scope and row is not None and c in row:
                     row.remove(c)
                     if not row:
                         del enviers[k]
-                pair = reads.get((c, k) if c < k else (k, c))
-                if pair is None:
-                    part = alloc.bundle(k) & instance.pair_goods(c, k)
-                else:
-                    part = pair[3] if c < k else pair[2]
-                if part:
-                    seen.setdefault(c, {})[k] = part
-        graph = _envy_of_parts(instance, alloc, self.own, seen)
         for j, row in graph.enviers.items():
             if j in scope:
                 enviers[j] = list(row)
             else:
                 for i in row:
                     insort(enviers.setdefault(j, []), i)
-        return graph
-
-    def check(
-        self,
-        instance: Instance,
-        alloc: Allocation,
-        agents: Iterable[int],
-        pairs: Iterable[tuple[int, int]],
-    ) -> FreeBundleCheck:
-        """Properties (5)-(7) of ``agents``, decided from the entries with
-        :func:`agent_free_bundle_breaks` as :func:`free_bundle_check`
-        decides them for every agent: an agent's labels and free goods are
-        the unions over her pairs, of which a pair with nothing free gives
-        nothing.  The check holds dicts over ``agents`` and the entries of
-        ``pairs``.  Each agent's unions are taken over her own pairs, so
-        the work is in the degrees of ``agents``, not in the pairs kept."""
-        own_of, enviers_of, reads = self.own, self.enviers, self.pairs
-        enviers: dict[int, list[int]] = {}
-        primary: dict[int, set[int]] = {}
-        secondary: dict[int, set[int]] = {}
-        own: dict[int, int] = {}
-        loose: dict[int, set[int]] = {}
-        breaks_5: list[int] = []
-        breaks_6: list[int] = []
-        breaks_7: list[tuple[int, int, str]] = []
-        for i in sorted(agents):
-            primary_i, secondary_i, loose_i = set(), set(), set()
-            for k in instance.neighbors(i):
-                free, labels_low, labels_high = reads[(i, k) if i < k else (k, i)]
-                if free:  # the labels are parts of the free goods
-                    first, second = labels_low if i < k else labels_high
-                    primary_i |= first
-                    secondary_i |= second
-                    loose_i |= free
-            row = enviers_of.get(i)
-            if row is not None:
-                enviers[i] = row
-            primary[i], secondary[i], loose[i] = primary_i, secondary_i, loose_i
-            own[i] = own_of[i]
-            b5, b6, b7 = agent_free_bundle_breaks(
-                instance, alloc, i, own[i], row or [], primary_i, secondary_i, loose_i
-            )
-            if b5:
-                breaks_5.append(i)
-            if b6:
-                breaks_6.append(i)
-            breaks_7.extend(b7)
-        return FreeBundleCheck(
-            enviers,
-            FreeUnits(primary, secondary),
-            own,
-            loose,
-            {p: reads[p] for p in pairs},
-            breaks_5,
-            breaks_6,
-            breaks_7,
-        )
 
 
 def check_properties(
@@ -542,26 +460,27 @@ def check_properties(
     endpoint, are read once each in one :func:`.cuts.read_pairs` call.  A
     pair's read decides (2) for the pair and (3) for each placed endpoint;
     on a complete order it also gives the pair's free goods and labels for
-    (5)-(7).  Property (4) is :func:`_first_chain`'s.  The whole setup holds
-    own values in a list, builds the envy relation from its reads
-    (:func:`_whole_envy`), checks every pair and decides (5)-(7) with
-    :func:`free_bundle_check`.
+    (5)-(7).  Both setups build the envy relation from those reads
+    (:func:`_whole_envy`), decide (4) with :func:`_first_chain` and (5)-(7)
+    with :func:`free_bundle_check`.  The whole setup holds own values in a
+    list, reads every pair and decides (5)-(7) for every agent.
 
     With ``scope`` given, the check is scoped to those agents, ``C``, and
     ``ledger`` must be current but for the bundles of ``C``
     (:meth:`Ledger.current`).  It rereads from scratch ``C``'s own values,
-    the envy pairs with an endpoint in ``C`` (:meth:`Ledger.reread_envy`),
     the pairs touching ``C`` and those of the goods ``C`` holds outside
-    them, writes each read into the ledger, stamps it, and decides with the
-    same rules
+    them, and the envy pairs with an endpoint in ``C``, from the reads of
+    the pairs touching ``C`` and ``C``'s stray goods, writes each read into
+    the ledger (:meth:`Ledger.reread_envy` for the envy pairs), stamps it,
+    and decides with the same rules
 
     * (1) for the bundles of ``C`` and the envy pairs touching ``C``;
     * (2) and (3) for the pairs it reread, with the ledger's own values of
       the endpoints outside ``C``;
     * (4) for the chains through those envy pairs, reading the other envy
       pairs from the ledger;
-    * on a complete order, (5)-(7) for ``C ∪ N(C)``, from the ledger
-      (:meth:`Ledger.check`).
+    * on a complete order, (5)-(7) for ``C ∪ N(C)``, from the ledger's
+      entries.
 
     The report's ``scope`` is ``C``, its graph holds the envy pairs touching
     ``C``, and its free-bundle check holds dicts over ``C ∪ N(C)`` and the
@@ -600,23 +519,20 @@ def check_properties(
     if scope is None:
         own = [instance.valuations[i].value(alloc.bundle(i)) for i in range(instance.n)]
         orientation = check_orientation(instance, alloc).violations
-        read = instance.skeleton_edges()
+        viewed = read = instance.skeleton_edges()
     else:
         scope = frozenset(scope)
         own = ledger.own
         for c in scope:
             own[c] = instance.valuations[c].value(alloc.bundle(c))
         orientation = check_orientation(instance, alloc, scope).violations
-        changed = _pairs_touching(instance, scope)
-        goods = instance.goods
-        for _, g in orientation:
-            u, v = goods[g].u, goods[g].v
-            changed.add((u, v) if u < v else (v, u))
-        read = sorted(changed)
+        viewed = _pairs_touching(instance, scope)
+        # and the pairs of the goods C holds outside them
+        ends = ((instance.goods[g].u, instance.goods[g].v) for _, g in orientation)
+        read = sorted(viewed.union((u, v) if u < v else (v, u) for u, v in ends))
         if complete:
             pairs = ledger.pairs
-    unread = [(a, b) for a, b in read if a in unplaced and b in unplaced]
-    if unread:
+    if unplaced:  # a pair with no endpoint placed is not read
         read = [(a, b) for a, b in read if a not in unplaced or b not in unplaced]
     reads = dict(zip(read, read_pairs(instance, alloc, order, cuts, read)))
     faults: list[tuple] = []  # (2), in pair order
@@ -636,10 +552,15 @@ def check_properties(
             for part in (cut.first, cut.second):
                 if part and part <= free and v(part) > own[i]:
                     valued.setdefault(i, []).append((i, j, sorted(part)))
+    graph = _whole_envy(instance, alloc, own, reads, viewed, orientation)
+    middles = envy_pairs(graph.enviers)
     if scope is None:
-        graph = _whole_envy(instance, alloc, own, reads, unread, orientation)
+        enviers, near, kept = graph.enviers, None, None
     else:
-        graph = ledger.reread_envy(instance, alloc, scope, reads)
+        ledger.reread_envy(instance, scope, graph)
+        ledger.changes = alloc.changes
+        enviers, near, kept = ledger.enviers, with_neighbours(instance, scope), read
+        middles = _chain_middles(instance, ledger, middles)
     checked = ALL_PROPERTIES if complete else STAGE_ONE_PROPERTIES
     report = PropertyReport(checked=checked, graph=graph, scope=scope)
 
@@ -648,22 +569,13 @@ def check_properties(
     report.extend(2, faults)
     for i in sorted(valued):
         report.extend(3, valued[i])
-    middles = envy_pairs(graph.enviers)
-    if scope is None:
-        report.extend(4, _first_chain(graph.enviers, middles))
-    else:
-        report.extend(4, _first_chain(ledger.enviers, _chain_middles(instance, ledger, middles)))
+    report.extend(4, _first_chain(enviers, middles))
     if complete:
-        if scope is None:
-            check = free_bundle_check(instance, alloc, graph.enviers, own, pairs)
-        else:
-            check = ledger.check(instance, alloc, with_neighbours(instance, scope), read)
+        check = free_bundle_check(instance, alloc, enviers, own, pairs, near, kept)
         report.free_bundles = check
         report.extend(5, [(i, sorted(check.units.primary[i])) for i in check.breaks_5])
         report.extend(6, [(i, sorted(check.loose[i])) for i in check.breaks_6])
         report.extend(7, check.breaks_7)
-    if scope is not None:
-        ledger.changes = alloc.changes
     return report
 
 
@@ -672,20 +584,26 @@ def _whole_envy(
     alloc: Allocation,
     own: Sequence[int],
     reads: Mapping[tuple[int, int], tuple],
-    unread: Iterable[tuple[int, int]],
+    viewed: Iterable[tuple[int, int]],
     strays: Iterable[tuple[int, int]],
 ) -> EnvyGraph:
-    """The envy relation :func:`envy_graph` gives, from a whole check's
-    pair reads ``reads``, the pairs ``unread`` with no endpoint placed and
-    the ``(holder, good)`` rows ``strays`` of :func:`check_orientation`.
-    Of ``j``'s bundle ``i`` sees the part ``j`` holds of their pair and
-    ``j``'s stray goods incident to ``i``, so this is exact for any
-    allocation."""
+    """The envy pairs :func:`envy_graph` gives between the endpoints of the
+    pairs ``viewed``, read from their :func:`.cuts.read_pairs` reads in
+    ``reads`` (from the bundles for a pair not read, with no endpoint
+    placed) and the ``(holder, good)`` rows ``strays`` of
+    :func:`check_orientation`.  Of ``j``'s bundle ``i`` sees the part ``j``
+    holds of their pair and ``j``'s stray goods incident to ``i``.  With
+    every pair viewed and every stray, as a whole check gives them, this is
+    exact for any allocation; with the pairs touching the agents ``C`` of a
+    scoped check and ``C``'s strays, it gives the envy pairs with an
+    endpoint in ``C`` (:meth:`Ledger.reread_envy`)."""
     seen: dict[int, dict[int, Bundle]] = {}
-    parts = [(a, b, pair[2], pair[3]) for (a, b), pair in reads.items()]
-    for a, b in unread:
-        parts.append((a, b, *(alloc.bundle(i) & instance.pair_goods(a, b) for i in (a, b))))
-    for a, b, held_a, held_b in parts:
+    for a, b in viewed:
+        pair = reads.get((a, b))
+        if pair is None:
+            held_a, held_b = (alloc.bundle(i) & instance.pair_goods(a, b) for i in (a, b))
+        else:
+            held_a, held_b = pair[2], pair[3]
         if held_b:
             seen.setdefault(a, {})[b] = held_b
         if held_a:

@@ -763,9 +763,9 @@ def test_a_scoped_step_builds_no_whole_envy_graph(monkeypatch):
     rereads = []
     reread = verify.Ledger.reread_envy
 
-    def counted_reread(self, instance, alloc, scope, reads):
+    def counted_reread(self, instance, scope, graph):
         rereads.append(scope)
-        return reread(self, instance, alloc, scope, reads)
+        return reread(self, instance, scope, graph)
 
     monkeypatch.setattr(verify.Ledger, "reread_envy", counted_reread)
     # the first 40 steps are enough; the 41st stops the stage
@@ -835,8 +835,8 @@ def test_live_check_sorts_only_what_a_step_changed(monkeypatch):
     assert len(steps) > 100 and all(steps)
 
 
-class SetCounted(list):
-    """A list that records the index of every item assignment."""
+class SetCounted(dict):
+    """A dict that records the key of every item assignment."""
 
     def __init__(self, items, log):
         super().__init__(items)

@@ -125,17 +125,8 @@ def test_a_check_scoped_to_every_agent_equals_the_whole_check():
             scoped = check_properties(*args, scope=range(state.instance.n), ledger=ledger)
             assert scoped.to_dict() == whole.to_dict(), entry
             assert scoped.graph == whole.graph, entry
-            rows, reference = scoped.free_bundles, whole.free_bundles
-            agents = range(state.instance.n)
-            assert list(rows.loose) == list(agents)
-            for name in ("own", "loose"):
-                assert [getattr(rows, name)[i] for i in agents] == getattr(reference, name)
-            for name in ("primary", "secondary"):
-                assert [getattr(rows.units, name)[i] for i in agents] == getattr(
-                    reference.units, name
-                )
-            for name in ("enviers", "pairs", "breaks_5", "breaks_6", "breaks_7"):
-                assert getattr(rows, name) == getattr(reference, name), (entry, name)
+            assert list(scoped.free_bundles.loose) == list(range(state.instance.n))
+            assert scoped.free_bundles == whole.free_bundles, entry
             state = run_phase2(state, validate=False)
 
 
@@ -284,7 +275,7 @@ def test_a_ledger_copies_the_report_it_is_seeded_from():
     report = state.report()
     state.seed_ledger(report)
     ledger, check = state.ledger(), report.free_bundles
-    assert ledger.own == check.own and ledger.own is not check.own
+    assert dict(enumerate(ledger.own)) == check.own and ledger.own is not check.own
     assert ledger.pairs == check.pairs and ledger.pairs is not check.pairs
     assert ledger.enviers == check.enviers and ledger.enviers is not check.enviers
     assert all(ledger.enviers[j] is not row for j, row in check.enviers.items())

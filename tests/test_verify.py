@@ -15,7 +15,7 @@ from trifree_efx import (
     solve_state,
 )
 from trifree_efx import phase1, phase2, phase3, verify
-from trifree_efx.cuts import CutTable, PickOrder, free_units
+from trifree_efx.cuts import CutTable, FreeUnits, PickOrder, free_units
 from trifree_efx.generate import TOPOLOGIES, gen_instance, suite_spec
 from trifree_efx.model import VALUATION_CLASSES
 from trifree_efx.oracle import scan_strong_envy
@@ -459,7 +459,9 @@ def test_one_pass_matches_the_per_property_checks(state):
         assert report.free_bundles is None
     else:
         assert report.checked == set(range(1, 8))
-        assert report.free_bundles.units == units
+        assert report.free_bundles.units == FreeUnits(
+            dict(enumerate(units.primary)), dict(enumerate(units.secondary))
+        )
 
 
 def counting(monkeypatch, owners, name):

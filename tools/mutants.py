@@ -82,16 +82,16 @@ MUTANTS = (
     Mutant(
         "chain_skipped",
         VERIFY,
-        "report.extend(4, _first_chain(graph.enviers, middles))",
-        "report.extend(4, _first_chain(graph.enviers, []))",
+        "report.extend(4, _first_chain(enviers, middles))",
+        "report.extend(4, _first_chain(enviers, []))",
         ("tests/test_verify.py", "tests/test_phase1.py"),
-        "the whole check reports no envy chain, property (4)",
+        "no check reports an envy chain, property (4)",
     ),
     Mutant(
         "scoped_chain_skipped",
         VERIFY,
-        "report.extend(4, _first_chain(ledger.enviers, _chain_middles(instance, ledger, middles)))",
-        "report.extend(4, [])",
+        "        middles = _chain_middles(instance, ledger, middles)\n",
+        "        middles = []\n",
         ("tests/test_scoped_check.py",),
         "the scoped check reports no envy chain, property (4)",
     ),
@@ -190,8 +190,8 @@ MUTANTS = (
     Mutant(
         "scope_without_neighbours",
         VERIFY,
-        "ledger.check(instance, alloc, with_neighbours(instance, scope), read)",
-        "ledger.check(instance, alloc, scope, read)",
+        "enviers, near, kept = ledger.enviers, with_neighbours(instance, scope), read",
+        "enviers, near, kept = ledger.enviers, scope, read",
         ("tests/test_scoped_check.py", "tests/test_phase2.py"),
         "the scoped check decides (5)-(7) for the changed agents only",
     ),
@@ -201,7 +201,7 @@ MUTANTS = (
         "    for i, own in reference.own.items():",
         "    for i, own in ():",
         ("tests/test_phase2.py",),
-        "a scoped step check does not compare the live check's per-agent rows",
+        "a step check does not compare the live check's per-agent rows",
     ),
     Mutant(
         "rule_agent_unchecked",
@@ -258,7 +258,7 @@ MUTANTS = (
     Mutant(
         "ledger_aliases_live_check",
         VERIFY,
-        "            own, pairs = list(check.own), dict(check.pairs)\n"
+        "            own, pairs = [check.own[i] for i in range(instance.n)], dict(check.pairs)\n"
         "        enviers = {j: list(row) for j, row in report.graph.enviers.items()}",
         "            own, pairs = check.own, check.pairs\n        enviers = report.graph.enviers",
         ("tests/test_phase2.py",),
@@ -277,11 +277,30 @@ MUTANTS = (
     Mutant(
         "scoped_outgoing_envy_dropped",
         VERIFY,
-        "                    seen.setdefault(c, {})[k] = part",
+        "                    insort(enviers.setdefault(j, []), i)",
         "                    pass",
         ("tests/test_scoped_check.py",),
-        "a scoped check does not reread the envy of the scope toward its "
-        "neighbours outside it",
+        "a scoped check does not write the envy of the scope toward its "
+        "neighbours outside it into the ledger",
+    ),
+    Mutant(
+        "scoped_envy_lower_end_only",
+        VERIFY,
+        "    graph = _whole_envy(instance, alloc, own, reads, viewed, orientation)",
+        "    graph = _whole_envy(\n        instance, alloc, own, reads,\n"
+        "        [p for p in viewed if scope is None or p[0] in scope], orientation\n    )",
+        ("tests/test_scoped_check.py",),
+        "a scoped check rereads the envy across only the pairs whose lower "
+        "endpoint is in the scope",
+    ),
+    Mutant(
+        "free_bundle_union_one_endpoint",
+        VERIFY,
+        "            if free:  # the labels are parts of the free goods",
+        "            if free and i < k:",
+        ("tests/test_verify.py", "tests/test_scoped_check.py", "tests/test_phase2.py"),
+        "the free-bundle check gives a pair's labels and free goods to its "
+        "lower endpoint only",
     ),
     Mutant(
         "whole_envy_strays_dropped",
