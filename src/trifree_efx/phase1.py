@@ -24,31 +24,34 @@ When no agents remain unplaced, the allocation satisfies the numbered
 properties (1)-(4) of :mod:`.verify`.  Stage two asserts them in the check
 it opens with, so this stage does not check its own output again.  Each
 round checks that it set only the bundles of the agents it placed, in both
-modes, and a validated run checks every round from scratch by the one
-protocol of validated transitions, :func:`check_transition`, which stage
-two's steps share; the last round's whole report stays on the state
-(:meth:`SolverState.report`) for stage two to open with, and its reads,
-copied, seed the validator's ledger (:class:`.verify.Ledger`) for stage
-two's steps when a rule fires on it.
+modes.  A validated run also reports every round and the finished stage to
+the run's :class:`Validator`, defined here beside the invariants it checks
+and the replay; its docstring states what it checks and when.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from bisect import bisect_left, bisect_right
+from dataclasses import dataclass, field, fields, replace
+from functools import wraps
+from operator import itemgetter
 from typing import Callable, Iterable, Optional
 
-from .cuts import CutTable, PickOrder, claimable, read_pairs
+from .cuts import CutTable, PickOrder, claimable, own_labels, read_pairs
 from .errors import InternalSolverError, StateError
 from .model import EMPTY_BUNDLE, Allocation, Bundle, Instance
 # ``envy_graph`` is no longer called here, but the benchmark's tracer wraps
 # it by name, so a reintroduced call is counted
 from .verify import (  # noqa: F401
     STAGE_ONE_PROPERTIES,
+    FreeBundleCheck,
     Ledger,
     PropertyReport,
     check_properties,
     envy_graph,
+    free_bundle_check,
+    with_neighbours,
 )
 
 TraceFn = Optional[Callable[[dict], None]]
@@ -67,10 +70,9 @@ INVARIANT_NAMES = {
 class SolveMetrics:
     """Counters of one solver run, filled in by the three stages and ``solve``.
 
-    ``validate_s`` is the part of the stage times a validated run spends
-    checking its rounds and steps: :func:`check_transition`, the rest of
-    stage two's step validation and its ledger seeding, and
-    :func:`greedy_replay`; it is 0.0 when unvalidated.
+    ``validate_s`` is the part of the stage times a validated run spends in
+    its :class:`Validator`, checking its rounds, steps and dumps; it is 0.0
+    when unvalidated.
     """
 
     augment_calls: int = 0
@@ -104,9 +106,9 @@ class SolverState:
     objects, the allocation's change count and the order's placed count.
     The report is handed back (:meth:`kept_report`) only while all four
     still match, so after any ``set_bundle`` or placement it is never
-    reused.  A validated run also keeps its ledger of from-scratch reads
-    here (:meth:`ledger`, :meth:`seed_ledger`), stamped in the same way.  A
-    copy made with ``dataclasses.replace`` starts without either.
+    reused.  A validated run also keeps its :class:`Validator` here
+    (:meth:`Validator.of`).  A copy made with ``dataclasses.replace``
+    starts without either.
     """
 
     instance: Instance
@@ -114,7 +116,7 @@ class SolverState:
     order: PickOrder
     cuts: CutTable
     _kept: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
-    _ledger: Optional[Ledger] = field(default=None, init=False, repr=False, compare=False)
+    _validator: Optional["Validator"] = field(default=None, init=False, repr=False, compare=False)
 
     @classmethod
     def fresh(cls, instance: Instance) -> "SolverState":
@@ -152,24 +154,6 @@ class SolverState:
             return report
         self._kept = None
         return None
-
-    def ledger(self, scope: frozenset[int] = frozenset()) -> Optional[Ledger]:
-        """The validator's ledger if its entries read this state as it is
-        now but for the bundles of ``scope`` (:meth:`.verify.Ledger.current`),
-        else ``None``."""
-        ledger = self._ledger
-        if ledger is not None and ledger.current(self.alloc, self.order, scope):
-            return ledger
-        return None
-
-    def seed_ledger(self, report: Optional[PropertyReport] = None) -> None:
-        """Seed the validator's ledger with the reads of ``report``, a whole
-        report of this state as it is now, or, without one, with those of
-        the fresh state, where nobody holds anything."""
-        if report is None:
-            self._ledger = Ledger.fresh(self.alloc, self.order)
-        else:
-            self._ledger = Ledger.of(self.instance, self.alloc, self.order, report)
 
 
 @dataclass
@@ -267,58 +251,6 @@ def augment(
     return front + back
 
 
-def check_transition(
-    state: SolverState,
-    scope: Iterable[int],
-    failures: Callable[[PropertyReport], list[str]],
-    *,
-    whole: bool = False,
-) -> PropertyReport:
-    """Check ``state`` from scratch after one transition, a stage-one round
-    or a stage-two step that set the bundles and placed agents of ``scope``
-    only; the report the verdict was read from.  This is the one protocol
-    of validated transitions.
-
-    ``failures(report)`` lists the caller's findings on a report as
-    messages.  Unless ``whole`` is set, the check is scoped to ``scope``
-    when the state's ledger is current but for the bundles of ``scope``
-    (:meth:`SolverState.ledger`), and its report is returned when it has no
-    findings: its verdict is the whole check's, by the argument
-    :func:`.verify.check_properties` states, as the state before passed a
-    check, each round and step asserts it kept to ``scope``, and the check
-    brings the ledger up to date.  Scoped findings, or no current ledger,
-    send the check whole (:meth:`SolverState.report`): its findings are the
-    error, scoped findings it does not share are an error of their own, and
-    its reads seed the ledger afresh.  Callers check whole the last
-    transition of a stage, whose report the next stage opens with, and
-    whose reads seed no ledger: no scoped check of the stage follows, and
-    stage two seeds its own from that report when a rule fires on it.  A
-    transition from a state no check has read, which has no ledger, is
-    checked whole too.
-    """
-    scope = frozenset(scope)
-    ledger = None if whole else state.ledger(scope)
-    if ledger is not None:
-        scoped = check_properties(
-            state.instance, state.alloc, state.order, state.cuts, scope=scope, ledger=ledger
-        )
-        found = failures(scoped)
-        if not found:
-            return scoped
-    report = state.report()
-    bad = failures(report)
-    if bad:
-        raise InternalSolverError("; ".join(bad))
-    if not whole:
-        state.seed_ledger(report)
-    if ledger is not None:
-        raise InternalSolverError(
-            f"the check scoped to agents {sorted(scope)} failed "
-            f"({'; '.join(found)}) where the whole check passed"
-        )
-    return report
-
-
 def check_invariants(
     state: SolverState, report: Optional[PropertyReport] = None
 ) -> list[InvariantViolation]:
@@ -379,44 +311,26 @@ def run_phase1(
 ) -> SolverState:
     """Drive augmentation until every agent is placed.
 
-    With ``validate`` set, :func:`check_transition` checks every round
-    against the invariants (:func:`check_invariants`), scoped to the agents
-    it placed; whole for the last round, which stage two opens with, and
-    for the first one of a handed state, which has no ledger, unlike a
-    fresh one, whose ledger is seeded from the fresh state.  The finished
-    allocation is also replayed greedily along the order, which must
-    reproduce it exactly.
+    With ``validate`` set, every round and the stage's end are reported to
+    the state's :class:`Validator`.  The round guard counts this call's
+    rounds, while ``metrics`` keeps accumulating across calls.
     """
-    if state is None:
-        state = SolverState.fresh(instance)
-        if validate:
-            state.seed_ledger()
+    fresh, state = state is None, state or SolverState.fresh(instance)
     metrics = metrics if metrics is not None else SolveMetrics()
-
-    def broken(report: PropertyReport) -> list[str]:
-        return [str(v) for v in check_invariants(state, report)]
-
+    validator = Validator.of(state, metrics, fresh=fresh) if validate else None
+    rounds = 0
     while state.order.unplaced:
         before = len(state.order.unplaced)
         placed = augment(state, metrics=metrics, trace=trace)
+        rounds += 1
         if len(state.order.unplaced) >= before:
             raise InternalSolverError("a round failed to place any agent")
-        if validate:
-            started = time.perf_counter()
-            check_transition(state, placed, broken, whole=not state.order.unplaced)
-            metrics.validate_s += time.perf_counter() - started
-    if metrics.augment_calls > instance.n:
-        raise InternalSolverError(
-            f"{metrics.augment_calls} rounds for {instance.n} agents"
-        )
-    if validate:
-        started = time.perf_counter()
-        replay = greedy_replay(state)
-        if replay != state.alloc:
-            raise InternalSolverError(
-                "greedy replay along the finished order diverged from the allocation"
-            )
-        metrics.validate_s += time.perf_counter() - started
+        if validator is not None:
+            validator.round_placed(state, placed)
+    if rounds > instance.n:
+        raise InternalSolverError(f"{rounds} rounds for {instance.n} agents")
+    if validator is not None:
+        validator.stage_one_done(state)
     return state
 
 
@@ -430,3 +344,250 @@ def greedy_replay(state: SolverState) -> Allocation:
     for i in state.sigma():
         replay.alloc.set_bundle(i, _best_partner(replay, i)[1])
     return replay.alloc
+
+
+def _has(rows: list[int], i: int) -> bool:
+    """Whether ascending ``rows`` holds ``i``."""
+    lo = bisect_left(rows, i)
+    return lo < len(rows) and rows[lo] == i
+
+
+_AGENT = itemgetter(0)
+
+
+def _breaks_7_of(rows: list[tuple[int, int, str]], i: int) -> list[tuple[int, int, str]]:
+    """The rows of agent ``i`` in the ascending (7) break list ``rows``."""
+    lo = bisect_left(rows, i, key=_AGENT)
+    return rows[lo : bisect_right(rows, i, lo, key=_AGENT)]
+
+
+_FIELDS = tuple(f.name for f in fields(FreeBundleCheck))
+
+
+def _differ(live: FreeBundleCheck, reference: FreeBundleCheck) -> list[str]:
+    """The fields in which ``live`` differs from ``reference``, row by row
+    over the agents and the pair reads ``reference`` holds."""
+    found = set()
+    units, near = live.units, reference.units
+    for i, own in reference.own.items():
+        if live.enviers.get(i) != reference.enviers.get(i):
+            found.add("enviers")
+        if units.primary[i] != near.primary[i] or units.secondary[i] != near.secondary[i]:
+            found.add("units")
+        if live.own[i] != own:
+            found.add("own")
+        if live.loose[i] != reference.loose[i]:
+            found.add("loose")
+        if _has(live.breaks_5, i) != (i in reference.breaks_5):
+            found.add("breaks_5")
+        if _has(live.breaks_6, i) != (i in reference.breaks_6):
+            found.add("breaks_6")
+        if _breaks_7_of(live.breaks_7, i) != _breaks_7_of(reference.breaks_7, i):
+            found.add("breaks_7")
+    if any(live.pairs[p] != read for p, read in reference.pairs.items()):
+        found.add("pairs")
+    return [name for name in _FIELDS if name in found]
+
+
+def _timed(event):
+    """``event`` timed into the run's ``validate_s``, which nothing else adds to."""
+
+    @wraps(event)
+    def timed(self, *args):
+        started = time.perf_counter()
+        event(self, *args)
+        self.metrics.validate_s += time.perf_counter() - started
+
+    return timed
+
+
+@dataclass
+class Validator:
+    """Everything a validated run checks beyond solving, beside the stages.
+
+    A validated stage reports each event to the state's validator
+    (:meth:`of`) in one call: stage one each round (:meth:`round_placed`)
+    and its end (:meth:`stage_one_done`), stage two its opening
+    (:meth:`stage_two_opened`) and each step (:meth:`step`), stage three
+    each dump (:meth:`dump`).  Each event is timed into
+    ``SolveMetrics.validate_s``.  An unvalidated run makes no validator.
+
+    **The transition protocol** (:meth:`check_transition`).  A round or a
+    step that set the bundles and placed agents of ``C`` only is checked
+    from scratch after it, scoped to ``C`` while the validator's ledger of
+    from-scratch reads (:class:`.verify.Ledger`) is current but for the
+    bundles of ``C``.  A scoped report without findings is the verdict: it
+    is the whole check's, by the argument :func:`.verify.check_properties`
+    states, as the state before passed a check, each round and step asserts
+    it kept to ``C``, and the check brings the ledger up to date.  Scoped
+    findings, or no current ledger, send the check whole
+    (:meth:`.SolverState.report`): its findings are the error, scoped
+    findings it does not share are an error of their own, and its reads
+    seed the ledger afresh.  A stage's last transition, a round after which
+    no agent is unplaced or a step after which the live check has no
+    break, is checked whole and seeds no ledger: no scoped check of the
+    stage follows, and the next stage opens with its report.  A run from a
+    fresh state seeds the ledger with that state's reads, so its first
+    round is checked scoped; a handed state's first round is checked whole.
+
+    **Stage one.**  A round's findings are the broken invariants
+    (:func:`check_invariants`).  The finished allocation must equal its
+    greedy replay along the order (:func:`greedy_replay`).
+
+    **Stage two.**  When a rule fires on the opening report, the ledger is
+    seeded from a copy of it.  Before each step the validator holds the
+    live check's ``(envier, envied)`` pairs toward ``C ∪ N(C)``, ``C`` the
+    agents the rule changes, the only envy a step can change.  A step's
+    findings are a broken property (1)-(4) and every field in which the
+    live check differs from the from-scratch one, row by row
+    (:func:`_differ`): over ``C ∪ N(C)`` and the pairs touching ``C`` when
+    scoped, everywhere when whole.  Then the rule's postconditions must
+    hold against the pairs held before it: rules A and B create no envy
+    there, and rule C leaves neither agent envied and lowers the number of
+    envied agents there.  A live row outside ``C ∪ N(C)`` is compared only
+    at the stage's last step, so the rows of the agent the next rule fires
+    on, when she is outside ``C ∪ N(C)``, must also equal those the ledger
+    gives; the first rule fires on the opening report itself.  The ledger
+    never reads the live check, nor the live check the ledger.  The
+    ``pick`` of a stage-two event is the rule the stage fires next,
+    ``(branch, agent, partner, label)``, or ``None``.
+
+    **Stage three.**  Before each dump, the dumped agent's primary label,
+    read from her own pairs (:func:`.cuts.own_labels`), must equal the one
+    the opening check froze.
+    """
+
+    metrics: SolveMetrics
+    ledger: Optional[Ledger] = None
+    envy_before: Optional[set[tuple[int, int]]] = None
+
+    @classmethod
+    def of(cls, state: SolverState, metrics: SolveMetrics, *, fresh: bool = False) -> "Validator":
+        """The validator ``state`` keeps, made on first use, timing into
+        ``metrics``; ``fresh`` seeds its ledger for the fresh state ``state`` is."""
+        validator = state._validator = state._validator or cls(metrics)
+        validator.metrics = metrics
+        if fresh:
+            validator.ledger = Ledger.fresh(state.alloc, state.order)
+        return validator
+
+    def current(self, state: SolverState, scope: frozenset[int] = frozenset()) -> Optional[Ledger]:
+        """The ledger if its entries read ``state`` as it is now but for the
+        bundles of ``scope`` (:meth:`.verify.Ledger.current`), else ``None``."""
+        fits = self.ledger is not None and self.ledger.current(state.alloc, state.order, scope)
+        return self.ledger if fits else None
+
+    def check_transition(
+        self, state: SolverState, scope: Iterable[int], failures, *, whole: bool = False
+    ) -> PropertyReport:
+        """Check ``state`` after a transition that changed ``scope`` only,
+        by the protocol above; the report the verdict was read from.
+        ``failures(report)`` lists the caller's findings on a report as
+        messages; ``whole`` skips the scoped check and the reseeding."""
+        scope = frozenset(scope)
+        ledger = None if whole else self.current(state, scope)
+        if ledger is not None:
+            scoped = check_properties(
+                state.instance, state.alloc, state.order, state.cuts, scope=scope, ledger=ledger
+            )
+            found = failures(scoped)
+            if not found:
+                return scoped
+        report = state.report()
+        bad = failures(report)
+        if bad:
+            raise InternalSolverError("; ".join(bad))
+        if not whole:
+            self.ledger = Ledger.of(state.instance, state.alloc, state.order, report)
+        if ledger is not None:
+            raise InternalSolverError(
+                f"the check scoped to agents {sorted(scope)} failed "
+                f"({'; '.join(found)}) where the whole check passed"
+            )
+        return report
+
+    @_timed
+    def round_placed(self, state: SolverState, placed: list[int]) -> None:
+        """A stage-one round placed ``placed``."""
+
+        def broken(report: PropertyReport) -> list[str]:
+            return [str(v) for v in check_invariants(state, report)]
+
+        self.check_transition(state, placed, broken, whole=not state.order.unplaced)
+
+    @_timed
+    def stage_one_done(self, state: SolverState) -> None:
+        """Stage one placed every agent."""
+        if greedy_replay(state) != state.alloc:
+            raise InternalSolverError(
+                "greedy replay along the finished order diverged from the allocation"
+            )
+
+    @_timed
+    def stage_two_opened(self, state: SolverState, report: PropertyReport, pick) -> None:
+        """Stage two opened with ``report``; its free-bundle check is the live one."""
+        if pick is not None:
+            self.ledger = Ledger.of(state.instance, state.alloc, state.order, report)
+        self._hold_envy(state, report.free_bundles, pick)
+
+    @_timed
+    def step(self, state: SolverState, record, live: FreeBundleCheck, pick) -> None:
+        """Stage two took the step ``record``; its live check is now ``live``."""
+        rule = f"rule {record.branch} on agent {record.agent}"
+
+        def failures(report: PropertyReport) -> list[str]:
+            if not STAGE_ONE_PROPERTIES.isdisjoint(report.failures):
+                return [f"{rule} broke {report.only(STAGE_ONE_PROPERTIES).summary()}"]
+            differ = _differ(live, report.free_bundles)
+            if not differ:
+                return []
+            return [f"after {rule} the live free-bundle check differs from the reference in {differ}"]
+
+        report = self.check_transition(state, record.changed(), failures, whole=live.ok)
+        envied_now = report.free_bundles.enviers
+        near = with_neighbours(state.instance, record.changed())
+        before = {(k, d) for k, d in self.envy_before if d in near}
+        now = {(k, d) for d in near for k in envied_now.get(d, ())}
+        created = now - before
+        if record.branch in ("A", "B") and created:
+            raise InternalSolverError(f"{rule} created envy {sorted(created)}")
+        if record.branch == "C":
+            if record.agent in envied_now:
+                raise InternalSolverError(f"rule C left agent {record.agent} envied")
+            if record.partner in envied_now:
+                raise InternalSolverError(f"rule C made the envier {record.partner} envied")
+            if not len({d for _, d in now}) < len({d for _, d in before}):
+                raise InternalSolverError("rule C did not shrink the set of envied agents")
+        if pick is not None and pick[1] not in near:
+            self._check_rule_agent(state, live, pick)
+        self._hold_envy(state, live, pick)
+
+    @_timed
+    def dump(self, state: SolverState, i: int, dumped: Bundle) -> None:
+        """Stage three dumps ``dumped``, agent ``i``'s frozen primary label."""
+        if own_labels(state.instance, state.alloc, state.order, state.cuts, i)[0] != dumped:
+            raise InternalSolverError(
+                f"live free-unit labels of agent {i} diverged from the frozen ones"
+            )
+
+    def _hold_envy(self, state: SolverState, live: FreeBundleCheck, pick) -> None:
+        """Hold ``live``'s envy pairs toward ``pick``'s ``C ∪ N(C)``, if any."""
+        if pick is not None:
+            _, i, j, _ = pick
+            near = with_neighbours(state.instance, (i,) if j is None else (i, j))
+            self.envy_before = {(k, d) for d in near for k in live.enviers.get(d, ())}
+
+    def _check_rule_agent(self, state: SolverState, live: FreeBundleCheck, pick) -> None:
+        """The rows of the agent ``pick`` fires on must be the ledger's."""
+        branch, i, _, _ = pick
+        instance, ledger = state.instance, self.current(state)
+        pairs = [(i, k) if i < k else (k, i) for k in instance.neighbors(i)]
+        reference = free_bundle_check(
+            instance, state.alloc, ledger.enviers, ledger.own, ledger.pairs, (i,), pairs
+        )
+        differ = _differ(live, reference)
+        if differ:
+            raise InternalSolverError(
+                f"before rule {branch} on agent {i} the live free-bundle check "
+                f"differs from the reference in {differ}"
+            )

@@ -24,21 +24,10 @@ becomes the live one (:class:`LiveCheck`), updated in place after every
 step; the stage holds no other free-bundle check.  A rule changes the
 bundles of at most two agents ``C``, each step checks that no other
 agent's bundle was set, and only ``C`` and its neighbours ``N(C)`` are
-rechecked.  With ``validate`` set, every step is also checked from scratch
-by :func:`.phase1.check_transition`, whole at the stage's last step, the
-one after which the live check has no break left (:func:`_validate_step`).
-A scoped step check rereads only what the step can have changed and takes
-the rest from the validator's ledger (:class:`.verify.Ledger`), which the
-stage seeds from a copy of its opening report when a rule fires on it
-(the stage's last step seeds none); the live check is compared row by row
-with the ledger's rows of ``C ∪ N(C)`` and its reads of the pairs touching
-``C``, both derived by :func:`.verify.free_bundle_check`, which also
-derives the whole check's rows.
-Since a live row outside ``C ∪ N(C)`` is compared only at the stage's last
-step, each step's check also compares the rows of the agent the next rule
-fires on with the ledger's, which is current by the same argument; the
-first rule fires on the opening report itself.  Stage three opens with the
-state's report in the same way.
+rechecked.  A validated run also reports the opening and every step to
+the run's :class:`.phase1.Validator`, whose docstring states what it
+checks and when.  Stage three opens with the state's report in the same
+way.
 
 Each step strictly lowers the triple (number of envied agents, rule-B
 violators, rule-A violators) in lexicographic order, so the loop ends after
@@ -47,11 +36,9 @@ at most ``n**3`` steps, at which point properties (1)-(7) all hold.
 
 from __future__ import annotations
 
-import time
 from bisect import bisect_left, bisect_right, insort
-from dataclasses import dataclass, fields
-from operator import itemgetter
-from typing import Collection, Iterable, NamedTuple, Optional
+from dataclasses import dataclass
+from typing import Iterable, NamedTuple, Optional
 
 # ``free_units``, ``envy_graph`` and ``check_properties`` are no longer
 # called here, but the benchmark's tracer wraps them by name, so a
@@ -59,14 +46,13 @@ from typing import Collection, Iterable, NamedTuple, Optional
 from .cuts import free_units, own_labels, read_pairs  # noqa: F401
 from .errors import InternalSolverError
 from .model import Bundle
-from .phase1 import SolveMetrics, SolverState, TraceFn, check_transition
+from .phase1 import _AGENT, SolveMetrics, SolverState, TraceFn, Validator, _breaks_7_of, _has
 from .verify import (  # noqa: F401
     STAGE_ONE_PROPERTIES,
     FreeBundleCheck,
     agent_free_bundle_breaks,
     check_properties,
     envy_graph,
-    free_bundle_check,
     viewer_envy,
     with_neighbours,
 )
@@ -90,15 +76,6 @@ def _splice(rows: list, i: int, new: list, key=None) -> None:
     order and stays so."""
     lo = bisect_left(rows, i, key=key)
     rows[lo : bisect_right(rows, i, lo, key=key)] = new
-
-
-def _has(rows: list[int], i: int) -> bool:
-    """Whether ascending ``rows`` holds ``i``."""
-    lo = bisect_left(rows, i)
-    return lo < len(rows) and rows[lo] == i
-
-
-_AGENT = itemgetter(0)
 
 
 @dataclass
@@ -362,11 +339,9 @@ def run_phase2(
     internal error, and the report's free-bundle part becomes the
     :class:`LiveCheck` that gives every step's check.  The potential must
     drop strictly on every step and the loop must finish within ``n**3``
-    steps; either failure is an internal error.  With ``validate`` set, the
-    validator's ledger is seeded from a copy of the opening report when a
-    rule fires on it, and each step is checked
-    from scratch after it (:func:`_validate_step`), together with the rows
-    of the agent the next rule fires on.  The output is checked by
+    steps of this call; either failure is an internal error.  With
+    ``validate`` set, the opening and every step are reported to the
+    state's :class:`.phase1.Validator`.  The output is checked by
     :func:`.phase3.run_phase3`.
     """
     instance = state.instance
@@ -377,155 +352,25 @@ def run_phase2(
     if not broken.ok:
         raise InternalSolverError(f"stage-one output: {broken.summary()}")
     live = LiveCheck(state, report.free_bundles)
-    if validate and not live.check.ok:
-        started = time.perf_counter()
-        state.seed_ledger(report)
-        metrics.validate_s += time.perf_counter() - started
     scan = live.check
-    while True:
-        if validate:
-            started = time.perf_counter()
-            envy_before = _envy_before(state, scan)
-            metrics.validate_s += time.perf_counter() - started
-        record = phase2_step(state, scan=scan, trace=trace)
-        if record is None:
-            break
+    validator = Validator.of(state, metrics) if validate else None
+    if validator is not None:
+        validator.stage_two_opened(state, report, _pick(scan))
+    steps = 0
+    while (record := phase2_step(state, scan=scan, trace=trace)) is not None:
+        steps += 1
         metrics.phase2_iterations += 1
         metrics.phase2_branches[record.branch] += 1
-        if metrics.phase2_iterations > cap:
+        if steps > cap:
             raise InternalSolverError(
                 f"repair loop exceeded {cap} iterations on {instance.n} agents"
             )
         scan = live.update(record.changed())
-        if validate:
-            started = time.perf_counter()
-            _validate_step(state, record, envy_before, scan)
-            metrics.validate_s += time.perf_counter() - started
+        if validator is not None:
+            validator.step(state, record, scan, _pick(scan))
         phi = Potential.of(scan)
         if phi >= record.potential_before:
             raise InternalSolverError(
                 f"repair potential failed to drop: {record.potential_before} -> {phi}"
             )
     return state
-
-
-def _breaks_7_of(rows: list[tuple[int, int, str]], i: int) -> list[tuple[int, int, str]]:
-    """The rows of agent ``i`` in the ascending (7) break list ``rows``."""
-    lo = bisect_left(rows, i, key=_AGENT)
-    return rows[lo : bisect_right(rows, i, lo, key=_AGENT)]
-
-
-_FIELDS = tuple(f.name for f in fields(FreeBundleCheck))
-
-
-def _differ(live: FreeBundleCheck, reference: FreeBundleCheck) -> list[str]:
-    """The fields in which ``live`` differs from ``reference``, row by row
-    over the agents and the pair reads ``reference`` holds."""
-    found = set()
-    units, near = live.units, reference.units
-    for i, own in reference.own.items():
-        if live.enviers.get(i) != reference.enviers.get(i):
-            found.add("enviers")
-        if units.primary[i] != near.primary[i] or units.secondary[i] != near.secondary[i]:
-            found.add("units")
-        if live.own[i] != own:
-            found.add("own")
-        if live.loose[i] != reference.loose[i]:
-            found.add("loose")
-        if _has(live.breaks_5, i) != (i in reference.breaks_5):
-            found.add("breaks_5")
-        if _has(live.breaks_6, i) != (i in reference.breaks_6):
-            found.add("breaks_6")
-        if _breaks_7_of(live.breaks_7, i) != _breaks_7_of(reference.breaks_7, i):
-            found.add("breaks_7")
-    if any(live.pairs[p] != read for p, read in reference.pairs.items()):
-        found.add("pairs")
-    return [name for name in _FIELDS if name in found]
-
-
-def _envy_before(state: SolverState, scan: FreeBundleCheck) -> Optional[set[tuple[int, int]]]:
-    """Before a validated step: the ``(envier, envied)`` pairs of ``scan``
-    whose envied agent is in ``C ∪ N(C)``, ``C`` the agents the next rule
-    will change, for the step's postconditions; ``None`` when no rule
-    fires."""
-    pick = _pick(scan)
-    if pick is None:
-        return None
-    _, i, j, _ = pick
-    near = with_neighbours(state.instance, (i,) if j is None else (i, j))
-    return {(k, d) for d in near for k in scan.enviers.get(d, ())}
-
-
-def _check_rule_agent(state: SolverState, scan: FreeBundleCheck, near: Collection[int]) -> None:
-    """After a validated step's check: the (5)-(7) rows and pair reads of
-    the agent the next rule fires on must equal those the validator's
-    ledger gives, so that every rule fires on a break a from-scratch check
-    sees.  The step's check compared the rows of ``near``, its
-    ``C ∪ N(C)``, and left the ledger current, so only an agent outside
-    ``near`` is compared here, in work in her degree.
-    """
-    pick = _pick(scan)
-    if pick is None or pick[1] in near:
-        return
-    branch, i, _, _ = pick
-    instance, ledger = state.instance, state.ledger()
-    pairs = [(i, k) if i < k else (k, i) for k in instance.neighbors(i)]
-    reference = free_bundle_check(
-        instance, state.alloc, ledger.enviers, ledger.own, ledger.pairs, (i,), pairs
-    )
-    differ = _differ(scan, reference)
-    if differ:
-        raise InternalSolverError(
-            f"before rule {branch} on agent {i} the live free-bundle check "
-            f"differs from the reference in {differ}"
-        )
-
-
-def _validate_step(
-    state: SolverState,
-    record: StepRecord,
-    envy_before: Iterable[tuple[int, int]],
-    live: FreeBundleCheck,
-) -> None:
-    """Check one step from scratch (:func:`.phase1.check_transition`).
-
-    Properties (1)-(4) must still hold, and the live check ``live`` must
-    equal the from-scratch one row by row (:func:`_differ`): over
-    ``C ∪ N(C)`` and the pairs touching ``C`` when scoped to the agents the
-    step changed, ``C``, and over every agent and pair when whole, at the
-    stage's last step, after which ``live`` has no break.  Then the rule's
-    postconditions must hold against ``envy_before``, the ``(envier,
-    envied)`` pairs before the step, read for the envied agents in
-    ``C ∪ N(C)``, the only ones a step that set only ``C`` can change, and
-    the agent the next rule fires on must have the ledger's rows
-    (:func:`_check_rule_agent`).
-    """
-    rule = f"rule {record.branch} on agent {record.agent}"
-
-    def failures(report):
-        if not STAGE_ONE_PROPERTIES.isdisjoint(report.failures):
-            return [f"{rule} broke {report.only(STAGE_ONE_PROPERTIES).summary()}"]
-        differ = _differ(live, report.free_bundles)
-        if not differ:
-            return []
-        return [f"after {rule} the live free-bundle check differs from the reference in {differ}"]
-
-    report = check_transition(state, record.changed(), failures, whole=live.ok)
-    envied_now = report.free_bundles.enviers
-    if report.scope is None:
-        near = with_neighbours(state.instance, record.changed())
-    else:
-        near = report.free_bundles.own.keys()  # the scoped check's C ∪ N(C)
-    before = {(k, d) for k, d in envy_before if d in near}
-    now = {(k, d) for d in near for k in envied_now.get(d, ())}
-    created = now - before
-    if record.branch in ("A", "B") and created:
-        raise InternalSolverError(f"{rule} created envy {sorted(created)}")
-    if record.branch == "C":
-        if record.agent in envied_now:
-            raise InternalSolverError(f"rule C left agent {record.agent} envied")
-        if record.partner in envied_now:
-            raise InternalSolverError(f"rule C made the envier {record.partner} envied")
-        if not len({d for _, d in now}) < len({d for _, d in before}):
-            raise InternalSolverError("rule C did not shrink the set of envied agents")
-    _check_rule_agent(state, live, near)

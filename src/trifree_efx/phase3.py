@@ -15,7 +15,8 @@ is the check of stage two's output, and reads each envied agent's envier
 labels it dumps from that check, the state's whole report
 (:meth:`.phase1.SolverState.report`): the last validated step's, or stage
 two's opening one when stage two took no step, when still current, else a
-new check.  ``solve`` wires the three stages together behind a
+new check.  A validated run reports each dump to the run's
+:class:`.phase1.Validator` before it.  ``solve`` wires the three stages together behind a
 triangle-freeness guard and re-verifies the final allocation (complete +
 EFX) from first principles; when nothing was dumped, the allocation is the
 one the opening check saw, and its property (1) is the EFX verdict.
@@ -29,10 +30,10 @@ from typing import Optional
 
 # ``free_units`` and ``envy_graph`` are no longer called here, but the
 # benchmark's tracer wraps both by name, so a reintroduced call is counted
-from .cuts import free_units, own_labels  # noqa: F401
+from .cuts import free_units  # noqa: F401
 from .errors import InternalSolverError, NotTriangleFreeError
 from .model import Allocation, Instance
-from .phase1 import SolveMetrics, SolverState, TraceFn, run_phase1
+from .phase1 import SolveMetrics, SolverState, TraceFn, Validator, run_phase1
 from .phase2 import run_phase2
 from .verify import (  # noqa: F401
     CheckReport,
@@ -46,21 +47,16 @@ from .verify import (  # noqa: F401
 class SolveConfig:
     """Knobs for one solver run.
 
-    ``validate_steps`` checks every stage-one round and every stage-two step
-    from scratch (:func:`.phase1.check_transition`), rereading only what
-    the round or step can have changed and taking the rest from a ledger of
-    earlier from-scratch reads (:class:`.verify.Ledger`); it is the default
-    and recommended mode, and ``SolveMetrics.validate_s`` is its cost.
-    Turning it off keeps the stage-boundary and final checks but skips the
-    per-round and per-step ones, and builds no ledger.  The stage-boundary
-    checks are the ones stages two and three open with, each one check of
-    properties (1)-(7) on its input, and the final one is the
-    complete-and-EFX check.  Each state is checked from scratch once: a
-    stage opens with the state's whole report
+    ``validate_steps`` reports every stage-one round, stage-two step and
+    stage-three dump to a :class:`.phase1.Validator`, whose docstring
+    states what it checks; it is the default and recommended mode, and
+    ``SolveMetrics.validate_s`` is its cost.  Turning it off makes no
+    validator but keeps the checks stages two and three open with, each one
+    check of properties (1)-(7) on its input, and the final complete-and-EFX
+    check.  A stage opens with the state's whole report
     (:meth:`.phase1.SolverState.report`), the last one computed on the very
-    state it is handed when there is one, so a validated solve runs one
-    check per round and per step, whole for the last round and the last
-    step only, and an unvalidated solve builds the envy graph once when
+    state it is handed when there is one, so each state is checked from
+    scratch once, and an unvalidated solve builds the envy graph once when
     stage two takes no step, one more when it does, and one more when stage
     three dumps.
     """
@@ -89,13 +85,14 @@ def run_phase3(
     the stage-two output (:meth:`.phase1.SolverState.report`); any failure
     is an internal error.  Each envied agent's one envier (her row
     of the check's envier index) and the free-unit labels are read from
-    that check and frozen; with ``validate`` the dumped agent's primary
-    label is also read from her own pairs before each dump, and must agree.
+    that check and frozen; with ``validate`` each dump is reported to the
+    state's :class:`.phase1.Validator` before it is made.
     The output must be a complete EFX allocation; with no dump the opening
     report, still current, gives the EFX verdict.
     """
     instance, alloc = state.instance, state.alloc
     metrics = metrics if metrics is not None else SolveMetrics()
+    validator = Validator.of(state, metrics) if validate else None
     report = state.report()
     if not report.ok:
         raise InternalSolverError(f"stage-two output: {report.summary()}")
@@ -118,12 +115,8 @@ def run_phase3(
     for i in envied:
         j = enviers[i][0]
         dumped = units.primary[i]
-        if validate:
-            live, _ = own_labels(instance, alloc, state.order, state.cuts, i)
-            if live != dumped:
-                raise InternalSolverError(
-                    f"live free-unit labels of agent {i} diverged from the frozen ones"
-                )
+        if validator is not None:
+            validator.dump(state, i, dumped)
         alloc.set_bundle(j, alloc.bundle(j) | dumped)
         metrics.phase3_dumps += 1
         if trace is not None:

@@ -15,7 +15,7 @@ from trifree_efx import (
 from trifree_efx import phase2, verify
 from trifree_efx.cuts import CutTable, PickOrder
 from trifree_efx.errors import InternalSolverError
-from trifree_efx.phase1 import SolveMetrics, SolverState
+from trifree_efx.phase1 import SolveMetrics, SolverState, Validator
 from trifree_efx.phase2 import LiveCheck, Potential, phase2_step
 from trifree_efx.verify import envy_pairs
 from trifree_efx.generate import (
@@ -713,11 +713,13 @@ def test_rule_postconditions_read_the_envy_pairs_from_before_the_step(
     live = scratch_check(state)
     assert envy_pairs(live.enviers) == [(3, 4), (5, 6)]
     record = phase2.StepRecord(branch, agent, partner, Potential(0, 0, 0))
+    validator = Validator(SolveMetrics())
+    validator.envy_before = envy_before
     if error is None:
-        phase2._validate_step(state, record, envy_before, live)
+        validator.step(state, record, live, phase2._pick(live))
     else:
         with pytest.raises(InternalSolverError, match=error):
-            phase2._validate_step(state, record, envy_before, live)
+            validator.step(state, record, live, phase2._pick(live))
 
 
 def test_stage_two_builds_each_full_check_at_most_once(monkeypatch):

@@ -247,20 +247,39 @@ def test_solve_on_mixed_valuation_instances(inst):
 
 
 def test_validated_dumps_read_only_the_dumped_agents_pairs(monkeypatch):
-    # before each dump the dumped agent's label is read from her own pairs;
-    # no whole-state labelling is built
-    from trifree_efx import GenSpec, phase3
+    # before each dump the validator reads the dumped agent's label from her
+    # own pairs; no whole-state labelling is built
+    from trifree_efx import GenSpec, phase1, phase3
 
     whole, own = [], []
     monkeypatch.setattr(phase3, "free_units", lambda *a, **k: whole.append(a))
-    original = phase3.own_labels
+    original = phase1.own_labels
 
     def counted(instance, alloc, order, cuts, i):
         own.append(i)
         return original(instance, alloc, order, cuts, i)
 
-    monkeypatch.setattr(phase3, "own_labels", counted)
+    monkeypatch.setattr(phase1, "own_labels", counted)
     inst = gen_instance(GenSpec(seed=1, n=140, m=420, topology="tree"))
     metrics = solve(inst).metrics
     assert metrics.phase3_dumps > 0
     assert whole == [] and len(own) == metrics.phase3_dumps
+
+
+def test_validate_s_counts_the_dump_checks(monkeypatch):
+    # the validated label read before each dump is part of the validation time
+    import time
+
+    from trifree_efx import phase1
+
+    original = phase1.own_labels
+
+    def slow(*args):
+        time.sleep(0.05)
+        return original(*args)
+
+    monkeypatch.setattr(phase1, "own_labels", slow)
+    metrics = solve(adversarial("adjacent_envied_dump")).metrics
+    assert metrics.phase3_dumps == 2 and metrics.phase2_iterations == 0
+    assert metrics.validate_s >= 0.1
+

@@ -29,10 +29,10 @@ from trifree_efx import (
     solve,
 )
 from trifree_efx.cuts import CutTable, PickOrder
-from trifree_efx.generate import GenSpec, suite_spec
-from trifree_efx import phase1, phase2, verify
+from trifree_efx.generate import TOPOLOGIES, GenSpec, gen_adversarial_suite, suite_spec
+from trifree_efx import phase1, verify
 from trifree_efx.errors import InternalSolverError
-from trifree_efx.phase1 import SolveMetrics, SolverState, augment
+from trifree_efx.phase1 import SolveMetrics, SolverState, Validator, augment
 from trifree_efx.phase2 import LiveCheck, phase2_step
 from trifree_efx.verify import STAGE_ONE_PROPERTIES, Ledger, viewer_envy, with_neighbours
 
@@ -100,7 +100,7 @@ def assert_scoped_matches_whole(state, scope, ledger):
     if scoped.free_bundles is not None:
         near = scoped.free_bundles
         assert set(near.own) == with_neighbours(state.instance, scope)
-        assert phase2._differ(whole.free_bundles, near) == []
+        assert phase1._differ(whole.free_bundles, near) == []
     return scoped, whole
 
 
@@ -213,8 +213,8 @@ def fresh_reads(state):
     return own, rows, pairs
 
 
-def assert_ledger_is_fresh(state):
-    ledger = state.ledger()
+def assert_ledger_is_fresh(validator, state):
+    ledger = validator.current(state)
     assert ledger is not None
     own, rows, pairs = fresh_reads(state)
     assert ledger.own == own
@@ -227,19 +227,18 @@ def assert_ledger_is_fresh(state):
 def test_every_ledger_entry_equals_a_fresh_read(monkeypatch):
     # after every check of a validated round and step
     checks = {"scoped": 0, "whole": 0}
-    transition = phase1.check_transition
+    transition = Validator.check_transition
 
-    def and_compare(state, scope, failures, *, whole=False):
-        report = transition(state, scope, failures, whole=whole)
+    def and_compare(self, state, scope, failures, *, whole=False):
+        report = transition(self, state, scope, failures, whole=whole)
         checks["whole" if report.scope is None else "scoped"] += 1
         if whole:  # the last transition of a stage seeds no ledger
-            assert state.ledger() is None
+            assert self.current(state) is None
         else:
-            assert_ledger_is_fresh(state)
+            assert_ledger_is_fresh(self, state)
         return report
 
-    for owner in (phase1, phase2):
-        monkeypatch.setattr(owner, "check_transition", and_compare)
+    monkeypatch.setattr(Validator, "check_transition", and_compare)
     for entry in SUITE:
         solve(build(entry))
     assert checks["scoped"] > 1000 and checks["whole"] > 400, checks
@@ -273,8 +272,9 @@ def test_a_ledger_copies_the_report_it_is_seeded_from():
     inst = gen_instance(suite_spec("tree", 2))
     state = run_phase1(inst, validate=False)
     report = state.report()
-    state.seed_ledger(report)
-    ledger, check = state.ledger(), report.free_bundles
+    validator = Validator.of(state, SolveMetrics())
+    validator.ledger = Ledger.of(inst, state.alloc, state.order, report)
+    ledger, check = validator.current(state), report.free_bundles
     assert dict(enumerate(ledger.own)) == check.own and ledger.own is not check.own
     assert ledger.pairs == check.pairs and ledger.pairs is not check.pairs
     assert ledger.enviers == check.enviers and ledger.enviers is not check.enviers
@@ -293,15 +293,17 @@ def test_a_bundle_set_outside_the_scope_sends_the_check_whole(monkeypatch):
         log.append(kwargs.get("scope"))
         return check(*args, **kwargs)
 
-    state.seed_ledger(state.report())  # as stage two does before its first step
+    validator = Validator.of(state, SolveMetrics())
+    # as stage two does before its first step
+    validator.ledger = Ledger.of(inst, state.alloc, state.order, state.report())
     monkeypatch.setattr(phase1, "check_properties", logged)
-    assert state.ledger() is not None
-    phase1.check_transition(state, [0], lambda report: [])
+    assert validator.current(state) is not None
+    validator.check_transition(state, [0], lambda report: [])
     assert log == [frozenset({0})]
     state.alloc.set_bundle(1, state.alloc.bundle(1))
-    assert state.ledger({0}) is None and state.ledger({1}) is not None
+    assert validator.current(state, {0}) is None and validator.current(state, {1}) is not None
     log.clear()
-    phase1.check_transition(state, [0], lambda report: [])
+    validator.check_transition(state, [0], lambda report: [])
     assert log == [None]
 
 
@@ -318,20 +320,19 @@ def test_a_validated_step_rereads_only_the_pairs_of_its_agents(monkeypatch):
         reads[-1] += len(pairs)
         return read_pairs(instance, alloc, order, cuts, pairs)
 
-    transition = phase1.check_transition
+    transition = Validator.check_transition
     checked = []
 
-    def counting(state, scope, failures, *, whole=False):
+    def counting(self, state, scope, failures, *, whole=False):
         reads.append(0)
-        report = transition(state, scope, failures, whole=whole)
+        report = transition(self, state, scope, failures, whole=whole)
         if report.scope is not None:
             degrees = sum(len(state.instance.neighbors(c)) for c in report.scope)
             checked.append((state.order.unplaced == set(), reads[-1], degrees))
         return report
 
     monkeypatch.setattr(verify, "read_pairs", counted)
-    for owner in (phase1, phase2):
-        monkeypatch.setattr(owner, "check_transition", counting)
+    monkeypatch.setattr(Validator, "check_transition", counting)
     metrics = solve(gen_instance(DENSE)).metrics
     steps = [(count, degrees) for step, count, degrees in checked if step]
     assert len(steps) == metrics.phase2_iterations - 1 > 10
@@ -434,7 +435,68 @@ def test_a_failing_scoped_round_is_reported_as_the_whole_check_reports_it(monkey
     assert str(raised.value) == whole
 
 
-# -- SolveMetrics.to_dict --------------------------------------------------------
+EVENTS = ("round_placed", "step", "dump")
+
+
+def test_each_validated_transition_reports_once(monkeypatch):
+    # a validated solve reports each round, step and dump to its one
+    # validator once; an unvalidated solve makes no validator
+    counts = dict.fromkeys(EVENTS, 0)
+    for name in EVENTS:
+        event = getattr(Validator, name)
+
+        def counted(self, *args, _name=name, _event=event):
+            counts[_name] += 1
+            return _event(self, *args)
+
+        monkeypatch.setattr(Validator, name, counted)
+    made = []
+    init = Validator.__init__
+
+    def counted_init(self, metrics):
+        made.append(self)
+        init(self, metrics)
+
+    monkeypatch.setattr(Validator, "__init__", counted_init)
+    instances = [inst for _, inst in gen_adversarial_suite()] + [
+        gen_instance(suite_spec(topology, index)) for topology in TOPOLOGIES for index in range(6)
+    ]
+    totals = dict.fromkeys(EVENTS, 0)
+    rule_c = 0
+    for inst in instances:
+        for validate in (True, False):
+            counts.update(dict.fromkeys(EVENTS, 0))
+            made.clear()
+            metrics = solve(inst, SolveConfig(validate_steps=validate)).metrics
+            expected = (metrics.augment_calls, metrics.phase2_iterations, metrics.phase3_dumps)
+            if validate:
+                assert tuple(counts.values()) == expected and len(made) == 1
+                totals = {name: totals[name] + counts[name] for name in EVENTS}
+                rule_c += metrics.phase2_branches["C"]
+            else:
+                assert tuple(counts.values()) == (0, 0, 0) and made == []
+    assert min(totals.values()) > 0 and rule_c > 0, (totals, rule_c)
+
+
+# -- SolveMetrics ----------------------------------------------------------------
+
+
+def test_a_reused_metrics_object_trips_no_stage_guard():
+    # the stage guards count the rounds and steps of their own call, while
+    # the metrics keep accumulating over every call they are passed to
+    metrics = SolveMetrics()
+    run_phase1(gen_instance(GenSpec(seed=1, n=20, m=30, topology="tree")), metrics=metrics)
+    rounds = metrics.augment_calls
+    assert rounds > 4
+    run_phase1(gen_instance(GenSpec(seed=2, n=4, m=4, topology="path")), metrics=metrics)
+    assert metrics.augment_calls > rounds
+    metrics = SolveMetrics()
+    state = run_phase1(gen_instance(GenSpec(seed=3, n=60, m=180, topology="cycle_even")))
+    run_phase2(state, metrics=metrics)
+    steps = metrics.phase2_iterations
+    assert steps > 27
+    run_phase2(run_phase1(gen_instance(GenSpec(seed=1, n=3, m=6, topology="path"))), metrics=metrics)
+    assert metrics.phase2_iterations >= steps
 
 
 def test_metrics_to_dict_is_a_flat_copy():

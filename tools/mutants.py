@@ -197,7 +197,7 @@ MUTANTS = (
     ),
     Mutant(
         "scoped_live_rows_ignored",
-        PHASE2,
+        PHASE1,
         "    for i, own in reference.own.items():",
         "    for i, own in ():",
         ("tests/test_phase2.py",),
@@ -205,36 +205,52 @@ MUTANTS = (
     ),
     Mutant(
         "rule_agent_unchecked",
-        PHASE2,
-        "    differ = _differ(scan, reference)\n    if differ:",
-        "    differ = _differ(scan, reference)\n    if False:",
+        PHASE1,
+        "        differ = _differ(live, reference)\n        if differ:",
+        "        differ = _differ(live, reference)\n        if False:",
         ("tests/test_phase2.py",),
         "a rule fires on a live break the ledger's rows do not have",
     ),
     Mutant(
         "handed_state_scoped",
         PHASE1,
-        "        state = SolverState.fresh(instance)\n        if validate:\n"
-        "            state.seed_ledger()\n",
-        "        state = SolverState.fresh(instance)\n    if validate:\n"
-        "        state.seed_ledger()\n",
+        "Validator.of(state, metrics, fresh=fresh)",
+        "Validator.of(state, metrics, fresh=True)",
         ("tests/test_scoped_check.py",),
         "a state handed to stage one gets the ledger of a fresh state, so its "
         "first round is checked scoped",
     ),
     Mutant(
+        "partner_second_best",
+        PHASE1,
+        "            best_j, best_val, best = j, val, bundle\n    return best_j, best\n",
+        "            runner, best_j, best_val, best = (best_j, best), j, val, bundle\n"
+        "    return locals().get(\"runner\", (best_j, best))\n",
+        ("tests/test_phase1.py",),
+        "stage one's partner search, which the greedy replay shares, returns "
+        "the partner and claimable bundle the best one displaced",
+    ),
+    Mutant(
+        "rule_c_step_unreported",
+        PHASE2,
+        "        if validator is not None:\n            validator.step(",
+        "        if validator is not None and record.branch != \"C\":\n            validator.step(",
+        ("tests/test_scoped_check.py",),
+        "stage two does not report a rule-C step to the validator",
+    ),
+    Mutant(
         "scoped_failure_accepted",
         PHASE1,
-        "        if not found:\n",
-        "        if True:\n",
+        "            if not found:\n",
+        "            if True:\n",
         ("tests/test_scoped_check.py",),
         "a scoped check's findings are accepted without the whole rerun",
     ),
     Mutant(
         "scoped_failure_unseen",
         PHASE1,
-        "    if ledger is not None:\n        raise InternalSolverError(",
-        "    if False:\n        raise InternalSolverError(",
+        "        if ledger is not None:\n            raise InternalSolverError(",
+        "        if False:\n            raise InternalSolverError(",
         ("tests/test_scoped_check.py",),
         "a scoped finding the whole check does not share is dropped silently",
     ),
